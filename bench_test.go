@@ -9,7 +9,6 @@
 package dsv3
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -435,12 +434,10 @@ func BenchmarkServeEngineHazard(b *testing.B) {
 }
 
 // BenchmarkServeFleet measures the fleet-scale unit of work: the
-// 1000-instance reference deployment (600 prefill + 400 decode, sharded
-// event loop, calendar queue) absorbing a scaled-down slice of the
-// serve-fleet experiment's traffic on a warm pooled engine. This is the
-// configuration the sharded coordinator and the calendar queue exist
-// for, so its allocs/op is pinned in scripts/alloc_gate.sh alongside
-// the serial engine's.
+// 1000-instance reference deployment (600 prefill + 400 decode)
+// absorbing a scaled-down slice of the serve-fleet experiment's traffic
+// on a warm pooled engine. Its allocs/op is pinned in
+// scripts/alloc_gate.sh alongside the small engine's.
 func BenchmarkServeFleet(b *testing.B) {
 	cfg := ServeFleetConfig1000(79)
 	w := ServeFleetWorkload(11000)
@@ -459,39 +456,6 @@ func BenchmarkServeFleet(b *testing.B) {
 		if rep.Completed != w.Requests {
 			b.Fatalf("completed %d of %d requests", rep.Completed, w.Requests)
 		}
-	}
-}
-
-// BenchmarkServeFleetShards runs the same fleet unit of work at shard
-// counts 1/2/4/8 — the scaling study for the sharded coordinator. The
-// report is byte-identical at every count, so the subbenchmarks differ
-// only in wall clock. Shards run on their own goroutines, so speedup
-// requires GOMAXPROCS >= the shard count; on a single-core host every
-// multi-shard point instead measures pure coordination overhead (the
-// conservative-window sync and record replay), which is the number to
-// watch when tuning the coordinator.
-func BenchmarkServeFleetShards(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := ServeFleetConfig1000(79)
-			cfg.Fleet.Shards = shards
-			w := ServeFleetWorkload(11000)
-			w.Requests = 50_000
-			eng := NewServeEngine()
-			if _, err := eng.Run(cfg, w); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rep, err := eng.Run(cfg, w)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Completed != w.Requests {
-					b.Fatalf("completed %d of %d requests", rep.Completed, w.Requests)
-				}
-			}
-		})
 	}
 }
 

@@ -20,11 +20,7 @@
 //	                                       #   the -target SLO attainment
 //	dsv3serve -burst 2,8                   # bursty on/off arrivals (mean
 //	                                       #   on,off dwell seconds)
-//	dsv3serve -prefill 600 -decode 400 -shards 0 -sched calendar
-//	                                       # fleet-scale run: shard the decode
-//	                                       #   fleet across GOMAXPROCS sub-engines
-//	                                       #   on the calendar-queue scheduler
-//	                                       #   (output bytes identical either way)
+//	dsv3serve -prefill 600 -decode 400     # fleet-scale run
 //	dsv3serve -colocate -stride 32         # colocated continuous batching
 //	dsv3serve -mtp 0.85                    # MTP speculative decoding
 //	dsv3serve -kv-tiers name=dram,cap=8,read=24,write=16,lat=0.05
@@ -67,7 +63,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -85,8 +80,6 @@ func main() {
 	prefill := flag.Int("prefill", 2, "prefill instances")
 	decode := flag.Int("decode", 4, "decode instances")
 	routerName := flag.String("router", "least-kv", "instance-selection policy: least-kv, round-robin, p2c, or shortest-queue")
-	shards := flag.Int("shards", 1, "decode-fleet shards advancing concurrently; 0 auto-sizes from GOMAXPROCS (output bytes are identical for every value)")
-	schedName := flag.String("sched", "heap", "event-queue implementation: heap or calendar")
 	findCapacity := flag.Bool("find-capacity", false, "bisect for the max sustainable rate meeting -target SLO attainment instead of sweeping -rate")
 	target := flag.Float64("target", 0.9, "SLO attainment target for -find-capacity (0..1]")
 	burst := flag.String("burst", "", "bursty on/off arrivals: mean on,off dwell seconds (e.g. 2,8); empty keeps Poisson")
@@ -140,30 +133,6 @@ func main() {
 		fail(err)
 	}
 	cfg.Fleet.Router = policy
-	// -shards 0 auto-sizes from the host; anything else must name a
-	// sensible partition of the decode fleet up front.
-	nDecodeFleet := *decode
-	if *colocate {
-		nDecodeFleet = *prefill + *decode
-	}
-	switch {
-	case *shards < 0:
-		fail(fmt.Errorf("dsv3serve: -shards must be >= 1, or 0 to auto-size from GOMAXPROCS; got %d", *shards))
-	case *shards > nDecodeFleet:
-		fail(fmt.Errorf("dsv3serve: -shards %d exceeds the %d decode instances it would partition", *shards, nDecodeFleet))
-	case *shards == 0:
-		cfg.Fleet.Shards = runtime.GOMAXPROCS(0)
-		if cfg.Fleet.Shards > nDecodeFleet {
-			cfg.Fleet.Shards = nDecodeFleet
-		}
-	default:
-		cfg.Fleet.Shards = *shards
-	}
-	sched, err := dsv3.ParseServeScheduler(*schedName)
-	if err != nil {
-		fail(err)
-	}
-	cfg.Fleet.Scheduler = sched
 	if *kvTiers != "" {
 		tiers, err := dsv3.ParseServeKVTiers(*kvTiers)
 		if err != nil {

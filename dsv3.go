@@ -306,11 +306,6 @@ type (
 	ServeRouter       = servesim.Router
 	ServeRouterPolicy = servesim.RouterPolicy
 	ServeInstanceLoad = servesim.InstanceLoad
-	// ServeScheduler selects the event-queue implementation
-	// (ServeConfig.Fleet.Scheduler); ServeConfig.Fleet.Shards partitions
-	// the decode fleet across concurrent sub-engines. Both are pure
-	// performance knobs — output bytes are identical for every setting.
-	ServeScheduler = servesim.SchedulerKind
 	// ServeCapacityPlanner bisects for the max sustainable arrival rate
 	// meeting a target SLO attainment — the per-fleet goodput knee.
 	ServeCapacityPlanner = servesim.CapacityPlanner
@@ -359,9 +354,6 @@ const (
 	RoutePowerOfTwo    = servesim.RoutePowerOfTwo
 	RouteShortestQueue = servesim.RouteShortestQueue
 
-	ServeSchedHeap     = servesim.SchedHeap
-	ServeSchedCalendar = servesim.SchedCalendar
-
 	FaultCrash   = servesim.FaultCrash
 	FaultRecover = servesim.FaultRecover
 	FaultDrain   = servesim.FaultDrain
@@ -393,9 +385,6 @@ var (
 	// tiers of a ServeKVHierarchy — the format behind dsv3serve's
 	// -kv-tiers flag.
 	ParseServeKVTiers = servesim.ParseKVTiers
-	// ParseServeScheduler resolves "heap" or "calendar" — the format
-	// behind dsv3serve's -sched flag.
-	ParseServeScheduler = servesim.ParseScheduler
 	// ParseServeHazardEvents parses a comma-separated plane-hazard spec
 	// ("degrade@4:d1:6/8,heal@16:d1") and ParseServeHedgePolicy a hedge
 	// spec ("0.5" fixed delay or "p95:0.3" tracked with a floor) — the
@@ -584,7 +573,7 @@ var (
 	ServeTraceStudyResult = experiments.TraceStudyResult
 	RenderServeTrace      = experiments.RenderTraceStudy
 	// ServeFleetStudy runs the 1000-instance fleet under one million
-	// Poisson requests on the sharded event loop (serve-fleet entry);
+	// Poisson requests (serve-fleet entry);
 	// ServeFleetConfig1000 is the deployment it runs.
 	ServeFleetStudy       = experiments.FleetStudy
 	ServeFleetStudyResult = experiments.FleetStudyResult

@@ -168,7 +168,7 @@ func Catalogue() []Runner {
 			func(o Options) (*results.Table, error) { return KVTierStudyResult(SeedServeKVTier, o.Quick) }),
 		many("serve-trace", "serving: deterministic lifecycle trace of the tiered+faulted run", SeedServeTrace,
 			func(o Options) ([]*results.Table, error) { return TraceStudyResult(SeedServeTrace, o.Quick) }),
-		one("serve-fleet", "serving: 1000-instance fleet under 1M requests (sharded event loop)", SeedServeFleet,
+		one("serve-fleet", "serving: 1000-instance fleet under 1M requests", SeedServeFleet,
 			func(o Options) (*results.Table, error) { return FleetStudyResult(SeedServeFleet, o.Quick) }),
 		one("serve-hazard", "serving: plane degradation + SDC per router, detection off vs on", SeedServeHazard,
 			func(o Options) (*results.Table, error) { return HazardStudyResult(SeedServeHazard, o.Quick) }),

@@ -8,20 +8,15 @@ import (
 
 // FleetConfig returns the 1000-instance reference deployment the
 // fleet-scale experiment runs: 600 prefill + 400 decode instances
-// behind power-of-two routing, the calendar-queue scheduler, and the
-// sharded event loop. The ratio balances the pools for the short-output
-// chat workload below (prefill caps at ~13.5K req/s, decode at ~13K),
-// so both run hot at the study's rates. The shard count is a pure
-// performance knob — output bytes are identical for any value — so it
-// is pinned rather than derived from the host.
+// behind power-of-two routing. The ratio balances the pools for the
+// short-output chat workload below (prefill caps at ~13.5K req/s,
+// decode at ~13K), so both run hot at the study's rates.
 func FleetConfig(seed int64) servesim.Config {
 	cfg := servesim.V3ServeConfig()
 	cfg.Fleet.PrefillInstances = 600
 	cfg.Fleet.DecodeInstances = 400
 	cfg.Fleet.MaxBatch = 32
 	cfg.Fleet.Router = servesim.RoutePowerOfTwo
-	cfg.Fleet.Shards = 8
-	cfg.Fleet.Scheduler = servesim.SchedCalendar
 	cfg.KV.HBM.CapacityBytes = 4 * units.GB
 	cfg.Seed = seed
 	return cfg
@@ -41,8 +36,7 @@ func FleetWorkload(rate float64) servesim.Workload {
 }
 
 // FleetStudy runs the 1000-instance deployment under one million
-// Poisson requests per arrival rate — the fleet-scale run the sharded
-// event loop and calendar queue exist for. Quick mode runs the single
+// Poisson requests per arrival rate. Quick mode runs the single
 // reference rate; the full study adds a heavier point near the
 // prefill-capacity knee.
 func FleetStudy(seed int64, quick bool) ([]servesim.SweepPoint, error) {
@@ -68,7 +62,7 @@ func FleetStudyResult(seed int64, quick bool) (*results.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := results.NewTable("Serving: 1000-instance fleet (600 prefill + 400 decode) under 1M Poisson requests, sharded event loop + calendar queue",
+	t := results.NewTable("Serving: 1000-instance fleet (600 prefill + 400 decode) under 1M Poisson requests",
 		results.CU("Rate", "req/s"), results.C("Completed"),
 		results.CU("TTFT p50", "ms"), results.CU("TTFT p99", "ms"),
 		results.CU("TPOT p50", "ms"), results.CU("TPOT p99", "ms"),

@@ -163,69 +163,6 @@ func MapScratch[T, S any](n int, newScratch func() S, fn func(i int, scratch S) 
 	return results, nil
 }
 
-// ShardGroup is a barrier-stepped worker group: n goroutines that stay
-// parked between Step calls, so a caller can run thousands of short
-// synchronized phases (the sharded serving engine's conservative time
-// windows) without paying goroutine creation per phase. Each Step
-// releases every worker to run fn(shard) exactly once and returns after
-// all have finished, establishing a happens-before edge in both
-// directions — shard-owned state written inside fn is visible to the
-// caller after Step, and caller writes before Step are visible to fn.
-//
-// Step and Close must be called from one goroutine. A group with n <= 1
-// spawns nothing and runs fn(0) inline — the serial parity baseline.
-type ShardGroup struct {
-	n     int
-	fn    func(shard int)
-	start []chan struct{}
-	done  chan struct{}
-}
-
-// NewShardGroup spawns the group's workers. Close must be called to
-// release them.
-func NewShardGroup(n int, fn func(shard int)) *ShardGroup {
-	g := &ShardGroup{n: n, fn: fn}
-	if n <= 1 {
-		return g
-	}
-	g.start = make([]chan struct{}, n)
-	g.done = make(chan struct{}, n)
-	for i := 0; i < n; i++ {
-		g.start[i] = make(chan struct{}, 1)
-		go func(shard int) {
-			for range g.start[shard] {
-				g.fn(shard)
-				g.done <- struct{}{}
-			}
-		}(i)
-	}
-	return g
-}
-
-// Step runs fn(0..n-1) concurrently and returns when all are done.
-func (g *ShardGroup) Step() {
-	if g.n <= 1 {
-		if g.n == 1 {
-			g.fn(0)
-		}
-		return
-	}
-	for i := 0; i < g.n; i++ {
-		g.start[i] <- struct{}{}
-	}
-	for i := 0; i < g.n; i++ {
-		<-g.done
-	}
-}
-
-// Close terminates the worker goroutines. The group must not be
-// stepped afterwards.
-func (g *ShardGroup) Close() {
-	for i := 0; i < len(g.start); i++ {
-		close(g.start[i])
-	}
-}
-
 // DeriveSeed derives a statistically independent child seed from a base
 // seed and a task index using the splitmix64 finalizer (the same mixer
 // the routing layers use for ECMP hashing). Two properties matter:

@@ -68,20 +68,6 @@ type FleetConfig struct {
 	// instances pull work from the shared queue themselves, so the
 	// policy has no effect under Colocated.
 	Router RouterPolicy
-
-	// Shards partitions the decode fleet across that many concurrently
-	// advancing sub-engines synchronized at conservative time windows
-	// (see shard.go / DESIGN.md "Fleet-scale execution"). Output bytes
-	// are identical for every shard count — 0 and 1 mean serial, and
-	// configurations the window scheme cannot cover (colocation, MTP,
-	// KV tiers, instantaneous hand-off, trace-driven arrivals) silently
-	// run serial as well. Values above the decode instance count clamp.
-	Shards int
-
-	// Scheduler selects the event-queue implementation (heap default,
-	// calendar for fleet-scale runs). Pure performance profile: the pop
-	// order, and therefore every output byte, is identical across kinds.
-	Scheduler SchedulerKind
 }
 
 // shape resolves the fleet into (prefill, decode) unit counts; under
@@ -111,12 +97,6 @@ func (f FleetConfig) Validate() error {
 	}
 	if f.TransferBW < 0 {
 		errs = append(errs, fmt.Errorf("servesim: negative transfer bandwidth %v", f.TransferBW))
-	}
-	if f.Shards < 0 {
-		errs = append(errs, fmt.Errorf("servesim: negative shard count %d", f.Shards))
-	}
-	if err := f.Scheduler.Validate(); err != nil {
-		errs = append(errs, err)
 	}
 	if err := f.Router.Validate(); err != nil {
 		errs = append(errs, err)

@@ -218,12 +218,6 @@ func (h HedgePolicy) Validate() error {
 	return nil
 }
 
-// hazardous reports whether any cross-layer hazard machinery is active
-// — the sharded coordinator falls back to the serial loop when it is.
-func (r *ResilienceConfig) hazardous() bool {
-	return r.Hazards != nil || r.Hedge.enabled()
-}
-
 // Hedge race states (reqState.hstate).
 const (
 	hzNone int8 = iota
@@ -389,7 +383,7 @@ func (e *Engine) commScaleP(inst int) float64 {
 }
 
 // scheduleHazards seeds the hazard RNG stream and schedules the plane
-// script. Serial path only — hazardous configs never shard.
+// script.
 func (e *Engine) scheduleHazards() {
 	plan := e.cfg.Resilience.Hazards
 	if plan == nil {

@@ -100,18 +100,6 @@ func TestHazardPooledEngineReuse(t *testing.T) {
 	}
 }
 
-// Hazardous configs must force the serial event loop: a sharded fleet
-// request produces byte-identical output to the serial run.
-func TestHazardShardedFallback(t *testing.T) {
-	cfg := hazardTestConfig(true)
-	w := testWorkload(5, 150)
-	serial := mustJSON(t, mustRun(t, cfg, w))
-	cfg.Fleet.Shards = 2
-	if sharded := mustJSON(t, mustRun(t, cfg, w)); sharded != serial {
-		t.Fatal("sharded hazardous run diverged from serial")
-	}
-}
-
 // The detection stack is the point of the subsystem: without it,
 // undetected corruption taints completed responses; with it, Freivalds
 // verification catches corrupt steps (quarantining instead of

@@ -283,3 +283,24 @@ func TestPrefixCacheControlledSession(t *testing.T) {
 		t.Fatalf("prefix store moved no bytes: %+v", rep.KVTierMoves)
 	}
 }
+
+// TestKVExhaustedByReloadsPreemptsGrower pins a tiered run whose only
+// active grower meets a pool filled by requests admitted for a reload:
+// those sit in the instance's reload set, out of the victim search, so
+// the grower must give way itself instead of failing the run with
+// "KV exhausted with no preemption victim".
+func TestKVExhaustedByReloadsPreemptsGrower(t *testing.T) {
+	cfg := tieredConfig()
+	cfg.Seed = 71
+	w := sessionWorkload(4, 2000)
+	rep, err := Run(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rep.Completed + rep.Failed + rep.Shed; n != w.Requests {
+		t.Fatalf("resolved %d of %d requests", n, w.Requests)
+	}
+	if rep.KVOffloads == 0 || rep.KVReloads == 0 {
+		t.Fatalf("offload/reload path not exercised: %d offloads, %d reloads", rep.KVOffloads, rep.KVReloads)
+	}
+}

@@ -41,6 +41,8 @@ func DefaultSLO() SLO { return SLO{TTFT: 1.0, TPOT: 20 * units.Millisecond} }
 type eventKind int
 
 const (
+	// evArrival is never scheduled: arrivals are merged into the loop
+	// from the arrival-sorted request arena (see Engine.Run).
 	evArrival eventKind = iota
 	evPrefillDone
 	evDecodeLand
@@ -59,9 +61,7 @@ const (
 	// request joins its instance's batch (tiered hierarchy only).
 	evReloadDone
 	// evHazard applies Config.Resilience.Hazards.Planes[inst]; evHedge
-	// fires a request's hedge timer (hazard.go). Both exist only on the
-	// serial path — hazardous configs never shard, so neither kind can
-	// reach the coordinator's barrier-class range check.
+	// fires a request's hedge timer (hazard.go).
 	evHazard
 	evHedge
 )
@@ -130,6 +130,15 @@ func (h *eventHeap) pop() event {
 		s[i], s[smallest] = s[smallest], s[i]
 		i = smallest
 	}
+}
+
+// at returns the earliest pending event time; only valid when the heap
+// is non-empty.
+func (h eventHeap) at() units.Seconds { return h[0].at }
+
+func (h *eventHeap) reset() {
+	clear(*h)
+	*h = (*h)[:0]
 }
 
 // reqState tracks one request through the pipeline. States live in an
@@ -211,11 +220,6 @@ type prefillUnit struct {
 	cur    *reqState
 	epoch  int
 	health healthState
-	// landAt (sharded runs only) bounds when cur's decode hand-off can
-	// land: prefill completion plus the KV transfer. The coordinator's
-	// conservative window never extends past any busy unit's landAt, so
-	// a land is always scheduled before the window it falls in opens.
-	landAt units.Seconds
 }
 
 // decodeUnit is one decode (or colocated) instance.
@@ -308,7 +312,7 @@ type Engine struct {
 	reseed func(int64)
 	now    units.Seconds
 	seq    int
-	events eventQueue // scheduler selected by Fleet.Scheduler (heap default)
+	events eventHeap
 
 	reqs     []Request  // generated workload scratch
 	arena    []reqState // one entry per request, pointer-stable within a run
@@ -380,21 +384,6 @@ type Engine struct {
 
 	latHist         stats.Histogram // latency-sample tally (surfaces Dropped)
 	ttft, tpot, e2e []float64       // report percentile scratch
-
-	// Sharded-execution state (see shard.go). sharded is true only while
-	// runSharded is driving the run; every serial run leaves it false, so
-	// the serial path is untouched.
-	sharded  bool
-	shards   []engShard
-	mirror   fleetMirror
-	barrierQ eventHeap // fault-class events, processed only at window edges
-	// landHeap holds the land times of dispatched prefills (a min-heap of
-	// plain timestamps), so the coordinator can bound each window by the
-	// earliest in-flight hand-off in O(1) instead of scanning every
-	// prefill unit. Entries are popped lazily once the window edge passes
-	// them; a stale entry (its prefill already done, its land already
-	// delivered to a shard) only shrinks a window, never corrupts one.
-	landHeap []units.Seconds
 }
 
 // faultSpan is one interval during which at least one instance was
@@ -497,12 +486,7 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 	}
 	e.nextSample = e.sampleStep
 
-	e.events = newEventQueue(cfg.Fleet.Scheduler, e.events)
-	if c, ok := e.events.(*calendarQueue); ok {
-		c.configure(horizon, 2*len(reqs))
-	} else {
-		e.events.reset()
-	}
+	e.events.reset()
 
 	if cap(e.arena) < len(reqs) {
 		e.arena = make([]reqState, len(reqs))
@@ -512,16 +496,6 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 		e.arena[i] = reqState{Request: reqs[i], inst: -1}
 	}
 
-	if e.shardable(w, nDecode) {
-		if err := e.runSharded(nDecode); err != nil {
-			return nil, err
-		}
-		return e.finishRun()
-	}
-
-	for i := range e.arena {
-		e.schedule(e.arena[i].Arrival, evArrival, 0, &e.arena[i])
-	}
 	if plan := cfg.Resilience.Faults; plan != nil {
 		e.faultReseed(parallel.DeriveSeed(cfg.Seed, 4))
 		for i := range plan.Events {
@@ -532,8 +506,19 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 		}
 	}
 	e.scheduleHazards()
-	for e.events.size() > 0 {
-		ev := e.events.pop()
+	// Arrivals are merged from the arena (sorted by arrival, stably)
+	// instead of being pre-scheduled, so the heap holds only the events
+	// in flight. On a time tie the arrival goes first, the order it had
+	// when every arrival was scheduled ahead of any other event.
+	arr := 0
+	for arr < len(e.arena) || len(e.events) > 0 {
+		var ev event
+		if arr < len(e.arena) && (len(e.events) == 0 || e.arena[arr].Arrival <= e.events.at()) {
+			ev = event{at: e.arena[arr].Arrival, kind: evArrival, req: &e.arena[arr]}
+			arr++
+		} else {
+			ev = e.events.pop()
+		}
 		stop, err := e.processEvent(&ev)
 		if err != nil {
 			return nil, err
@@ -551,9 +536,7 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 
 // processEvent advances the simulation through one event: clock, the
 // sampling and metrics grids, the event's handler, then a dispatch
-// pass. It returns stop=true once every request is resolved. The serial
-// loop and the sharded coordinator's replay both funnel coordinator
-// events through here, so the two modes cannot drift.
+// pass. It returns stop=true once every request is resolved.
 func (e *Engine) processEvent(ev *event) (stop bool, err error) {
 	e.now = ev.at
 	e.sampleUpTo(e.now)
@@ -653,15 +636,7 @@ func (e *Engine) finishRun() (*Report, error) {
 
 func (e *Engine) schedule(at units.Seconds, kind eventKind, inst int, req *reqState) {
 	e.seq++
-	ev := event{at: at, seq: e.seq, kind: kind, inst: inst, req: req}
-	if e.sharded && kind >= evFaultPlanned && kind <= evFaultRecover {
-		// Fault transitions are barrier-class under sharding: they mutate
-		// shard-owned instance state, so the coordinator chops windows at
-		// their times and applies them on a quiesced fleet (shard.go).
-		e.barrierQ.push(ev)
-		return
-	}
-	e.events.push(ev)
+	e.events.push(event{at: at, seq: e.seq, kind: kind, inst: inst, req: req})
 }
 
 // scheduleEpoch is schedule for events that must die with the target
@@ -687,13 +662,8 @@ func (e *Engine) shouldShed() bool {
 		var used, total int
 		for i := range e.decodes {
 			if d := &e.decodes[i]; !d.health.dead() {
-				if e.sharded {
-					used += e.mirror.used[i]
-					total += e.mirror.total[i]
-				} else {
-					used += d.kv.used
-					total += d.kv.total
-				}
+				used += d.kv.used
+				total += d.kv.total
 			}
 		}
 		if total > 0 && float64(used)/float64(total) > a.MaxKVOccupancy {
@@ -746,17 +716,6 @@ func (e *Engine) dispatch() {
 		e.idlePrefills--
 		p.cur = req
 		cost := e.prefillCost(req, e.commScaleP(inst))
-		if e.sharded {
-			// The post-prefill context is already determined (see
-			// emitFirstToken), so the hand-off's land time is known now.
-			ctxAtDone := req.ctxForPrefill()
-			if !req.resumed {
-				ctxAtDone = req.PromptTokens + 1
-			}
-			transfer := e.cfg.Latency.kvBytesForContext(e.lc, ctxAtDone) / e.cfg.Fleet.TransferBW
-			p.landAt = e.now + cost + transfer
-			e.landPush(p.landAt)
-		}
 		e.trPhaseEnd(req)
 		e.trPhaseBegin(req, obs.PhasePrefill, inst)
 		e.trCompute(cost, true, inst, obs.ComputePrefill, req.ID)
@@ -826,17 +785,6 @@ func (e *Engine) prefillDone(ev *event) {
 		if !d.health.servable() {
 			continue
 		}
-		if e.sharded {
-			// Decode state is shard-owned mid-window; the coordinator
-			// routes off its replay-maintained mirror, which is exact as
-			// of the last merged shard record.
-			loads = append(loads, InstanceLoad{
-				Instance: i,
-				Queue:    e.mirror.pending[i] + e.mirror.active[i],
-				FreeKV:   e.mirror.total[i] - e.mirror.used[i],
-			})
-			continue
-		}
 		loads = append(loads, InstanceLoad{
 			Instance: i,
 			Queue:    d.pending.len() + len(d.active),
@@ -867,13 +815,6 @@ func (e *Engine) prefillDone(ev *event) {
 		transfer = e.cfg.Latency.kvBytesForContext(e.lc, req.ctx) / e.cfg.Fleet.TransferBW
 	}
 	e.trPhaseBegin(req, obs.PhaseTransfer, best)
-	if e.sharded {
-		// The land belongs to the owning shard's queue. Shards are parked
-		// while the coordinator replays, so the push is race-free, and the
-		// land time is at or past the next window edge by the landAt bound.
-		e.shardFor(best).scheduleLand(e.now+transfer, best, req)
-		return
-	}
 	e.schedule(e.now+transfer, evDecodeLand, best, req)
 }
 
@@ -1136,12 +1077,25 @@ func (e *Engine) stepDone(inst int) error {
 			for !d.kv.tryAlloc(need) {
 				victim := e.pickVictim(d, req, gen)
 				if victim == nil {
-					return errNoVictim(inst)
+					// The rest of the pool is held by requests whose
+					// reload is in flight (d.reloads), out of the victim
+					// search: the grower gives way itself, unless it
+					// could not fit even an otherwise empty pool.
+					if req.pages+need > d.kv.total {
+						return errNoVictim(inst)
+					}
+					victim = req
 				}
 				victim.preemptMark = gen
 				nPreempted++
 				d.kv.release(victim.pages)
 				victim.pages = 0
+				if victim == req {
+					break
+				}
+			}
+			if req.preemptMark == gen {
+				continue
 			}
 			req.pages += need
 			e.notePeakOcc()
@@ -1496,10 +1450,6 @@ func (e *Engine) sampleUpTo(t units.Seconds) {
 // running batch and KV pool usage — shared by the timeline sampler and
 // the metrics registry (fillMetrics).
 func (e *Engine) fleetSnapshot() (batch, used, total int) {
-	if e.sharded {
-		m := &e.mirror
-		return m.batchSum, m.usedSum, m.totalSum
-	}
 	for i := range e.decodes {
 		d := &e.decodes[i]
 		batch += len(d.active)

@@ -366,3 +366,38 @@ func TestTimelineWellFormed(t *testing.T) {
 		t.Errorf("mean occupancy %v inconsistent with peak %v", rep.MeanKVOccupancy, rep.PeakKVOccupancy)
 	}
 }
+
+// TestArrivalsPrecedeEventsOnTimeTies replays a trace with two arrivals
+// at the instant a prefill unit crashes. Arrivals go first on a time
+// tie, in trace order: the first t=1 arrival (300-token prompt) takes
+// idle unit 0, the second takes unit 1, and only then does the crash
+// fire — orphaning exactly the first one, which retries on unit 1. Had
+// the crash gone first, unit 0 would have died idle and nothing would
+// be orphaned.
+func TestArrivalsPrecedeEventsOnTimeTies(t *testing.T) {
+	cfg := V3ServeConfig()
+	cfg.Fleet.PrefillInstances = 2
+	cfg.Fleet.DecodeInstances = 1
+	cfg.Resilience.Retry = DefaultRetryPolicy()
+	cfg.Resilience.Faults = &FaultPlan{Events: []FaultEvent{{At: 1, Kind: FaultCrash, Prefill: true, Instance: 0}}}
+	w := Workload{Arrival: ArrivalTrace, Trace: []Request{
+		{Arrival: 1, PromptTokens: 300, OutputTokens: 8},
+		{Arrival: 0, PromptTokens: 128, OutputTokens: 8},
+		{Arrival: 1, PromptTokens: 200, OutputTokens: 8},
+	}}
+	rep := mustRun(t, cfg, w)
+	want := Incident{At: 1, Instance: 0, Prefill: true, Kind: "crash", Orphaned: 1, KVTokensLost: 300}
+	if len(rep.Incidents) != 1 {
+		t.Fatalf("got %d incidents, want 1: %+v", len(rep.Incidents), rep.Incidents)
+	}
+	got := rep.Incidents[0]
+	got.Recovery = 0
+	if got != want {
+		t.Fatalf("incident %+v, want %+v", got, want)
+	}
+	if rep.Completed != 3 || rep.Failed != 0 || rep.Shed != 0 ||
+		rep.Retried != 1 || rep.Retries != 1 || rep.AffectedRequests != 1 || rep.KVTokensLost != 300 {
+		t.Fatalf("completed/failed/shed %d/%d/%d, retried/retries %d/%d, affected %d, KV lost %d; want 3/0/0, 1/1, 1, 300",
+			rep.Completed, rep.Failed, rep.Shed, rep.Retried, rep.Retries, rep.AffectedRequests, rep.KVTokensLost)
+	}
+}

@@ -29,14 +29,13 @@
 #                               and recycled, so the overhead over the
 #                               clean engine is the hazard plan's
 #                               per-run RNG plus the hedge tracker
-#   BenchmarkServeFleet    48 — the 1000-instance sharded run on a warm
-#                               engine; the extra allocs over the serial
-#                               engine are the per-run shard group (its
-#                               goroutines and channels) plus per-shard
-#                               calendar re-bucketing
+#   BenchmarkServeFleet    12 — the 1000-instance run on a warm engine:
+#                               the 6 of BenchmarkServeEngine plus the
+#                               two power-of-two routers built per run
+#                               (each router and its seeded RNG)
 #   BenchmarkEventQueue/*  0  — a steady-state hold op (pop + push) on
-#                               either scheduler touches only retained
-#                               buckets/heap storage
+#                               the event heap touches only retained
+#                               heap storage
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -47,11 +46,9 @@ BenchmarkServeEngine 6
 BenchmarkServeEngineTiered 10
 BenchmarkServeEngineTraced 20
 BenchmarkServeEngineHazard 8
-BenchmarkServeFleet 48
+BenchmarkServeFleet 12
 BenchmarkEventQueue/heap/n=100000 0
 BenchmarkEventQueue/heap/n=1000000 0
-BenchmarkEventQueue/calendar/n=100000 0
-BenchmarkEventQueue/calendar/n=1000000 0
 "
 
 pattern="$(awk 'NF && $1 !~ /\// { printf "%s%s", sep, $1; sep = "|" }' <<<"$budgets")"

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Profile snapshot: captures CPU and allocation profiles for the
 # fleet-scale serving benchmark (BenchmarkServeFleet — the 1000-instance
-# sharded run), the hot path the sharded coordinator and calendar queue
-# were built for, and prints the top entries of each.
+# run) and prints the top entries of each.
 #
 # Usage:
 #   scripts/profile.sh                       # profile BenchmarkServeFleet
