@@ -396,11 +396,12 @@ func BenchmarkServeEngineTraced(b *testing.B) {
 func BenchmarkServeEngineHazard(b *testing.B) {
 	cfg := V3ServeConfig()
 	cfg.KV.HBM.CapacityBytes = 0.4e9
+	planes, err := ParseServeFaultEvents("degrade@4:d1:6/8,heal@16:d1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Resilience.Faults = &ServeFaultPlan{Events: planes}
 	cfg.Resilience.Hazards = &ServeHazardPlan{
-		Planes: []ServePlaneHazardEvent{
-			{At: 4, Instance: 1, FailedPlanes: 6, TotalPlanes: 8},
-			{At: 16, Heal: true, Instance: 1},
-		},
 		SDCRate:          0.001,
 		VerifyTrials:     8,
 		Detect:           ServeDetectionConfig{Threshold: 1.25},

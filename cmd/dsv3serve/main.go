@@ -33,12 +33,13 @@
 //	dsv3serve -trace requests.csv          # replay arrival,prompt,output lines
 //	dsv3serve -fail crash@6:d1,recover@14:d1
 //	                                       # scheduled instance faults
-//	                                       #   (kind@seconds:target, target dN/pN)
+//	                                       #   (kind@seconds:target, target
+//	                                       #   dN/pN or a dN-M/pN-M range)
+//	dsv3serve -fail degrade@4:d1:6/8,heal@16:d1
+//	                                       # plane-failure bandwidth derates
+//	                                       #   (failed/total planes)
 //	dsv3serve -mtbf 30 -mttr 5             # random crashes (mean secs between
 //	                                       #   failures / to repair)
-//	dsv3serve -hazard degrade@4:d1:6/8,heal@16:d1
-//	                                       # plane-failure bandwidth derates
-//	                                       #   (failed/total planes on dN/pN)
 //	dsv3serve -sdc 0.001 -verify-trials 8  # silent corruption per decode step,
 //	                                       #   caught by Freivalds verification
 //	dsv3serve -detect 1.25 -quarantine-repair 4
@@ -93,10 +94,9 @@ func main() {
 	turns := flag.Int("turns", 1, "turns per session; >1 generates multi-turn sessions with grown prefixes")
 	think := flag.Float64("think", 0, "mean think-time seconds between session turns")
 	mtpAccept := flag.Float64("mtp", 0, "MTP draft acceptance rate (0 disables speculation)")
-	failSpec := flag.String("fail", "", "scheduled faults: kind@seconds:target list (e.g. crash@6:d1,recover@14:d1; kinds crash/recover/drain, targets dN/pN)")
+	failSpec := flag.String("fail", "", "scheduled incidents: kind@seconds:target list (e.g. crash@6:d1,recover@14:d1,degrade@4:d2:6/8,heal@16:d2; kinds crash/recover/drain/degrade/heal, targets dN/pN or dN-M/pN-M ranges, degrade takes failed[/total] planes)")
 	mtbf := flag.Float64("mtbf", 0, "mean seconds between random instance crashes (0 disables)")
 	mttr := flag.Float64("mttr", 0, "mean seconds to repair an MTBF crash (0 leaves instances down)")
-	hazardSpec := flag.String("hazard", "", "scheduled plane hazards: degrade@seconds:target:failed[/total] and heal@seconds:target list (e.g. degrade@4:d1:6/8,heal@16:d1; targets dN/pN)")
 	sdcRate := flag.Float64("sdc", 0, "silent-corruption probability per decode step (0 disables)")
 	verifyTrials := flag.Int("verify-trials", 0, "Freivalds verification trials per decode step: detects a corrupt step with prob 1-2^-trials at one GEMV-equivalent per trial (0 disables)")
 	detect := flag.Float64("detect", 0, "gray-failure threshold: drain an instance whose EWMA step-time ratio exceeds this multiple of the fleet median (0 disables; sensible values > 1)")
@@ -147,6 +147,7 @@ func main() {
 		spec.Acceptance = *mtpAccept
 		cfg.MTP = &spec
 	}
+	degraded := false
 	if *failSpec != "" || *mtbf > 0 {
 		var events []dsv3.ServeFaultEvent
 		if *failSpec != "" {
@@ -154,6 +155,9 @@ func main() {
 			if err != nil {
 				fail(err)
 			}
+		}
+		for _, ev := range events {
+			degraded = degraded || ev.Kind == dsv3.FaultDegrade
 		}
 		cfg.Resilience.Faults = &dsv3.ServeFaultPlan{Events: events, MTBF: *mtbf, MTTR: *mttr}
 	}
@@ -168,20 +172,13 @@ func main() {
 		}
 		cfg.Resilience.Admission = adm
 	}
-	if *hazardSpec != "" || *sdcRate > 0 || *verifyTrials > 0 || *detect > 0 || *quarantineRepair > 0 {
-		plan := &dsv3.ServeHazardPlan{
+	if *sdcRate > 0 || *verifyTrials > 0 || *detect > 0 || *quarantineRepair > 0 {
+		cfg.Resilience.Hazards = &dsv3.ServeHazardPlan{
 			SDCRate:          *sdcRate,
 			VerifyTrials:     *verifyTrials,
 			Detect:           dsv3.ServeDetectionConfig{Threshold: *detect},
 			QuarantineRepair: *quarantineRepair,
 		}
-		if *hazardSpec != "" {
-			plan.Planes, err = dsv3.ParseServeHazardEvents(*hazardSpec)
-			if err != nil {
-				fail(err)
-			}
-		}
-		cfg.Resilience.Hazards = plan
 	}
 	if *hedgeSpec != "" {
 		cfg.Resilience.Hedge, err = dsv3.ParseServeHedgePolicy(*hedgeSpec)
@@ -189,7 +186,7 @@ func main() {
 			fail(err)
 		}
 	}
-	hazardous := cfg.Resilience.Hazards != nil || *hedgeSpec != ""
+	hazardous := degraded || cfg.Resilience.Hazards != nil || *hedgeSpec != ""
 	faulty := cfg.Resilience.Faults != nil || *admissionSpec != "" || *retries > 0 || hazardous
 
 	observing := *traceOut != "" || *metricsOut != ""
@@ -644,7 +641,7 @@ func buildFailureTables(pts []dsv3.ServeSweepPoint, traced bool) []*dsv3.Experim
 }
 
 // buildHazardTable packs the cross-layer hazard metrics for runs with
-// plane hazards, SDC injection, or hedging configured.
+// plane degrade events, SDC injection, or hedging configured.
 func buildHazardTable(pts []dsv3.ServeSweepPoint, traced bool) *dsv3.ExperimentTable {
 	t := dsv3.NewExperimentTable("Hazards",
 		dsv3.ExperimentColumn{Name: "Rate", Unit: "req/s"},

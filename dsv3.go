@@ -272,70 +272,38 @@ var (
 // paged MLA-sized KV cache, and optional MTP speculation. Deterministic
 // by construction — see internal/servesim and DESIGN.md.
 type (
-	ServeConfig       = servesim.Config
-	ServeWorkload     = servesim.Workload
-	ServeReport       = servesim.Report
-	ServeRequest      = servesim.Request
-	ServeSLO          = servesim.SLO
-	ServeLatencyModel = servesim.LatencyModel
-	ServeLengthDist   = servesim.LengthDist
-	ServeSweepPoint   = servesim.SweepPoint
-	// The redesigned config groups: ServeConfig.Fleet owns deployment
-	// shape and routing, ServeConfig.KV the tiered cache hierarchy
-	// (HBM tier 0 plus optional DRAM/flash spill tiers and the prefix
-	// cache), and ServeConfig.Resilience the fault/retry/admission
-	// knobs. Zero values reproduce the legacy flat-config semantics.
-	ServeFleetConfig      = servesim.FleetConfig
-	ServeKVHierarchy      = servesim.KVHierarchy
-	ServeKVTierConfig     = servesim.KVTierConfig
-	ServeResilienceConfig = servesim.ResilienceConfig
-	// ServeTierStat reports bytes moved in/out of one tier
-	// (ServeReport.KVTierMoves; index 0 is HBM).
-	ServeTierStat = servesim.TierStat
-
-	// ServeKVConfig configures one pool tier; ServeConfig.KV.HBM is the
-	// resident tier 0.
-	//
-	// Deprecated: ServeKVConfig now names only a single tier. Configure
-	// the cache through ServeKVHierarchy (ServeConfig.KV), which wraps
-	// the legacy pool as its HBM field.
-	ServeKVConfig = servesim.KVConfig
-	// ServeRouter is the pluggable instance-selection policy interface;
-	// ServeRouterPolicy names the built-ins (ServeConfig.Fleet.Router), and
-	// ServeInstanceLoad is the candidate snapshot a router picks over.
-	ServeRouter       = servesim.Router
-	ServeRouterPolicy = servesim.RouterPolicy
-	ServeInstanceLoad = servesim.InstanceLoad
-	// ServeCapacityPlanner bisects for the max sustainable arrival rate
-	// meeting a target SLO attainment — the per-fleet goodput knee.
-	ServeCapacityPlanner = servesim.CapacityPlanner
-	ServeCapacityResult  = servesim.CapacityResult
-	ServeCapacityProbe   = servesim.CapacityProbe
-	// ServeEngine is the reusable simulation engine: one engine recycles
-	// its event heap, request arena and metric buffers across Run calls
-	// (byte-identical to fresh construction). Not safe for concurrent
-	// use; sweeps thread one per worker.
-	ServeEngine = servesim.Engine
+	// ServeConfig groups deployment shape and routing (.Fleet), the
+	// tiered KV hierarchy (.KV) and the fault/retry/admission/hazard
+	// knobs (.Resilience).
+	ServeConfig     = servesim.Config
+	ServeWorkload   = servesim.Workload
+	ServeReport     = servesim.Report
+	ServeLengthDist = servesim.LengthDist
+	ServeSweepPoint = servesim.SweepPoint
+	// ServeKVTierConfig is one spill tier below HBM (DRAM, flash) in
+	// ServeConfig.KV.Tiers; tiers absorb KV pressure and hold the prefix
+	// cache.
+	ServeKVTierConfig = servesim.KVTierConfig
+	// ServeCapacityResult is a capacity search's outcome: the max
+	// sustainable arrival rate meeting a target SLO attainment — the
+	// per-fleet goodput knee (see DefaultServeCapacityPlanner).
+	ServeCapacityResult = servesim.CapacityResult
 	// Fault injection and graceful degradation (ServeConfig.Resilience
-	// .Faults / .Retry / .Admission): a seeded crash/recover/drain schedule plus
-	// MTBF-style random injection, retry-with-backoff for orphaned
+	// .Faults / .Retry / .Admission): one seeded incident timeline —
+	// crash, recover, drain, and plane degrade/heal events — plus
+	// MTBF-style random crashes, retry-with-backoff for orphaned
 	// requests, and queue-depth/KV-occupancy admission shedding.
-	// ServeIncident records each crash's blast radius in the report.
 	ServeFaultPlan       = servesim.FaultPlan
 	ServeFaultEvent      = servesim.FaultEvent
-	ServeFaultKind       = servesim.FaultKind
 	ServeRetryPolicy     = servesim.RetryPolicy
 	ServeAdmissionPolicy = servesim.AdmissionPolicy
-	ServeIncident        = servesim.Incident
 	// Cross-layer hazards (ServeConfig.Resilience.Hazards / .Hedge):
-	// plane-failure bandwidth derates on the EP interconnect, silent
-	// data corruption on decode steps with Freivalds verification and
-	// quarantine, EWMA gray-failure draining, and hedged requests
+	// silent data corruption on decode steps with Freivalds verification
+	// and quarantine, EWMA gray-failure draining, and hedged requests
 	// (speculative duplicates racing the straggling original).
-	ServeHazardPlan       = servesim.HazardPlan
-	ServePlaneHazardEvent = servesim.PlaneHazardEvent
-	ServeDetectionConfig  = servesim.DetectionConfig
-	ServeHedgePolicy      = servesim.HedgePolicy
+	ServeHazardPlan      = servesim.HazardPlan
+	ServeDetectionConfig = servesim.DetectionConfig
+	ServeHedgePolicy     = servesim.HedgePolicy
 )
 
 const (
@@ -357,10 +325,7 @@ const (
 	FaultCrash   = servesim.FaultCrash
 	FaultRecover = servesim.FaultRecover
 	FaultDrain   = servesim.FaultDrain
-
-	// DefaultServeChunkTokens is the offload/prefix-cache chunk
-	// granularity used when ServeConfig.KV.ChunkTokens is zero.
-	DefaultServeChunkTokens = servesim.DefaultChunkTokens
+	FaultDegrade = servesim.FaultDegrade
 )
 
 var (
@@ -368,12 +333,8 @@ var (
 	NewServeEngine              = servesim.NewEngine
 	ServeRateSweep              = servesim.RateSweep
 	V3ServeConfig               = servesim.V3ServeConfig
-	V3ServeLatency              = servesim.V3LatencyModel
-	DefaultServeSLO             = servesim.DefaultSLO
 	ParseServeTrace             = servesim.ParseTrace
-	FixedLength                 = servesim.Fixed
 	LogNormalLength             = servesim.LogNormal
-	NewServeRouter              = servesim.NewRouter
 	ParseServeRouterPolicy      = servesim.ParseRouterPolicy
 	ServeRouterPolicies         = servesim.RouterPolicies
 	DefaultServeCapacityPlanner = servesim.DefaultCapacityPlanner
@@ -382,15 +343,13 @@ var (
 	ParseServeAdmissionPolicy   = servesim.ParseAdmissionPolicy
 	// ParseServeKVTiers parses a "/"-separated KV tier spec
 	// ("name=dram,cap=8,read=24,write=16,lat=0.05/...") into the spill
-	// tiers of a ServeKVHierarchy — the format behind dsv3serve's
+	// tiers of ServeConfig.KV — the format behind dsv3serve's
 	// -kv-tiers flag.
 	ParseServeKVTiers = servesim.ParseKVTiers
-	// ParseServeHazardEvents parses a comma-separated plane-hazard spec
-	// ("degrade@4:d1:6/8,heal@16:d1") and ParseServeHedgePolicy a hedge
-	// spec ("0.5" fixed delay or "p95:0.3" tracked with a floor) — the
-	// formats behind dsv3serve's -hazard and -hedge flags.
-	ParseServeHazardEvents = servesim.ParseHazardEvents
-	ParseServeHedgePolicy  = servesim.ParseHedgePolicy
+	// ParseServeHedgePolicy parses a hedge spec ("0.5" fixed delay or
+	// "p95:0.3" tracked with a floor) — the format behind dsv3serve's
+	// -hedge flag.
+	ParseServeHedgePolicy = servesim.ParseHedgePolicy
 )
 
 // Training (Table 4).

@@ -2,6 +2,8 @@ package dsv3
 
 import (
 	"math"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -42,5 +44,32 @@ func TestFacadeTrainingConfig(t *testing.T) {
 	}
 	if math.Abs(m.TimePerStep-19.926) > 0.2 {
 		t.Errorf("Table 4 step time via facade = %v", m.TimePerStep)
+	}
+}
+
+// DESIGN.md's experiment index must list every catalogue entry, so the
+// documented `dsv3bench -run` names cannot drift from the code.
+func TestDesignIndexCoversCatalogue(t *testing.T) {
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, index, ok := strings.Cut(string(doc), "\n## Experiment index\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no experiment index section")
+	}
+	index, _, _ = strings.Cut(index, "\n## ")
+	indexed := map[string]bool{}
+	for _, line := range strings.Split(index, "\n") {
+		if name, ok := strings.CutPrefix(line, "| `"); ok {
+			if name, _, ok = strings.Cut(name, "` |"); ok {
+				indexed[name] = true
+			}
+		}
+	}
+	for _, r := range Experiments() {
+		if !indexed[r.Name] {
+			t.Errorf("experiment %q missing from DESIGN.md's experiment index", r.Name)
+		}
 	}
 }

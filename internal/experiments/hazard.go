@@ -12,11 +12,11 @@ import (
 // at t=16s. Unlike a crash, the instance keeps serving — its EP
 // all-to-all legs just run at 4x the latency, the gray-failure mode
 // the paper's multi-plane fabric turns hard failures into.
-func hazardPlanes() []servesim.PlaneHazardEvent {
-	return []servesim.PlaneHazardEvent{
-		{At: 4, Instance: 1, FailedPlanes: 6, TotalPlanes: 8},
-		{At: 16, Heal: true, Instance: 1},
-	}
+func hazardPlanes() *servesim.FaultPlan {
+	return &servesim.FaultPlan{Events: []servesim.FaultEvent{
+		{At: 4, Kind: servesim.FaultDegrade, Instance: 1, FailedPlanes: 6, TotalPlanes: 8},
+		{At: 16, Kind: servesim.FaultHeal, Instance: 1},
+	}}
 }
 
 // hazardArm is one (router, detection) cell of the hazard grid.
@@ -54,10 +54,8 @@ func HazardStudy(seed int64, quick bool) ([]servesim.SweepPoint, error) {
 		cfg.KV.HBM.CapacityBytes = 2 * units.GB / 5
 		cfg.Fleet.Router = arms[i].Router
 		cfg.Resilience.Retry = servesim.DefaultRetryPolicy()
-		plan := &servesim.HazardPlan{
-			Planes:  hazardPlanes(),
-			SDCRate: 0.001,
-		}
+		cfg.Resilience.Faults = hazardPlanes()
+		plan := &servesim.HazardPlan{SDCRate: 0.001}
 		if arms[i].Detect {
 			plan.VerifyTrials = 8
 			plan.Detect = servesim.DetectionConfig{Threshold: 1.25}
@@ -130,11 +128,12 @@ func hedgeArms() []hedgeArm {
 
 // HedgeStudy pits hedging policies against a permanent gray straggler:
 // decode instance 1 loses 7 of 8 planes at t=2s and never heals, so
-// every EP all-to-all leg there runs at 8x latency for the whole run. Hedging fires a speculative duplicate to a different
-// instance after the delay; first finisher wins, the loser is
-// cancelled and its generated tokens charged as waste. Tighter delays
-// buy more tail latency for more duplicated work — the classic
-// tail-at-scale trade, measured here without any detection stack.
+// every EP all-to-all leg there runs at 8x latency for the whole run.
+// Hedging fires a speculative duplicate to a different instance after
+// the delay; first finisher wins, the loser is cancelled and its
+// generated tokens charged as waste. Tighter delays buy more tail
+// latency for more duplicated work — the classic tail-at-scale trade,
+// measured here without any detection stack.
 func HedgeStudy(seed int64, quick bool) ([]servesim.SweepPoint, error) {
 	arms := hedgeArms()
 	w := servingWorkload(quick)
@@ -144,11 +143,9 @@ func HedgeStudy(seed int64, quick bool) ([]servesim.SweepPoint, error) {
 		cfg.Seed = seed
 		cfg.KV.HBM.CapacityBytes = 2 * units.GB / 5
 		cfg.Resilience.Retry = servesim.DefaultRetryPolicy()
-		cfg.Resilience.Hazards = &servesim.HazardPlan{
-			Planes: []servesim.PlaneHazardEvent{
-				{At: 2, Instance: 1, FailedPlanes: 7, TotalPlanes: 8},
-			},
-		}
+		cfg.Resilience.Faults = &servesim.FaultPlan{Events: []servesim.FaultEvent{
+			{At: 2, Kind: servesim.FaultDegrade, Instance: 1, FailedPlanes: 7, TotalPlanes: 8},
+		}}
 		cfg.Resilience.Hedge = arms[i].Hedge
 		rep, err := servesim.Run(cfg, w)
 		if err != nil {

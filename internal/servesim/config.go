@@ -109,9 +109,10 @@ func (f FleetConfig) Validate() error {
 // zero value injects nothing, fails every orphan immediately, and
 // admits everything — a fault-free build.
 type ResilienceConfig struct {
-	// Faults injects instance crash/recover/drain events (scheduled
-	// and/or MTBF-random) into the run; nil disables fault injection
-	// and the engine behaves exactly as a fault-free build.
+	// Faults injects instance incidents — scheduled crash, recover,
+	// drain, plane degrade and heal events, and/or MTBF-random crashes
+	// — into the run; nil disables fault injection and the engine
+	// behaves exactly as a fault-free build.
 	Faults *FaultPlan
 	// Retry governs requests orphaned by crashes; the zero value fails
 	// every orphan immediately (see DefaultRetryPolicy).
@@ -119,8 +120,8 @@ type ResilienceConfig struct {
 	// Admission sheds arriving requests under overload (queue-depth /
 	// KV-occupancy gates); the zero value admits everything.
 	Admission AdmissionPolicy
-	// Hazards maps substrate faults — network plane loss, silent data
-	// corruption — into the serving-layer fault model (hazard.go); nil
+	// Hazards maps silent data corruption into the serving-layer fault
+	// model and configures gray-failure detection (hazard.go); nil
 	// disables the hazard machinery entirely.
 	Hazards *HazardPlan
 	// Hedge dispatches speculative duplicate requests after a delay,
@@ -133,12 +134,12 @@ type ResilienceConfig struct {
 // targets), reporting every problem at once.
 func (r ResilienceConfig) validate(f FleetConfig) error {
 	errs := []error{r.Retry.Validate(), r.Admission.Validate(), r.Hedge.Validate()}
-	nPrefill, nDecode := f.shape()
 	if r.Faults != nil {
+		nPrefill, nDecode := f.shape()
 		errs = append(errs, r.Faults.validate(nPrefill, nDecode, f.Colocated))
 	}
 	if r.Hazards != nil {
-		errs = append(errs, r.Hazards.validate(nPrefill, nDecode, f.Colocated))
+		errs = append(errs, r.Hazards.validate())
 	}
 	return errors.Join(errs...)
 }

@@ -9,7 +9,7 @@ import (
 	"dsv3/internal/units"
 )
 
-// FaultKind names one instance-level fault transition.
+// FaultKind names one scheduled incident kind.
 type FaultKind int
 
 const (
@@ -23,6 +23,15 @@ const (
 	// FaultDrain marks planned degradation: the instance finishes the
 	// work it already holds but is excluded from new routing decisions.
 	FaultDrain
+	// FaultDegrade loses FailedPlanes of the instance's TotalPlanes
+	// network planes (§5.1.1): its EP all-to-all traffic crosses the
+	// survivors at TotalPlanes/(TotalPlanes-FailedPlanes) x the healthy
+	// duration — the serving-layer image of experiments.PlaneFailure.
+	// The instance keeps serving, slower.
+	FaultDegrade
+	// FaultHeal restores a degraded instance to full bandwidth (and
+	// returns a straggler drained by gray-failure detection to service).
+	FaultHeal
 )
 
 // String implements fmt.Stringer with the CLI spellings.
@@ -34,27 +43,88 @@ func (k FaultKind) String() string {
 		return "recover"
 	case FaultDrain:
 		return "drain"
+	case FaultDegrade:
+		return "degrade"
+	case FaultHeal:
+		return "heal"
 	}
 	return fmt.Sprintf("FaultKind(%d)", int(k))
 }
 
-// FaultEvent is one scheduled fault: at time At, apply Kind to the
+// defaultTotalPlanes is the paper's multi-plane fat-tree plane count
+// (§5.1.1): eight independent network planes per deployment.
+const defaultTotalPlanes = 8
+
+// FaultEvent is one scheduled incident: at time At, apply Kind to the
 // Instance-th prefill (Prefill true) or decode/colocated instance.
 type FaultEvent struct {
 	At       units.Seconds
 	Kind     FaultKind
 	Prefill  bool
 	Instance int
+	// FailedPlanes is the number of lost planes of a FaultDegrade; it
+	// must be at least 1 and strictly below TotalPlanes.
+	FailedPlanes int
+	// TotalPlanes is the plane count of the deployment a FaultDegrade
+	// applies to (default 8).
+	TotalPlanes int
+}
+
+// totalPlanes returns TotalPlanes with the default applied.
+func (ev FaultEvent) totalPlanes() int {
+	if ev.TotalPlanes == 0 {
+		return defaultTotalPlanes
+	}
+	return ev.TotalPlanes
+}
+
+// commScale returns the comm-leg slowdown a FaultDegrade applies.
+func (ev FaultEvent) commScale() float64 {
+	t := ev.totalPlanes()
+	return float64(t) / float64(t-ev.FailedPlanes)
+}
+
+// validate checks one event against the cluster shape resolved from
+// the configuration (colocated fleets have no separate prefill
+// targets).
+func (ev FaultEvent) validate(nPrefill, nDecode int, colocated bool) error {
+	if ev.At < 0 || math.IsNaN(float64(ev.At)) || math.IsInf(float64(ev.At), 0) {
+		return fmt.Errorf("at invalid time %v", ev.At)
+	}
+	if ev.Kind < FaultCrash || ev.Kind > FaultHeal {
+		return fmt.Errorf("has unknown kind %d", int(ev.Kind))
+	}
+	if ev.Prefill {
+		if colocated {
+			return fmt.Errorf("targets a prefill instance but the cluster is colocated")
+		}
+		if ev.Instance < 0 || ev.Instance >= nPrefill {
+			return fmt.Errorf("targets prefill instance %d of %d", ev.Instance, nPrefill)
+		}
+	} else if ev.Instance < 0 || ev.Instance >= nDecode {
+		return fmt.Errorf("targets decode instance %d of %d", ev.Instance, nDecode)
+	}
+	if ev.Kind == FaultDegrade {
+		total := ev.totalPlanes()
+		if total < 2 {
+			return fmt.Errorf("has %d total planes (want >= 2)", total)
+		}
+		if ev.FailedPlanes < 1 || ev.FailedPlanes >= total {
+			return fmt.Errorf("fails %d of %d planes (want 1..%d)", ev.FailedPlanes, total, total-1)
+		}
+	}
+	return nil
 }
 
 // FaultPlan drives deterministic failure injection: a fixed schedule of
-// crash/recover/drain events plus optional MTBF-style random crashes.
-// All randomness (crash times, instance picks, recovery delays) comes
-// from a dedicated seed stream derived from Config.Seed, so a faulted
-// run is as reproducible as a clean one and the workload, MTP and
-// routing streams are untouched by the plan.
+// crash/recover/drain/degrade/heal events plus optional MTBF-style
+// random crashes. All randomness (crash times, instance picks, recovery
+// delays) comes from a dedicated seed stream derived from Config.Seed,
+// so a faulted run is as reproducible as a clean one and the workload,
+// MTP and routing streams are untouched by the plan. Scheduled events
+// draw nothing.
 type FaultPlan struct {
-	// Events is the scheduled fault script, applied in (time, order)
+	// Events is the scheduled incident script, applied in (time, order)
 	// sequence. Events need not be sorted.
 	Events []FaultEvent
 
@@ -78,25 +148,11 @@ type FaultPlan struct {
 	RecoveryBand float64
 }
 
-// validate checks the plan against the cluster shape resolved from the
-// configuration (colocated fleets have no separate prefill targets).
+// validate checks the plan against the resolved cluster shape.
 func (p *FaultPlan) validate(nPrefill, nDecode int, colocated bool) error {
 	for i, ev := range p.Events {
-		if ev.At < 0 {
-			return fmt.Errorf("servesim: fault event %d at negative time %v", i, ev.At)
-		}
-		if ev.Kind < FaultCrash || ev.Kind > FaultDrain {
-			return fmt.Errorf("servesim: fault event %d has unknown kind %d", i, int(ev.Kind))
-		}
-		if ev.Prefill {
-			if colocated {
-				return fmt.Errorf("servesim: fault event %d targets a prefill instance but the cluster is colocated", i)
-			}
-			if ev.Instance < 0 || ev.Instance >= nPrefill {
-				return fmt.Errorf("servesim: fault event %d targets prefill instance %d of %d", i, ev.Instance, nPrefill)
-			}
-		} else if ev.Instance < 0 || ev.Instance >= nDecode {
-			return fmt.Errorf("servesim: fault event %d targets decode instance %d of %d", i, ev.Instance, nDecode)
+		if err := ev.validate(nPrefill, nDecode, colocated); err != nil {
+			return fmt.Errorf("servesim: fault event %d %w", i, err)
 		}
 	}
 	if p.MTBF < 0 || p.MTTR < 0 {
@@ -255,9 +311,12 @@ type Incident struct {
 }
 
 // ParseFaultEvents reads the CLI fault-script syntax: comma-separated
-// "kind@seconds:target" items, where kind is crash, recover, or drain
-// and target is dN (decode/colocated instance N) or pN (prefill
-// instance N) — e.g. "crash@8:d1,recover@16:d1".
+// "kind@seconds:target" items, where kind is crash, recover, drain,
+// degrade, or heal and target is dN (decode/colocated instance N), pN
+// (prefill instance N), or a dN-M / pN-M range expanding to one event
+// per instance. A degrade takes a third part "k[/T]": k failed of T
+// planes (default 8) — e.g.
+// "crash@8:d1,recover@16:d1,degrade@4:d2-3:6/8,heal@20:d2-3".
 func ParseFaultEvents(s string) ([]FaultEvent, error) {
 	var out []FaultEvent
 	for _, item := range strings.Split(s, ",") {
@@ -265,11 +324,8 @@ func ParseFaultEvents(s string) ([]FaultEvent, error) {
 		if item == "" {
 			continue
 		}
-		kindAt, target, ok := strings.Cut(item, ":")
-		if !ok {
-			return nil, fmt.Errorf("servesim: fault %q: want kind@seconds:target", item)
-		}
-		kindStr, atStr, ok := strings.Cut(kindAt, "@")
+		fields := strings.Split(item, ":")
+		kindStr, atStr, ok := strings.Cut(fields[0], "@")
 		if !ok {
 			return nil, fmt.Errorf("servesim: fault %q: want kind@seconds:target", item)
 		}
@@ -281,34 +337,79 @@ func ParseFaultEvents(s string) ([]FaultEvent, error) {
 			kind = FaultRecover
 		case "drain":
 			kind = FaultDrain
+		case "degrade":
+			kind = FaultDegrade
+		case "heal":
+			kind = FaultHeal
 		default:
-			return nil, fmt.Errorf("servesim: fault %q: unknown kind %q (want crash, recover, or drain)", item, kindStr)
+			return nil, fmt.Errorf("servesim: fault %q: unknown kind %q (want crash, recover, drain, degrade, or heal)", item, kindStr)
 		}
 		at, err := strconv.ParseFloat(strings.TrimSpace(atStr), 64)
 		if err != nil {
 			return nil, fmt.Errorf("servesim: fault %q: bad time: %w", item, err)
 		}
-		if math.IsNaN(at) || math.IsInf(at, 0) {
-			// ParseFloat accepts "NaN" and "Inf", and the plan's validate
-			// only rejects At < 0 — a NaN-timed event would slip through
-			// into the scheduler. Reject non-finite times here, naming
-			// the offending item.
-			return nil, fmt.Errorf("servesim: fault %q: non-finite time", item)
+		want := 2
+		if kind == FaultDegrade {
+			want = 3
 		}
-		target = strings.TrimSpace(target)
-		if len(target) < 2 || (target[0] != 'd' && target[0] != 'p') {
-			return nil, fmt.Errorf("servesim: fault %q: bad target %q (want dN or pN)", item, target)
+		if len(fields) != want {
+			return nil, fmt.Errorf("servesim: fault %q: want %d ':'-separated parts", item, want)
 		}
-		inst, err := strconv.Atoi(target[1:])
+		lo, hi, prefill, err := parseInstRange(item, strings.TrimSpace(fields[1]))
 		if err != nil {
-			return nil, fmt.Errorf("servesim: fault %q: bad target %q: %w", item, target, err)
+			return nil, err
 		}
-		out = append(out, FaultEvent{At: at, Kind: kind, Prefill: target[0] == 'p', Instance: inst})
+		failed, total := 0, 0
+		if kind == FaultDegrade {
+			kStr, tStr, hasTotal := strings.Cut(strings.TrimSpace(fields[2]), "/")
+			if failed, err = strconv.Atoi(strings.TrimSpace(kStr)); err != nil {
+				return nil, fmt.Errorf("servesim: fault %q: bad plane count %q: %w", item, kStr, err)
+			}
+			if hasTotal {
+				if total, err = strconv.Atoi(strings.TrimSpace(tStr)); err != nil {
+					return nil, fmt.Errorf("servesim: fault %q: bad total planes %q: %w", item, tStr, err)
+				}
+			}
+		}
+		ev := FaultEvent{
+			At: units.Seconds(at), Kind: kind, Prefill: prefill,
+			Instance: lo, FailedPlanes: failed, TotalPlanes: total,
+		}
+		// The shape-free checks (time, plane counts) run here; targets
+		// are checked against the fleet by Config.Validate.
+		if err := ev.validate(math.MaxInt, math.MaxInt, false); err != nil {
+			return nil, fmt.Errorf("servesim: fault %q %w", item, err)
+		}
+		for ; ev.Instance <= hi; ev.Instance++ {
+			out = append(out, ev)
+		}
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("servesim: empty fault script %q", s)
 	}
 	return out, nil
+}
+
+// parseInstRange reads a dN / pN / dN-M / pN-M instance target.
+func parseInstRange(item, target string) (lo, hi int, prefill bool, err error) {
+	if len(target) < 2 || (target[0] != 'd' && target[0] != 'p') {
+		return 0, 0, false, fmt.Errorf("servesim: fault %q: bad target %q (want dN, pN, dN-M, or pN-M)", item, target)
+	}
+	prefill = target[0] == 'p'
+	loStr, hiStr, isRange := strings.Cut(target[1:], "-")
+	if lo, err = strconv.Atoi(loStr); err != nil {
+		return 0, 0, false, fmt.Errorf("servesim: fault %q: bad target %q: %w", item, target, err)
+	}
+	hi = lo
+	if isRange {
+		if hi, err = strconv.Atoi(hiStr); err != nil {
+			return 0, 0, false, fmt.Errorf("servesim: fault %q: bad target %q: %w", item, target, err)
+		}
+		if hi < lo {
+			return 0, 0, false, fmt.Errorf("servesim: fault %q: inverted range %q", item, target)
+		}
+	}
+	return lo, hi, prefill, nil
 }
 
 // ParseAdmissionPolicy reads the CLI admission spec: comma-separated

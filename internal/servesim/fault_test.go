@@ -2,6 +2,8 @@ package servesim
 
 import (
 	"encoding/json"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -223,33 +225,60 @@ func TestFifoTeardownLeavesNoPointers(t *testing.T) {
 }
 
 func TestFaultPlanValidate(t *testing.T) {
-	bad := []FaultPlan{
-		{Events: []FaultEvent{{At: -1, Kind: FaultCrash}}},
-		{Events: []FaultEvent{{Kind: FaultKind(9)}}},
-		{Events: []FaultEvent{{Kind: FaultCrash, Instance: 4}}},                // decode out of range
-		{Events: []FaultEvent{{Kind: FaultCrash, Prefill: true, Instance: 2}}}, // prefill out of range
-		{MTBF: -1},
-		{RecoveryWindow: -1},
-		{RecoveryBand: 1.5},
+	nan, inf := units.Seconds(math.NaN()), units.Seconds(math.Inf(1))
+	bad := map[string]FaultPlan{
+		"negative time":                 {Events: []FaultEvent{{At: -1, Kind: FaultCrash}}},
+		"NaN time":                      {Events: []FaultEvent{{At: nan, Kind: FaultCrash, Instance: 1}}},
+		"+Inf time":                     {Events: []FaultEvent{{At: inf, Kind: FaultCrash, Instance: 1}}},
+		"NaN degrade time":              {Events: []FaultEvent{{At: nan, Kind: FaultDegrade, FailedPlanes: 1}}},
+		"unknown kind":                  {Events: []FaultEvent{{Kind: FaultKind(9)}}},
+		"decode out of range":           {Events: []FaultEvent{{Kind: FaultCrash, Instance: 4}}},
+		"prefill out of range":          {Events: []FaultEvent{{Kind: FaultCrash, Prefill: true, Instance: 2}}},
+		"negative instance":             {Events: []FaultEvent{{Kind: FaultHeal, Instance: -1}}},
+		"degrade decode out of range":   {Events: []FaultEvent{{At: 1, Kind: FaultDegrade, Instance: 99, FailedPlanes: 1}}},
+		"degrade prefill out of range":  {Events: []FaultEvent{{At: 1, Kind: FaultDegrade, Prefill: true, Instance: 99, FailedPlanes: 1}}},
+		"degrade negative time":         {Events: []FaultEvent{{At: -1, Kind: FaultDegrade, FailedPlanes: 1}}},
+		"degrade all planes failed":     {Events: []FaultEvent{{At: 1, Kind: FaultDegrade, FailedPlanes: 8, TotalPlanes: 8}}},
+		"degrade zero planes failed":    {Events: []FaultEvent{{At: 1, Kind: FaultDegrade, FailedPlanes: 0, TotalPlanes: 8}}},
+		"degrade single-plane fabric":   {Events: []FaultEvent{{At: 1, Kind: FaultDegrade, FailedPlanes: 1, TotalPlanes: 1}}},
+		"degrade negative total planes": {Events: []FaultEvent{{At: 1, Kind: FaultDegrade, FailedPlanes: 1, TotalPlanes: -8}}},
+		"negative MTBF":                 {MTBF: -1},
+		"negative recovery window":      {RecoveryWindow: -1},
+		"recovery band above 1":         {RecoveryBand: 1.5},
 	}
-	for i := range bad {
+	for name, plan := range bad {
 		cfg := V3ServeConfig()
-		cfg.Resilience.Faults = &bad[i]
+		cfg.Resilience.Faults = &plan
 		if err := cfg.Validate(); err == nil {
-			t.Errorf("plan %d validated: %+v", i, bad[i])
+			t.Errorf("%s: plan validated: %+v", name, plan)
 		}
 	}
-	// Colocated fleets have no prefill targets.
+	// Colocated fleets have no prefill targets, for any kind.
 	cfg := V3ServeConfig()
 	cfg.Fleet.Colocated = true
-	cfg.Resilience.Faults = &FaultPlan{Events: []FaultEvent{{Kind: FaultCrash, Prefill: true}}}
-	if err := cfg.Validate(); err == nil {
-		t.Error("prefill fault target accepted on a colocated cluster")
+	for _, kind := range []FaultKind{FaultCrash, FaultDegrade} {
+		cfg.Resilience.Faults = &FaultPlan{Events: []FaultEvent{{Kind: kind, Prefill: true, FailedPlanes: 1}}}
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("prefill %v target accepted on a colocated cluster", kind)
+		}
 	}
 	// ...but their merged instance space covers prefill+decode.
 	cfg.Resilience.Faults = &FaultPlan{Events: []FaultEvent{{Kind: FaultCrash, Instance: 5}}}
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("colocated instance 5 of 2P+4D rejected: %v", err)
+	}
+	// Every kind validates on a well-formed target; plane counts only
+	// bind degrade.
+	cfg = V3ServeConfig()
+	cfg.Resilience.Faults = &FaultPlan{Events: []FaultEvent{
+		{At: 1, Kind: FaultCrash, Instance: 3},
+		{At: 2, Kind: FaultRecover, Instance: 3},
+		{At: 3, Kind: FaultDrain, Prefill: true, Instance: 1},
+		{At: 4, Kind: FaultDegrade, Instance: 0, FailedPlanes: 7},
+		{At: 5, Kind: FaultHeal, Instance: 0},
+	}}
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("mixed-kind plan rejected: %v", err)
 	}
 }
 
@@ -269,25 +298,49 @@ func TestRetryPolicyDelay(t *testing.T) {
 	}
 }
 
+// TestParseFaultEvents covers the one incident-script syntax across all
+// five kinds: targets and ranges on every kind, k[/T] planes on
+// degrade, and the rejections.
 func TestParseFaultEvents(t *testing.T) {
-	evs, err := ParseFaultEvents("crash@8:d1, recover@16:d1, drain@2:p0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []FaultEvent{
-		{At: 8, Kind: FaultCrash, Instance: 1},
-		{At: 16, Kind: FaultRecover, Instance: 1},
-		{At: 2, Kind: FaultDrain, Prefill: true},
-	}
-	if len(evs) != len(want) {
-		t.Fatalf("parsed %d events, want %d", len(evs), len(want))
-	}
-	for i := range want {
-		if evs[i] != want[i] {
-			t.Errorf("event %d = %+v, want %+v", i, evs[i], want[i])
+	for _, tc := range []struct {
+		spec string
+		want []FaultEvent
+	}{
+		{"crash@8:d1, recover@16:d1, drain@2:p0", []FaultEvent{
+			{At: 8, Kind: FaultCrash, Instance: 1},
+			{At: 16, Kind: FaultRecover, Instance: 1},
+			{At: 2, Kind: FaultDrain, Prefill: true},
+		}},
+		{"crash@1:d0-2", []FaultEvent{
+			{At: 1, Kind: FaultCrash, Instance: 0},
+			{At: 1, Kind: FaultCrash, Instance: 1},
+			{At: 1, Kind: FaultCrash, Instance: 2},
+		}},
+		{"degrade@4:d1:6/8, heal@16:d1", []FaultEvent{
+			{At: 4, Kind: FaultDegrade, Instance: 1, FailedPlanes: 6, TotalPlanes: 8},
+			{At: 16, Kind: FaultHeal, Instance: 1},
+		}},
+		{"degrade@2:p1:3,drain@3:p0-1,heal@5:d2", []FaultEvent{
+			{At: 2, Kind: FaultDegrade, Prefill: true, Instance: 1, FailedPlanes: 3},
+			{At: 3, Kind: FaultDrain, Prefill: true, Instance: 0},
+			{At: 3, Kind: FaultDrain, Prefill: true, Instance: 1},
+			{At: 5, Kind: FaultHeal, Instance: 2},
+		}},
+	} {
+		evs, err := ParseFaultEvents(tc.spec)
+		if err != nil {
+			t.Errorf("ParseFaultEvents(%q): %v", tc.spec, err)
+			continue
+		}
+		if !slices.Equal(evs, tc.want) {
+			t.Errorf("ParseFaultEvents(%q) =\n %+v\nwant\n %+v", tc.spec, evs, tc.want)
 		}
 	}
-	for _, bad := range []string{"", "crash@8", "melt@8:d1", "crash@x:d1", "crash@8:q1", "crash@8:d"} {
+	for _, bad := range []string{
+		"", "crash@8", "melt@1:d0", "crash@x:d1", "crash@8:q1", "crash@8:d", "crash@-1:d0",
+		"crash@1:d2-0", "degrade@1:d0:8/8", "degrade@1:d0:0", "degrade@1:d0", "heal@1:d0:2",
+		"crash@1:d0:2", "degrade@1:d0:x", "degrade@1:d0:1/x", "degrade@NaN:d0:1",
+	} {
 		if _, err := ParseFaultEvents(bad); err == nil {
 			t.Errorf("ParseFaultEvents(%q) succeeded, want error", bad)
 		}

@@ -4,12 +4,15 @@
 // it derates the EP all-to-all bandwidth of the instances riding the
 // degraded planes, so their decode/prefill steps slow proportionally
 // (the netsim bandwidth ratio T/(T-k) applied to the comm leg of the
-// latency model). Silent data corruption (§6.1.2) does not raise an
-// error — it corrupts a step's outputs, which either propagates into a
-// corrupt completed response or, with a Freivalds-style verification
-// pass (cost charged into every step per gemm.VerifyGEMM's O(n²)
-// model), is caught with probability 1-2^-trials and converted into a
-// retryable fault plus an instance quarantine.
+// latency model). Plane loss is scheduled like any other incident, as
+// a FaultDegrade/FaultHeal event of the FaultPlan (fault.go).
+//
+// Silent data corruption (§6.1.2) does not raise an error — it
+// corrupts a step's outputs, which either propagates into a corrupt
+// completed response or, with a Freivalds-style verification pass
+// (cost charged into every step per gemm.VerifyGEMM's O(n²) model), is
+// caught with probability 1-2^-trials and converted into a retryable
+// fault plus an instance quarantine.
 //
 // The router side closes the loop: per-instance EWMA step-latency
 // tracking against the fleet median detects gray failures — instances
@@ -34,45 +37,8 @@ import (
 	"strings"
 
 	"dsv3/internal/obs"
-	"dsv3/internal/parallel"
 	"dsv3/internal/units"
 )
-
-// defaultTotalPlanes is the paper's multi-plane fat-tree plane count
-// (§5.1.1): eight independent network planes per deployment.
-const defaultTotalPlanes = 8
-
-// PlaneHazardEvent degrades (or heals) the EP communication bandwidth
-// of one instance at a scheduled time: FailedPlanes of TotalPlanes
-// network planes are lost, so the instance's all-to-all traffic crosses
-// the survivors at TotalPlanes/(TotalPlanes-FailedPlanes) x the healthy
-// duration — the serving-layer image of experiments.PlaneFailure.
-type PlaneHazardEvent struct {
-	At units.Seconds
-	// Heal restores the instance to full bandwidth (FailedPlanes is
-	// ignored); false degrades it.
-	Heal     bool
-	Prefill  bool
-	Instance int
-	// FailedPlanes is the number of lost planes (degrade only); must be
-	// at least 1 and strictly below TotalPlanes.
-	FailedPlanes int
-	// TotalPlanes is the plane count of the deployment (default 8).
-	TotalPlanes int
-}
-
-// commScale returns the comm-leg slowdown the event applies (1 for
-// heal).
-func (ev PlaneHazardEvent) commScale() float64 {
-	if ev.Heal {
-		return 1
-	}
-	t := ev.TotalPlanes
-	if t <= 0 {
-		t = defaultTotalPlanes
-	}
-	return float64(t) / float64(t-ev.FailedPlanes)
-}
 
 // DetectionConfig tunes router-side gray-failure detection: every
 // decode instance's observed-vs-expected step-time ratio (observed
@@ -110,14 +76,11 @@ func (d DetectionConfig) minSteps() int {
 	return 8
 }
 
-// HazardPlan composes the cross-layer hazards of one run: plane-failure
-// bandwidth derates, silent data corruption with optional Freivalds
-// verification, gray-failure detection, and quarantine repair. Nil (on
-// ResilienceConfig) disables everything.
+// HazardPlan composes the cross-layer hazards of one run: silent data
+// corruption with optional Freivalds verification, gray-failure
+// detection, and quarantine repair. Nil (on ResilienceConfig) disables
+// everything. Plane degrade/heal events belong to the FaultPlan.
 type HazardPlan struct {
-	// Planes is the scheduled plane degrade/heal script.
-	Planes []PlaneHazardEvent
-
 	// SDCRate is the per-decode-step probability that an instance's step
 	// silently corrupts its outputs (0 disables SDC injection).
 	SDCRate float64
@@ -137,35 +100,8 @@ type HazardPlan struct {
 	QuarantineRepair units.Seconds
 }
 
-// validate checks the plan against the resolved cluster shape.
-func (h *HazardPlan) validate(nPrefill, nDecode int, colocated bool) error {
-	for i, ev := range h.Planes {
-		if ev.At < 0 || math.IsNaN(float64(ev.At)) || math.IsInf(float64(ev.At), 0) {
-			return fmt.Errorf("servesim: plane hazard %d at invalid time %v", i, ev.At)
-		}
-		if ev.Prefill {
-			if colocated {
-				return fmt.Errorf("servesim: plane hazard %d targets a prefill instance but the cluster is colocated", i)
-			}
-			if ev.Instance < 0 || ev.Instance >= nPrefill {
-				return fmt.Errorf("servesim: plane hazard %d targets prefill instance %d of %d", i, ev.Instance, nPrefill)
-			}
-		} else if ev.Instance < 0 || ev.Instance >= nDecode {
-			return fmt.Errorf("servesim: plane hazard %d targets decode instance %d of %d", i, ev.Instance, nDecode)
-		}
-		if !ev.Heal {
-			total := ev.TotalPlanes
-			if total == 0 {
-				total = defaultTotalPlanes
-			}
-			if total < 2 {
-				return fmt.Errorf("servesim: plane hazard %d has %d total planes (want >= 2)", i, total)
-			}
-			if ev.FailedPlanes < 1 || ev.FailedPlanes >= total {
-				return fmt.Errorf("servesim: plane hazard %d fails %d of %d planes (want 1..%d)", i, ev.FailedPlanes, total, total-1)
-			}
-		}
-	}
+// validate checks the plan.
+func (h *HazardPlan) validate() error {
 	if h.SDCRate < 0 || h.SDCRate > 1 || math.IsNaN(h.SDCRate) {
 		return fmt.Errorf("servesim: SDC rate %v outside [0,1]", h.SDCRate)
 	}
@@ -253,15 +189,11 @@ type hazardState struct {
 	minSteps     int
 	threshold    float64
 
-	// Per-instance comm-leg slowdowns (1 = healthy).
-	scaleP []float64 // prefill instances
-	scaleD []float64 // decode instances
-
 	// Gray-failure detection state per decode instance.
 	ewma        []float64 // EWMA observed-vs-expected step-time ratio
 	ewmaSteps   []int
 	stepCost    []float64 // current step's observed/expected ratio (set at startStep)
-	grayDrained []bool    // drained by detection (restored on plane heal)
+	grayDrained []bool    // drained by detection (restored on heal)
 	medScratch  []float64
 
 	// Counters surfaced in the Report.
@@ -295,7 +227,7 @@ type hedgeState struct {
 
 // resetHazards re-initializes hazard and hedge state for a run. On the
 // disabled path this writes two bools and leaves every buffer alone.
-func (e *Engine) resetHazards(nPrefill, nDecode int) {
+func (e *Engine) resetHazards(nDecode int) {
 	hz := &e.hz
 	plan := e.cfg.Resilience.Hazards
 	hz.on = plan != nil
@@ -322,14 +254,6 @@ func (e *Engine) resetHazards(nPrefill, nDecode int) {
 		hz.alpha = plan.Detect.alpha()
 		hz.minSteps = plan.Detect.minSteps()
 		hz.threshold = plan.Detect.Threshold
-		hz.scaleP = growFloats(hz.scaleP, nPrefill)
-		hz.scaleD = growFloats(hz.scaleD, nDecode)
-		for i := range hz.scaleP {
-			hz.scaleP[i] = 1
-		}
-		for i := range hz.scaleD {
-			hz.scaleD[i] = 1
-		}
 		hz.ewma = growFloats(hz.ewma, nDecode)
 		hz.stepCost = growFloats(hz.stepCost, nDecode)
 		if cap(hz.ewmaSteps) < nDecode {
@@ -365,86 +289,15 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// commScaleD / commScaleP return the comm-leg slowdown of an instance
-// (exactly 1 — a bit-exact multiplication identity — when hazards are
-// off).
-func (e *Engine) commScaleD(inst int) float64 {
-	if !e.hz.on {
-		return 1
-	}
-	return e.hz.scaleD[inst]
-}
-
-func (e *Engine) commScaleP(inst int) float64 {
-	if !e.hz.on {
-		return 1
-	}
-	return e.hz.scaleP[inst]
-}
-
-// scheduleHazards seeds the hazard RNG stream and schedules the plane
-// script.
-func (e *Engine) scheduleHazards() {
-	plan := e.cfg.Resilience.Hazards
-	if plan == nil {
-		return
-	}
-	e.hazardReseed(parallel.DeriveSeed(e.cfg.Seed, 5))
-	for i := range plan.Planes {
-		e.schedule(plan.Planes[i].At, evHazard, i, nil)
-	}
-}
-
-// applyHazard applies one plane degrade/heal event: the instance's comm
-// scale changes and its health moves between up and degraded. A heal
-// also restores a gray-drained instance and resets its detection state
-// (the straggling had a known, now-removed cause).
-func (e *Engine) applyHazard(i int) {
-	ev := &e.cfg.Resilience.Hazards.Planes[i]
-	hz := &e.hz
-	scale := ev.commScale()
-	if ev.Prefill {
-		p := &e.prefills[ev.Instance]
-		hz.scaleP[ev.Instance] = scale
-		if ev.Heal {
-			if p.health == healthDegraded {
-				e.trIncident(true, ev.Instance, "heal")
-				e.noteHealth(healthDegraded, healthUp)
-				p.health = healthUp
-			}
-		} else if p.health == healthUp {
-			e.trIncident(true, ev.Instance, "degrade")
-			e.noteHealth(healthUp, healthDegraded)
-			p.health = healthDegraded
-		}
-		e.recountIdlePrefills()
-		return
-	}
-	d := &e.decodes[ev.Instance]
-	hz.scaleD[ev.Instance] = scale
-	if ev.Heal {
-		switch {
-		case d.health == healthDegraded:
-			e.trIncident(false, ev.Instance, "heal")
-			e.noteHealth(healthDegraded, healthUp)
-			d.health = healthUp
-		case hz.grayDrained[ev.Instance] && d.health == healthDraining:
-			// The detector drained this straggler; with the plane healed
-			// the cause is gone — return it to service.
-			e.trIncident(false, ev.Instance, "heal")
-			e.noteHealth(healthDraining, healthUp)
-			d.health = healthUp
-		}
-		hz.grayDrained[ev.Instance] = false
-		hz.ewma[ev.Instance] = 0
-		hz.ewmaSteps[ev.Instance] = 0
-		if !d.stepping && !d.prefilling {
-			e.startStep(ev.Instance)
-		}
-	} else if d.health == healthUp {
-		e.trIncident(false, ev.Instance, "degrade")
-		e.noteHealth(healthUp, healthDegraded)
-		d.health = healthDegraded
+// forgetStraggler clears an instance's gray-failure record after a
+// recover or heal: the slowdown had a known, now-removed cause, and
+// stale EWMA state must not re-drain the instance on its first steps
+// back.
+func (e *Engine) forgetStraggler(inst int) {
+	if hz := &e.hz; hz.on {
+		hz.grayDrained[inst] = false
+		hz.ewma[inst] = 0
+		hz.ewmaSteps[inst] = 0
 	}
 }
 
@@ -698,96 +551,6 @@ func (e *Engine) hedgeOrphanAbsorbed(req *reqState) bool {
 	// outcome becomes the request's outcome.
 	req.hstate = hzAbandoned
 	return true
-}
-
-// ParseHazardEvents reads the CLI plane-hazard syntax: comma-separated
-// "degrade@seconds:target:k[/T]" and "heal@seconds:target" items, where
-// target is dN, pN, or a dN-M / pN-M range, k is the failed plane count
-// and T the total plane count (default 8) — e.g.
-// "degrade@4:d1:2,degrade@4:d2-3:1/8,heal@20:d1".
-func ParseHazardEvents(s string) ([]PlaneHazardEvent, error) {
-	var out []PlaneHazardEvent
-	for _, item := range strings.Split(s, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		fields := strings.Split(item, ":")
-		kindStr, atStr, ok := strings.Cut(fields[0], "@")
-		if !ok {
-			return nil, fmt.Errorf("servesim: hazard %q: want kind@seconds:target[:planes]", item)
-		}
-		var heal bool
-		switch strings.TrimSpace(kindStr) {
-		case "degrade":
-		case "heal":
-			heal = true
-		default:
-			return nil, fmt.Errorf("servesim: hazard %q: unknown kind %q (want degrade or heal)", item, kindStr)
-		}
-		at, err := strconv.ParseFloat(strings.TrimSpace(atStr), 64)
-		if err != nil {
-			return nil, fmt.Errorf("servesim: hazard %q: bad time: %w", item, err)
-		}
-		if math.IsNaN(at) || math.IsInf(at, 0) {
-			return nil, fmt.Errorf("servesim: hazard %q: non-finite time", item)
-		}
-		want := 3
-		if heal {
-			want = 2
-		}
-		if len(fields) != want {
-			return nil, fmt.Errorf("servesim: hazard %q: want %d ':'-separated parts", item, want)
-		}
-		lo, hi, prefill, err := parseInstRange(item, strings.TrimSpace(fields[1]))
-		if err != nil {
-			return nil, err
-		}
-		failed, total := 0, 0
-		if !heal {
-			kStr, tStr, hasTotal := strings.Cut(strings.TrimSpace(fields[2]), "/")
-			if failed, err = strconv.Atoi(strings.TrimSpace(kStr)); err != nil {
-				return nil, fmt.Errorf("servesim: hazard %q: bad plane count %q: %w", item, kStr, err)
-			}
-			if hasTotal {
-				if total, err = strconv.Atoi(strings.TrimSpace(tStr)); err != nil {
-					return nil, fmt.Errorf("servesim: hazard %q: bad total planes %q: %w", item, tStr, err)
-				}
-			}
-		}
-		for inst := lo; inst <= hi; inst++ {
-			out = append(out, PlaneHazardEvent{
-				At: units.Seconds(at), Heal: heal, Prefill: prefill,
-				Instance: inst, FailedPlanes: failed, TotalPlanes: total,
-			})
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("servesim: empty hazard script %q", s)
-	}
-	return out, nil
-}
-
-// parseInstRange reads a dN / pN / dN-M / pN-M instance target.
-func parseInstRange(item, target string) (lo, hi int, prefill bool, err error) {
-	if len(target) < 2 || (target[0] != 'd' && target[0] != 'p') {
-		return 0, 0, false, fmt.Errorf("servesim: hazard %q: bad target %q (want dN, pN, dN-M, or pN-M)", item, target)
-	}
-	prefill = target[0] == 'p'
-	loStr, hiStr, isRange := strings.Cut(target[1:], "-")
-	if lo, err = strconv.Atoi(loStr); err != nil {
-		return 0, 0, false, fmt.Errorf("servesim: hazard %q: bad target %q: %w", item, target, err)
-	}
-	hi = lo
-	if isRange {
-		if hi, err = strconv.Atoi(hiStr); err != nil {
-			return 0, 0, false, fmt.Errorf("servesim: hazard %q: bad target %q: %w", item, target, err)
-		}
-		if hi < lo {
-			return 0, 0, false, fmt.Errorf("servesim: hazard %q: inverted range %q", item, target)
-		}
-	}
-	return lo, hi, prefill, nil
 }
 
 // ParseHedgePolicy reads the CLI hedge spec: a fixed delay in seconds

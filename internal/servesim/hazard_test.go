@@ -7,19 +7,21 @@ import (
 	"testing"
 )
 
-// hazardTestPlan is the reference composed incident of the hazard
-// tests: decode instance 1 loses 6 of 8 planes from t=4s to t=16s,
-// plus a 0.1% per-step silent-corruption rate. With detect it adds the
-// full detection stack (Freivalds verification, EWMA draining,
-// quarantine repair).
+// hazardTestPlanes is the plane incident of the hazard tests: decode
+// instance 1 loses 6 of 8 planes from t=4s to t=16s.
+func hazardTestPlanes() *FaultPlan {
+	return &FaultPlan{Events: []FaultEvent{
+		{At: 4, Kind: FaultDegrade, Instance: 1, FailedPlanes: 6, TotalPlanes: 8},
+		{At: 16, Kind: FaultHeal, Instance: 1},
+	}}
+}
+
+// hazardTestPlan is the hazard half of the reference composed
+// incident: a 0.1% per-step silent-corruption rate. With detect it
+// adds the full detection stack (Freivalds verification, EWMA
+// draining, quarantine repair).
 func hazardTestPlan(detect bool) *HazardPlan {
-	plan := &HazardPlan{
-		Planes: []PlaneHazardEvent{
-			{At: 4, Instance: 1, FailedPlanes: 6, TotalPlanes: 8},
-			{At: 16, Heal: true, Instance: 1},
-		},
-		SDCRate: 0.001,
-	}
+	plan := &HazardPlan{SDCRate: 0.001}
 	if detect {
 		plan.VerifyTrials = 8
 		plan.Detect = DetectionConfig{Threshold: 1.25}
@@ -32,6 +34,7 @@ func hazardTestConfig(detect bool) Config {
 	cfg := V3ServeConfig()
 	cfg.KV.HBM.CapacityBytes = 0.4e9
 	cfg.Resilience.Retry = DefaultRetryPolicy()
+	cfg.Resilience.Faults = hazardTestPlanes()
 	cfg.Resilience.Hazards = hazardTestPlan(detect)
 	return cfg
 }
@@ -56,7 +59,7 @@ func TestHazardDeterminism(t *testing.T) {
 		t.Fatalf("hazardous runs diverged:\n%s\n%s", a, b)
 	}
 	clean := cfg
-	clean.Resilience.Hazards = nil
+	clean.Resilience.Faults, clean.Resilience.Hazards = nil, nil
 	if c := mustJSON(t, mustRun(t, clean, w)); a == c {
 		t.Error("hazardous report identical to hazard-free report")
 	}
@@ -70,7 +73,7 @@ func TestHazardPooledEngineReuse(t *testing.T) {
 	hz := hazardTestConfig(true)
 	hz.Resilience.Hedge = HedgePolicy{Delay: 4}
 	clean := hz
-	clean.Resilience.Hazards = nil
+	clean.Resilience.Faults, clean.Resilience.Hazards = nil, nil
 	clean.Resilience.Hedge = HedgePolicy{}
 	w := testWorkload(5, 150)
 
@@ -153,8 +156,8 @@ func TestHedgeFirstWins(t *testing.T) {
 	cfg := V3ServeConfig()
 	cfg.KV.HBM.CapacityBytes = 0.4e9
 	cfg.Resilience.Retry = DefaultRetryPolicy()
-	cfg.Resilience.Hazards = &HazardPlan{Planes: []PlaneHazardEvent{
-		{At: 2, Instance: 1, FailedPlanes: 7, TotalPlanes: 8},
+	cfg.Resilience.Faults = &FaultPlan{Events: []FaultEvent{
+		{At: 2, Kind: FaultDegrade, Instance: 1, FailedPlanes: 7, TotalPlanes: 8},
 	}}
 	cfg.Resilience.Hedge = HedgePolicy{Delay: 4}
 	w := testWorkload(4, 150)
@@ -184,8 +187,8 @@ func TestHedgeFirstWins(t *testing.T) {
 func TestHedgeP95Determinism(t *testing.T) {
 	cfg := V3ServeConfig()
 	cfg.KV.HBM.CapacityBytes = 0.4e9
-	cfg.Resilience.Hazards = &HazardPlan{Planes: []PlaneHazardEvent{
-		{At: 2, Instance: 1, FailedPlanes: 7, TotalPlanes: 8},
+	cfg.Resilience.Faults = &FaultPlan{Events: []FaultEvent{
+		{At: 2, Kind: FaultDegrade, Instance: 1, FailedPlanes: 7, TotalPlanes: 8},
 	}}
 	cfg.Resilience.Hedge = HedgePolicy{Delay: 4, TrackP95: true}
 	w := testWorkload(4, 150)
@@ -200,7 +203,7 @@ func TestHedgeP95Determinism(t *testing.T) {
 func TestPlaneHazardDegradesWithoutDropping(t *testing.T) {
 	cfg := V3ServeConfig()
 	cfg.KV.HBM.CapacityBytes = 0.4e9
-	cfg.Resilience.Hazards = &HazardPlan{Planes: hazardTestPlan(false).Planes}
+	cfg.Resilience.Faults = hazardTestPlanes()
 	w := testWorkload(5, 150)
 	r := mustRun(t, cfg, w)
 	if r.Failed != 0 || r.Shed != 0 {
@@ -210,54 +213,25 @@ func TestPlaneHazardDegradesWithoutDropping(t *testing.T) {
 		t.Errorf("completed %d of %d", r.Completed, r.Requests)
 	}
 	clean := cfg
-	clean.Resilience.Hazards = nil
+	clean.Resilience.Faults = nil
 	if mustJSON(t, r) == mustJSON(t, mustRun(t, clean, w)) {
 		t.Error("plane degradation left the report untouched")
 	}
-}
-
-func TestParseHazardEvents(t *testing.T) {
-	evs, err := ParseHazardEvents("degrade@4:d1:6/8, heal@16:d1")
-	if err != nil {
+	// Plane events need no HazardPlan: an empty one (hazard machinery
+	// on, nothing to inject or detect) must not change the run.
+	empty := cfg
+	empty.Resilience.Hazards = &HazardPlan{}
+	if mustJSON(t, r) != mustJSON(t, mustRun(t, empty, w)) {
+		t.Error("an empty hazard plan changed a plane-degraded run")
+	}
+	// The heal restores full bandwidth; the engine's comm scales end at 1.
+	e := NewEngine()
+	if _, err := e.Run(cfg, w); err != nil {
 		t.Fatal(err)
 	}
-	want := []PlaneHazardEvent{
-		{At: 4, Instance: 1, FailedPlanes: 6, TotalPlanes: 8},
-		{At: 16, Heal: true, Instance: 1},
-	}
-	if len(evs) != len(want) {
-		t.Fatalf("got %d events, want %d", len(evs), len(want))
-	}
-	for i := range want {
-		if evs[i] != want[i] {
-			t.Errorf("event %d = %+v, want %+v", i, evs[i], want[i])
-		}
-	}
-	// Ranges expand to one event per instance; prefill targets and
-	// defaulted totals parse too.
-	evs, err = ParseHazardEvents("degrade@1:d0-2:1,degrade@2:p1:3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(evs) != 4 {
-		t.Fatalf("range expansion got %d events, want 4", len(evs))
-	}
-	for i, ev := range evs[:3] {
-		if ev.Instance != i || ev.Prefill || ev.FailedPlanes != 1 || ev.TotalPlanes != 0 {
-			t.Errorf("range event %d = %+v", i, ev)
-		}
-	}
-	if p := evs[3]; !p.Prefill || p.Instance != 1 || p.FailedPlanes != 3 {
-		t.Errorf("prefill event = %+v", p)
-	}
-
-	for _, bad := range []string{
-		"", "melt@1:d0:1", "degrade@x:d0:1", "degrade@NaN:d0:1", "degrade@Inf:d0:1",
-		"degrade@1:q0:1", "degrade@1:d0", "heal@1:d0:1", "degrade@1:d2-0:1",
-		"degrade@1:d0:x", "degrade@1:d0:1/x",
-	} {
-		if _, err := ParseHazardEvents(bad); err == nil {
-			t.Errorf("ParseHazardEvents(%q) accepted", bad)
+	for i := range e.decodes {
+		if s := e.decodes[i].commScale; s != 1 {
+			t.Errorf("decode %d ends at comm scale %v after heal", i, s)
 		}
 	}
 }
@@ -278,8 +252,9 @@ func TestParseHedgePolicy(t *testing.T) {
 	}
 }
 
-// Invalid hazard plans must be rejected by Config.Validate against the
-// resolved cluster shape.
+// Invalid hazard plans and hedge policies must be rejected by
+// Config.Validate (plane events are FaultPlan rows, see
+// TestFaultPlanValidate).
 func TestHazardPlanValidate(t *testing.T) {
 	base := func() Config {
 		cfg := V3ServeConfig()
@@ -287,25 +262,6 @@ func TestHazardPlanValidate(t *testing.T) {
 		return cfg
 	}
 	for name, mutate := range map[string]func(*Config){
-		"decode instance out of range": func(c *Config) {
-			c.Resilience.Hazards.Planes = []PlaneHazardEvent{{At: 1, Instance: 99, FailedPlanes: 1}}
-		},
-		"prefill instance out of range": func(c *Config) {
-			c.Resilience.Hazards.Planes = []PlaneHazardEvent{{At: 1, Prefill: true, Instance: 99, FailedPlanes: 1}}
-		},
-		"prefill target on colocated cluster": func(c *Config) {
-			c.Fleet.Colocated = true
-			c.Resilience.Hazards.Planes = []PlaneHazardEvent{{At: 1, Prefill: true, Instance: 0, FailedPlanes: 1}}
-		},
-		"negative time": func(c *Config) {
-			c.Resilience.Hazards.Planes = []PlaneHazardEvent{{At: -1, Instance: 0, FailedPlanes: 1}}
-		},
-		"all planes failed": func(c *Config) {
-			c.Resilience.Hazards.Planes = []PlaneHazardEvent{{At: 1, Instance: 0, FailedPlanes: 8, TotalPlanes: 8}}
-		},
-		"zero planes failed": func(c *Config) {
-			c.Resilience.Hazards.Planes = []PlaneHazardEvent{{At: 1, Instance: 0, FailedPlanes: 0, TotalPlanes: 8}}
-		},
 		"sdc rate above 1":  func(c *Config) { c.Resilience.Hazards.SDCRate = 1.5 },
 		"negative trials":   func(c *Config) { c.Resilience.Hazards.VerifyTrials = -1 },
 		"threshold below 1": func(c *Config) { c.Resilience.Hazards.Detect.Threshold = 0.9 },
@@ -394,9 +350,7 @@ func TestParseFaultEventsNonFinite(t *testing.T) {
 // window through nil-safe accessors.
 func TestHazardIncidentsWithoutFaultPlan(t *testing.T) {
 	cfg := hazardTestConfig(true)
-	if cfg.Resilience.Faults != nil {
-		t.Fatal("test premise broken: fault plan set")
-	}
+	cfg.Resilience.Faults = nil
 	r := mustRun(t, cfg, testWorkload(5, 150))
 	if len(r.Incidents) == 0 {
 		t.Fatal("no incidents recorded")
@@ -408,16 +362,15 @@ func TestHazardIncidentsWithoutFaultPlan(t *testing.T) {
 	}
 }
 
-// commScale must be exactly 1.0 on heal and T/(T-k) on degrade.
+// A degrade's commScale must be exactly T/(T-k).
 func TestPlaneHazardCommScale(t *testing.T) {
 	for _, tc := range []struct {
-		ev   PlaneHazardEvent
+		ev   FaultEvent
 		want float64
 	}{
-		{PlaneHazardEvent{Heal: true}, 1},
-		{PlaneHazardEvent{FailedPlanes: 6, TotalPlanes: 8}, 4},
-		{PlaneHazardEvent{FailedPlanes: 4, TotalPlanes: 8}, 2},
-		{PlaneHazardEvent{FailedPlanes: 4}, 2}, // default 8 planes
+		{FaultEvent{Kind: FaultDegrade, FailedPlanes: 6, TotalPlanes: 8}, 4},
+		{FaultEvent{Kind: FaultDegrade, FailedPlanes: 4, TotalPlanes: 8}, 2},
+		{FaultEvent{Kind: FaultDegrade, FailedPlanes: 4}, 2}, // default 8 planes
 	} {
 		if got := tc.ev.commScale(); got != tc.want {
 			t.Errorf("commScale(%+v) = %v, want %v", tc.ev, got, tc.want)

@@ -550,7 +550,7 @@ func (e *Engine) prefixStore(req *reqState) {
 // full prefill.
 func (e *Engine) prefillCost(req *reqState, commScale float64) units.Seconds {
 	full := req.ctxForPrefill()
-	base := e.cfg.Latency.prefillTimeComm(e.lc, full, commScale)
+	base := e.cfg.Latency.prefillTime(e.lc, full, commScale)
 	h := &e.hier
 	if !h.prefixOn || req.Session <= 0 || req.resumed {
 		return base
@@ -584,7 +584,7 @@ func (e *Engine) prefillCost(req *reqState, commScale float64) units.Seconds {
 		wait = 0
 	}
 	fetch := wait + e.tierXfer(ent.tier, chunks, true)
-	compute := e.cfg.Latency.prefillTimeComm(e.lc, full-hit, commScale)
+	compute := e.cfg.Latency.prefillTime(e.lc, full-hit, commScale)
 	if fetch > compute {
 		h.reloadStall += fetch - compute
 		return fetch

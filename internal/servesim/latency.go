@@ -113,15 +113,10 @@ type batchAttention struct {
 	KVBytes units.Bytes
 }
 
-// addContext folds one request at context length ctx into the batch.
-func (l LatencyModel) addContext(b *batchAttention, ctx int) {
-	l.addContextC(l.consts(), b, ctx)
-}
-
-// addContextC is addContext over precomputed constants: the same
-// flops-per-context-token-per-layer · ctx · layers and KV-bytes · ctx
-// products mla.AttentionDecodeCost forms, without re-deriving the
-// coefficients.
+// addContextC folds one request at context length ctx into the batch,
+// over precomputed constants: the same flops-per-context-token-per-
+// layer · ctx · layers and KV-bytes · ctx products
+// mla.AttentionDecodeCost forms, without re-deriving the coefficients.
 func (l LatencyModel) addContextC(lc latConsts, b *batchAttention, ctx int) {
 	b.FLOPs += lc.attnFlopsPerCtxLayer * float64(ctx) * lc.layers
 	b.KVBytes += lc.kvPerToken * float64(ctx)
@@ -136,19 +131,15 @@ func (l LatencyModel) addContextC(lc latConsts, b *batchAttention, ctx int) {
 // layer under dual-micro-batch overlap, matching
 // inference.EPConfig.AnalyzeWithCompute.
 func (l LatencyModel) DecodeStepTime(batch int, attn batchAttention) units.Seconds {
-	return l.decodeStepTime(l.consts(), batch, attn)
+	return l.decodeStepTime(l.consts(), batch, attn, 1)
 }
 
-func (l LatencyModel) decodeStepTime(lc latConsts, batch int, attn batchAttention) units.Seconds {
-	return l.decodeStepTimeComm(lc, batch, attn, 1)
-}
-
-// decodeStepTimeComm is decodeStepTime with the communication leg
-// scaled by commScale — the plane-failure derating (hazard.go): k of T
-// lost planes squeeze the all-to-all onto the survivors at T/(T-k) x
-// the healthy duration. Multiplying by exactly 1 is a bit-exact
-// identity, so the unscaled entry point above delegates here.
-func (l LatencyModel) decodeStepTimeComm(lc latConsts, batch int, attn batchAttention, commScale float64) units.Seconds {
+// decodeStepTime is DecodeStepTime over precomputed constants, with
+// the communication leg scaled by commScale — the plane-failure
+// derating of a FaultDegrade: k of T lost planes squeeze the
+// all-to-all onto the survivors at T/(T-k) x the healthy duration.
+// Multiplying by exactly 1 is a bit-exact identity.
+func (l LatencyModel) decodeStepTime(lc latConsts, batch int, attn batchAttention, commScale float64) units.Seconds {
 	if batch <= 0 {
 		return 0
 	}
@@ -180,16 +171,12 @@ func (l LatencyModel) decodeStepTimeComm(lc latConsts, batch int, attn batchAtte
 // prefills), and the expert-parallel dispatch/combine traffic for all
 // prompt tokens.
 func (l LatencyModel) PrefillTime(promptTokens int) units.Seconds {
-	return l.prefillTime(l.consts(), promptTokens)
+	return l.prefillTime(l.consts(), promptTokens, 1)
 }
 
-func (l LatencyModel) prefillTime(lc latConsts, promptTokens int) units.Seconds {
-	return l.prefillTimeComm(lc, promptTokens, 1)
-}
-
-// prefillTimeComm is prefillTime with the dispatch/combine leg scaled
-// by commScale (see decodeStepTimeComm).
-func (l LatencyModel) prefillTimeComm(lc latConsts, promptTokens int, commScale float64) units.Seconds {
+// prefillTime is PrefillTime over precomputed constants, with the
+// dispatch/combine leg scaled by commScale (see decodeStepTime).
+func (l LatencyModel) prefillTime(lc latConsts, promptTokens int, commScale float64) units.Seconds {
 	tokens := float64(promptTokens)
 	linear := 2 * lc.activeNonEmbedding * tokens
 	attn := lc.prefillAttnCoef * tokens * tokens / 2 * lc.layers
@@ -205,13 +192,8 @@ func (l LatencyModel) prefillTimeComm(lc latConsts, promptTokens int, commScale 
 	return compute
 }
 
-// KVBytesForContext returns the KV-cache volume of a context, the
-// payload a prefill->decode migration moves.
-func (l LatencyModel) KVBytesForContext(tokens int) units.Bytes {
-	return l.Model.KVCacheBytesPerToken(l.KVBytesPerElem) * float64(tokens)
-}
-
-// kvBytesForContext is KVBytesForContext over the cached per-token
+// kvBytesForContext returns the KV-cache volume of a context, the
+// payload a prefill->decode migration moves, over the cached per-token
 // footprint.
 func (l LatencyModel) kvBytesForContext(lc latConsts, tokens int) units.Bytes {
 	return lc.kvPerToken * float64(tokens)

@@ -60,9 +60,7 @@ const (
 	// evReloadDone lands an offloaded request's KV back in HBM: the
 	// request joins its instance's batch (tiered hierarchy only).
 	evReloadDone
-	// evHazard applies Config.Resilience.Hazards.Planes[inst]; evHedge
-	// fires a request's hedge timer (hazard.go).
-	evHazard
+	// evHedge fires a request's hedge timer (hazard.go).
 	evHedge
 )
 
@@ -193,7 +191,7 @@ type healthState int8
 
 const (
 	healthUp healthState = iota
-	// healthDegraded: a plane hazard derated the instance's comm
+	// healthDegraded: a FaultDegrade derated the instance's comm
 	// bandwidth. It still takes and holds work — a degraded instance is
 	// precisely the gray failure the router's detection exists to catch,
 	// so it stays in the routing candidate set until drained.
@@ -220,6 +218,9 @@ type prefillUnit struct {
 	cur    *reqState
 	epoch  int
 	health healthState
+	// commScale is the comm-leg slowdown of the instance's EP all-to-all
+	// (1 = healthy, T/(T-k) after a FaultDegrade of k of T planes).
+	commScale float64
 }
 
 // decodeUnit is one decode (or colocated) instance.
@@ -234,6 +235,8 @@ type decodeUnit struct {
 	stepping bool
 	epoch    int
 	health   healthState
+	// commScale is the comm-leg slowdown (see prefillUnit.commScale).
+	commScale float64
 	// colocated bookkeeping
 	prefilling   bool
 	prefillReq   *reqState // in-flight stall-the-world prefill
@@ -253,6 +256,7 @@ func (d *decodeUnit) reset(kv kvPool) {
 	d.stepping = false
 	d.epoch = 0
 	d.health = healthUp
+	d.commScale = 1
 	d.prefilling = false
 	d.prefillReq = nil
 	d.sincePrefill = 0
@@ -460,7 +464,7 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 	}
 	e.prefills = e.prefills[:nPrefill]
 	for i := range e.prefills {
-		e.prefills[i] = prefillUnit{}
+		e.prefills[i] = prefillUnit{commScale: 1}
 	}
 	e.idlePrefills = nPrefill
 	if cap(e.decodes) < nDecode {
@@ -473,7 +477,7 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 	for i := range e.decodes {
 		e.decodes[i].reset(kv)
 	}
-	e.resetHazards(nPrefill, nDecode)
+	e.resetHazards(nDecode)
 	e.obsBeginRun(nPrefill, nDecode)
 
 	// Sample the batch/occupancy timeline on a horizon estimated from
@@ -505,7 +509,9 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 			e.schedule(e.faultRng.ExpFloat64()*plan.MTBF, evFaultRandom, 0, nil)
 		}
 	}
-	e.scheduleHazards()
+	if cfg.Resilience.Hazards != nil {
+		e.hazardReseed(parallel.DeriveSeed(cfg.Seed, 5))
+	}
 	// Arrivals are merged from the arena (sorted by arrival, stably)
 	// instead of being pre-scheduled, so the heap holds only the events
 	// in flight. On a time tie the arrival goes first, the order it had
@@ -582,15 +588,14 @@ func (e *Engine) processEvent(ev *event) (stop bool, err error) {
 			return false, err
 		}
 	case evFaultPlanned:
-		fe := e.cfg.Resilience.Faults.Events[ev.inst]
-		e.applyFault(fe.Kind, fe.Prefill, fe.Instance)
+		e.applyFault(e.cfg.Resilience.Faults.Events[ev.inst])
 	case evFaultRandom:
 		e.randomCrash()
 	case evFaultRecover:
 		if ev.inst >= 0 {
-			e.applyFault(FaultRecover, false, ev.inst)
+			e.applyFault(FaultEvent{Kind: FaultRecover, Instance: ev.inst})
 		} else {
-			e.applyFault(FaultRecover, true, -(ev.inst + 1))
+			e.applyFault(FaultEvent{Kind: FaultRecover, Prefill: true, Instance: -(ev.inst + 1)})
 		}
 	case evRetry:
 		req := ev.req
@@ -609,8 +614,6 @@ func (e *Engine) processEvent(ev *event) (stop bool, err error) {
 			break // scheduled by a crashed incarnation
 		}
 		e.reloadDone(ev.inst, ev.req)
-	case evHazard:
-		e.applyHazard(ev.inst)
 	case evHedge:
 		e.hedgeFire(ev.req)
 	}
@@ -715,7 +718,7 @@ func (e *Engine) dispatch() {
 		p.busy = true
 		e.idlePrefills--
 		p.cur = req
-		cost := e.prefillCost(req, e.commScaleP(inst))
+		cost := e.prefillCost(req, p.commScale)
 		e.trPhaseEnd(req)
 		e.trPhaseBegin(req, obs.PhasePrefill, inst)
 		e.trCompute(cost, true, inst, obs.ComputePrefill, req.ID)
@@ -868,7 +871,7 @@ func (e *Engine) startStep(inst int) {
 			d.prefilling = true
 			d.prefillReq = req
 			e.notePeakOcc()
-			cost := e.prefillCost(req, e.commScaleD(inst))
+			cost := e.prefillCost(req, d.commScale)
 			e.trPhaseEnd(req)
 			e.trPhaseBegin(req, obs.PhasePrefill, inst)
 			e.trCompute(cost, false, inst, obs.ComputePrefill, req.ID)
@@ -936,7 +939,7 @@ func (e *Engine) startStep(inst int) {
 	for _, req := range d.active {
 		e.cfg.Latency.addContextC(e.lc, &attn, req.ctx)
 	}
-	dt := e.cfg.Latency.decodeStepTimeComm(e.lc, len(d.active), attn, e.commScaleD(inst)) * e.mtpFactor
+	dt := e.cfg.Latency.decodeStepTime(e.lc, len(d.active), attn, d.commScale) * e.mtpFactor
 	if e.hz.on {
 		// Every step pays the Freivalds verification pass (when
 		// configured). The gray-failure tracker records the step's
@@ -947,7 +950,7 @@ func (e *Engine) startStep(inst int) {
 		// confuse a lightly-loaded instance with a degraded one.
 		dt += e.verifyCost(len(d.active))
 		if e.hz.detect {
-			base := e.cfg.Latency.decodeStepTimeComm(e.lc, len(d.active), attn, 1)*e.mtpFactor + e.verifyCost(len(d.active))
+			base := e.cfg.Latency.decodeStepTime(e.lc, len(d.active), attn, 1)*e.mtpFactor + e.verifyCost(len(d.active))
 			e.hz.stepCost[inst] = dt / base
 		}
 	}
@@ -1195,13 +1198,16 @@ func (e *Engine) noteHealth(from, to healthState) {
 	e.downCount++
 }
 
-// applyFault applies one fault transition to an instance. Crashing a
-// down instance, recovering an up one, or draining a non-up one are
-// no-ops, so fault scripts compose without ordering hazards.
-func (e *Engine) applyFault(kind FaultKind, prefill bool, inst int) {
-	if prefill {
+// applyFault applies one scheduled incident to an instance. Crashing a
+// down instance, recovering an up one, draining a non-servable one,
+// degrading a non-up one or healing a non-degraded one are no-ops on
+// health, so fault scripts compose without ordering hazards. Degrade
+// and heal always set the comm scale, whatever the health.
+func (e *Engine) applyFault(ev FaultEvent) {
+	inst := ev.Instance
+	if ev.Prefill {
 		p := &e.prefills[inst]
-		switch kind {
+		switch ev.Kind {
 		case FaultCrash:
 			if !p.health.dead() {
 				e.crashPrefill(inst)
@@ -1218,12 +1224,26 @@ func (e *Engine) applyFault(kind FaultKind, prefill bool, inst int) {
 				e.noteHealth(p.health, healthDraining)
 				p.health = healthDraining
 			}
+		case FaultDegrade:
+			p.commScale = ev.commScale()
+			if p.health == healthUp {
+				e.trIncident(true, inst, "degrade")
+				e.noteHealth(healthUp, healthDegraded)
+				p.health = healthDegraded
+			}
+		case FaultHeal:
+			p.commScale = 1
+			if p.health == healthDegraded {
+				e.trIncident(true, inst, "heal")
+				e.noteHealth(healthDegraded, healthUp)
+				p.health = healthUp
+			}
 		}
 		e.recountIdlePrefills()
 		return
 	}
 	d := &e.decodes[inst]
-	switch kind {
+	switch ev.Kind {
 	case FaultCrash:
 		if !d.health.dead() {
 			e.crashDecode(inst)
@@ -1234,18 +1254,32 @@ func (e *Engine) applyFault(kind FaultKind, prefill bool, inst int) {
 		}
 		e.noteHealth(d.health, healthUp)
 		d.health = healthUp
-		if e.hz.on {
-			// A repaired instance re-earns its reputation: stale EWMA
-			// state must not re-drain it on its first steps back.
-			e.hz.grayDrained[inst] = false
-			e.hz.ewma[inst] = 0
-			e.hz.ewmaSteps[inst] = 0
-		}
+		e.forgetStraggler(inst)
 	case FaultDrain:
 		if d.health.servable() {
 			e.trIncident(false, inst, "drain")
 			e.noteHealth(d.health, healthDraining)
 			d.health = healthDraining
+		}
+	case FaultDegrade:
+		d.commScale = ev.commScale()
+		if d.health == healthUp {
+			e.trIncident(false, inst, "degrade")
+			e.noteHealth(healthUp, healthDegraded)
+			d.health = healthDegraded
+		}
+	case FaultHeal:
+		d.commScale = 1
+		if d.health == healthDegraded || (d.health == healthDraining && e.hz.on && e.hz.grayDrained[inst]) {
+			// A degraded instance returns to full health; so does a
+			// straggler the detector drained, its cause now gone.
+			e.trIncident(false, inst, "heal")
+			e.noteHealth(d.health, healthUp)
+			d.health = healthUp
+		}
+		e.forgetStraggler(inst)
+		if !d.stepping && !d.prefilling {
+			e.startStep(inst)
 		}
 	}
 }

@@ -114,7 +114,7 @@ func TestDecodeStepMonotonic(t *testing.T) {
 	for _, b := range []int{1, 4, 16, 64} {
 		var attn batchAttention
 		for i := 0; i < b; i++ {
-			l.addContext(&attn, 4096)
+			l.addContextC(l.consts(), &attn, 4096)
 		}
 		dt := l.DecodeStepTime(b, attn)
 		if dt <= prev {
@@ -123,8 +123,8 @@ func TestDecodeStepMonotonic(t *testing.T) {
 		prev = dt
 	}
 	var short, long batchAttention
-	l.addContext(&short, 512)
-	l.addContext(&long, 131072)
+	l.addContextC(l.consts(), &short, 512)
+	l.addContextC(l.consts(), &long, 131072)
 	if l.DecodeStepTime(1, long) <= l.DecodeStepTime(1, short) {
 		t.Error("long context no slower than short")
 	}
