@@ -330,6 +330,53 @@ func TestAdmissionPolicyStringRoundTrip(t *testing.T) {
 	}
 }
 
+// Plane hazard events (degrade/heal) parse through the one incident
+// script: k/T planes, ranges expanding to one event per instance,
+// prefill targets, defaulted totals, and the plane-specific rejections.
+func TestParseHazardEvents(t *testing.T) {
+	evs, err := ParseFaultEvents("degrade@4:d1:6/8, heal@16:d1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []FaultEvent{
+		{At: 4, Kind: FaultDegrade, Instance: 1, FailedPlanes: 6, TotalPlanes: 8},
+		{At: 16, Kind: FaultHeal, Instance: 1},
+	}
+	if len(evs) != len(want) {
+		t.Fatalf("got %d events, want %d", len(evs), len(want))
+	}
+	for i := range want {
+		if evs[i] != want[i] {
+			t.Errorf("event %d = %+v, want %+v", i, evs[i], want[i])
+		}
+	}
+	evs, err = ParseFaultEvents("degrade@1:d0-2:1,degrade@2:p1:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) != 4 {
+		t.Fatalf("range expansion got %d events, want 4", len(evs))
+	}
+	for i, ev := range evs[:3] {
+		if ev.Kind != FaultDegrade || ev.Instance != i || ev.Prefill || ev.FailedPlanes != 1 || ev.TotalPlanes != 0 {
+			t.Errorf("range event %d = %+v", i, ev)
+		}
+	}
+	if p := evs[3]; p.Kind != FaultDegrade || !p.Prefill || p.Instance != 1 || p.FailedPlanes != 3 {
+		t.Errorf("prefill event = %+v", p)
+	}
+
+	for _, bad := range []string{
+		"", "melt@1:d0:1", "degrade@x:d0:1", "degrade@NaN:d0:1", "degrade@Inf:d0:1",
+		"degrade@1:q0:1", "degrade@1:d0", "heal@1:d0:1", "degrade@1:d2-0:1",
+		"degrade@1:d0:x", "degrade@1:d0:1/x",
+	} {
+		if _, err := ParseFaultEvents(bad); err == nil {
+			t.Errorf("ParseFaultEvents(%q) accepted", bad)
+		}
+	}
+}
+
 // Satellite: fault scripts with non-finite times must be rejected at
 // parse, naming the offending item.
 func TestParseFaultEventsNonFinite(t *testing.T) {
