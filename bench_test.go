@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dsv3/internal/experiments"
 	"dsv3/internal/units"
 )
 
@@ -52,7 +53,7 @@ func BenchmarkTable4TrainingMetrics(b *testing.B) {
 
 func BenchmarkTable5Latency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if s := RenderTable5(); len(s) == 0 {
+		if s := experiments.Table5Result().Text(); len(s) == 0 {
 			b.Fatal("empty render")
 		}
 	}

@@ -9,14 +9,16 @@
 // node-limited routing, DeepEP dispatch/combine, MLA decode analysis,
 // MTP speculative decoding, the DualPipe training-step model). Every
 // table and figure of the paper's evaluation can be regenerated through
-// the runners in this facade. Sweep-shaped runners fan out over a
-// deterministic worker pool whose output is bit-identical to serial
-// execution; see DESIGN.md for the experiment index and the
-// concurrency/determinism model.
+// the experiment catalogue (Experiments / FindExperiment). Sweep-shaped
+// runners fan out over a deterministic worker pool whose output is
+// bit-identical to serial execution; see DESIGN.md for the experiment
+// index and the concurrency/determinism model.
 //
 // Quick start:
 //
-//	fmt.Println(dsv3.RenderTable1())            // KV cache comparison
+//	exp, _ := dsv3.FindExperiment("table1")    // KV cache comparison
+//	res, _ := exp.Run(dsv3.RunOptions{})
+//	fmt.Println(res.Text())                     // or EmitJSON / EmitCSV
 //	rows, _ := dsv3.Figure7()                   // DeepEP bandwidth sweep
 //	m, _ := dsv3.TrainingConfig().Run()         // Table 4 metrics
 //
@@ -67,15 +69,8 @@ type (
 	ExperimentRunner = experiments.Runner
 	// RunOptions configures a catalogue runner invocation.
 	RunOptions = experiments.Options
-	// ResultFormat selects an emitter (FormatText, FormatJSON, FormatCSV).
+	// ResultFormat selects an emitter (text, JSON or CSV).
 	ResultFormat = results.Format
-)
-
-// Emitter formats.
-const (
-	FormatText = results.FormatText
-	FormatJSON = results.FormatJSON
-	FormatCSV  = results.FormatCSV
 )
 
 // Catalogue access and emitters.
@@ -88,14 +83,9 @@ var (
 	ExperimentNames = experiments.SuggestNames
 	// FindExperiment resolves a case-insensitive experiment name.
 	FindExperiment = experiments.Find
-	// EmitJSON / EmitJSONAll / EmitCSV / EmitCSVAll serialize results;
-	// DecodeResultJSON parses an EmitJSON document back.
-	EmitJSON          = results.EmitJSON
-	EmitJSONAll       = results.EmitJSONAll
-	EmitCSV           = results.EmitCSV
-	EmitCSVAll        = results.EmitCSVAll
-	DecodeResultJSON  = results.DecodeJSON
-	ParseResultFormat = results.ParseFormat
+	// EmitJSON / EmitCSV serialize a result.
+	EmitJSON = results.EmitJSON
+	EmitCSV  = results.EmitCSV
 	// Builders for constructing results outside the catalogue (used by
 	// cmd/dsv3serve and custom tooling).
 	NewExperimentResult = results.New
@@ -373,111 +363,32 @@ var (
 	FP8Train        = fp8train.Train
 )
 
-// Experiment runners: regenerate every table and figure.
+// Experiment data runners: the typed rows behind the catalogue's
+// tables. To regenerate a table or figure as text, JSON or CSV, run its
+// catalogue entry (FindExperiment) instead.
 var (
-	Table1                = experiments.Table1
-	Table2                = experiments.Table2
-	Table3                = experiments.Table3
-	Table4                = experiments.Table4
-	Figure5               = experiments.Figure5
-	Figure6               = experiments.Figure6
-	Figure7               = experiments.Figure7
-	Figure8               = experiments.Figure8
-	InferenceLimits       = experiments.InferenceLimits
-	MTPSpeedup            = experiments.MTPSpeedup
-	LocalDeployment       = experiments.LocalDeployment
-	FP8Accuracy           = experiments.FP8Accuracy
-	AccumulationAblation  = experiments.AccumulationAblation
-	LogFMTAccuracy        = experiments.LogFMTAccuracy
-	NodeLimitedRouting    = experiments.NodeLimitedRouting
-	PlaneFailure          = experiments.PlaneFailure
-	RenderTable1          = experiments.RenderTable1
-	RenderTable2          = experiments.RenderTable2
-	RenderTable3          = experiments.RenderTable3
-	RenderTable4          = experiments.RenderTable4
-	RenderTable5          = experiments.RenderTable5
-	RenderFigure5         = experiments.RenderFigure5
-	RenderFigure6         = experiments.RenderFigure6
-	RenderFigure7         = experiments.RenderFigure7
-	RenderFigure8         = experiments.RenderFigure8
-	RenderInferenceLimits = experiments.RenderInferenceLimits
-	RenderMTP             = experiments.RenderMTP
-	RenderLocalDeploy     = experiments.RenderLocalDeployment
-	RenderFP8Accuracy     = experiments.RenderFP8Accuracy
-	RenderAccumulation    = experiments.RenderAccumulationAblation
-	RenderLogFMT          = experiments.RenderLogFMT
-	RenderNodeLimited     = experiments.RenderNodeLimited
-	RenderPlaneFailure    = experiments.RenderPlaneFailure
-	DefaultFigure5Sizes   = experiments.DefaultFigure5Sizes
-	DefaultFigure6Sizes   = experiments.DefaultFigure6Sizes
-	BandwidthContention   = experiments.BandwidthContention
-	OverlapStudy          = experiments.OverlapAblation
-	SDCDetection          = experiments.SDCDetection
-	RenderContention      = experiments.RenderContention
-	RenderOverlap         = experiments.RenderOverlap
-	RenderSDC             = experiments.RenderSDC
-)
-
-// Structured-table builders: the typed layer behind the Render
-// helpers. Each returns results.Table(s) carrying units and raw values
-// alongside the display text.
-var (
-	Table1Result           = experiments.Table1Result
-	Table2Result           = experiments.Table2Result
-	Table3Result           = experiments.Table3Result
-	Table4Result           = experiments.Table4Result
-	Table5Result           = experiments.Table5Result
-	Figure5Result          = experiments.Figure5Result
-	Figure6Result          = experiments.Figure6Result
-	Figure7Result          = experiments.Figure7Result
-	Figure8Result          = experiments.Figure8Result
-	InferenceLimitsResult  = experiments.InferenceLimitsResult
-	MTPResultTables        = experiments.MTPResultTables
-	LocalDeploymentResult  = experiments.LocalDeploymentResult
-	FP8AccuracyResultTable = experiments.FP8AccuracyResultTable
-	AccumulationResult     = experiments.AccumulationAblationResult
-	LogFMTResult           = experiments.LogFMTAccuracyResult
-	NodeLimitedResult      = experiments.NodeLimitedRoutingResult
-	PlaneFailureResult     = experiments.PlaneFailureResult
-	OverlapResult          = experiments.OverlapAblationResult
-	ContentionResult       = experiments.BandwidthContentionResult
-	SDCResultTable         = experiments.SDCDetectionResult
-)
-
-// Serving studies: the router shoot-out and the SLO capacity knee per
-// fleet shape (serve-router / serve-capacity catalogue entries).
-type ServeCapacityStudyPoint = experiments.CapacityStudyPoint
-
-var (
-	ServeRouterShootout       = experiments.RouterShootout
-	ServeCapacityStudy        = experiments.CapacityStudy
-	ServeRouterShootoutResult = experiments.RouterShootoutResult
-	ServeCapacityStudyResult  = experiments.CapacityStudyResult
-	RenderServeRouters        = experiments.RenderRouterShootout
-	RenderServeCapacity       = experiments.RenderCapacityStudy
-)
-
-// Failure studies: the kill-an-instance incident replay per router and
-// the admission shedding shoot-out under diurnal overload
-// (serve-failure / serve-shed catalogue entries).
-var (
-	ServeFailureStudy       = experiments.FailureStudy
-	ServeShedStudy          = experiments.ShedStudy
-	ServeFailureStudyResult = experiments.FailureStudyResult
-	ServeShedStudyResult    = experiments.ShedStudyResult
-	RenderServeFailure      = experiments.RenderFailureStudy
-	RenderServeShed         = experiments.RenderShedStudy
-)
-
-// Tiered-KV study: the capacity/TTFT frontier of DRAM/flash KV offload
-// plus prefix caching vs recompute preemption under multi-turn session
-// traffic (serve-kvtier catalogue entry).
-type ServeKVTierStudyPoint = experiments.KVTierStudyPoint
-
-var (
-	ServeKVTierStudy       = experiments.KVTierStudy
-	ServeKVTierStudyResult = experiments.KVTierStudyResult
-	RenderServeKVTier      = experiments.RenderKVTierStudy
+	Table1               = experiments.Table1
+	Table2               = experiments.Table2
+	Table3               = experiments.Table3
+	Table4               = experiments.Table4
+	Figure5              = experiments.Figure5
+	Figure6              = experiments.Figure6
+	Figure7              = experiments.Figure7
+	Figure8              = experiments.Figure8
+	InferenceLimits      = experiments.InferenceLimits
+	MTPSpeedup           = experiments.MTPSpeedup
+	LocalDeployment      = experiments.LocalDeployment
+	FP8Accuracy          = experiments.FP8Accuracy
+	AccumulationAblation = experiments.AccumulationAblation
+	LogFMTAccuracy       = experiments.LogFMTAccuracy
+	NodeLimitedRouting   = experiments.NodeLimitedRouting
+	PlaneFailure         = experiments.PlaneFailure
+	DefaultFigure5Sizes  = experiments.DefaultFigure5Sizes
+	DefaultFigure6Sizes  = experiments.DefaultFigure6Sizes
+	// ServeFleetConfig1000 / ServeFleetWorkload are the deployment and
+	// Poisson workload of the serve-fleet entry (1000 instances).
+	ServeFleetConfig1000 = experiments.FleetConfig
+	ServeFleetWorkload   = experiments.FleetWorkload
 )
 
 // Observability: deterministic request-lifecycle tracing and sampled
@@ -489,17 +400,10 @@ var (
 // deterministic: identical runs emit identical bytes for any worker
 // count and for pooled vs fresh engines.
 type (
-	// ServeTracer is the lifecycle hook interface the engine drives;
-	// ServeTraceRecorder is the standard implementation (Chrome
-	// trace_event JSON via WriteJSON — load in Perfetto — plus
-	// per-request phase breakdowns).
-	ServeTracer        = obs.Tracer
+	// ServeTraceRecorder records the engine's lifecycle hooks as Chrome
+	// trace_event JSON (WriteJSON — load in Perfetto) plus per-request
+	// phase breakdowns.
 	ServeTraceRecorder = obs.TraceRecorder
-	// ServePhase / ServeTraceMark name the lifecycle phases (queue,
-	// prefill, transfer, reload, decode, backoff) and instant events
-	// (arrival, shed, preempt, offload, orphan, retry, ...).
-	ServePhase     = obs.Phase
-	ServeTraceMark = obs.Mark
 	// ServeReqBreakdown is one resolved request's per-phase time split;
 	// the phase durations tile [arrival, done] exactly.
 	ServeReqBreakdown = obs.ReqBreakdown
@@ -512,41 +416,17 @@ type (
 // metrics registry is built with a non-positive interval.
 const DefaultServeMetricsInterval = obs.DefaultMetricsInterval
 
-// Lifecycle phases a traced request moves through. The phase durations
-// of a resolved request tile [arrival, done] exactly.
+// Lifecycle phases keying a traced request's breakdown. The phase
+// durations of a resolved request tile [arrival, done] exactly.
 const (
-	ServePhaseQueue    = obs.PhaseQueue
-	ServePhasePrefill  = obs.PhasePrefill
-	ServePhaseTransfer = obs.PhaseTransfer
-	ServePhaseReload   = obs.PhaseReload
-	ServePhaseDecode   = obs.PhaseDecode
-	ServePhaseBackoff  = obs.PhaseBackoff
+	ServePhaseQueue   = obs.PhaseQueue
+	ServePhasePrefill = obs.PhasePrefill
+	ServePhaseReload  = obs.PhaseReload
+	ServePhaseDecode  = obs.PhaseDecode
+	ServePhaseBackoff = obs.PhaseBackoff
 )
 
 var (
 	NewServeTraceRecorder   = obs.NewTraceRecorder
 	NewServeMetricsRegistry = obs.NewRegistry
-	// ServeTraceStudy runs the tiered+faulted reference configuration
-	// with tracing and metrics attached (serve-trace catalogue entry).
-	ServeTraceStudy       = experiments.TraceStudy
-	ServeTraceStudyResult = experiments.TraceStudyResult
-	RenderServeTrace      = experiments.RenderTraceStudy
-	// ServeFleetStudy runs the 1000-instance fleet under one million
-	// Poisson requests (serve-fleet entry);
-	// ServeFleetConfig1000 is the deployment it runs.
-	ServeFleetStudy       = experiments.FleetStudy
-	ServeFleetStudyResult = experiments.FleetStudyResult
-	RenderServeFleet      = experiments.RenderFleetStudy
-	ServeFleetConfig1000  = experiments.FleetConfig
-	ServeFleetWorkload    = experiments.FleetWorkload
-	// ServeHazardStudy replays a composed plane-degradation + SDC
-	// incident per router with detection off vs on (serve-hazard entry);
-	// ServeHedgeStudy races hedging policies against a permanent gray
-	// straggler (serve-hedge entry).
-	ServeHazardStudy       = experiments.HazardStudy
-	ServeHazardStudyResult = experiments.HazardStudyResult
-	RenderServeHazard      = experiments.RenderHazardStudy
-	ServeHedgeStudy        = experiments.HedgeStudy
-	ServeHedgeStudyResult  = experiments.HedgeStudyResult
-	RenderServeHedge       = experiments.RenderHedgeStudy
 )

@@ -1,8 +1,13 @@
 package dsv3
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
 	"os"
+	"path"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -48,7 +53,9 @@ func TestFacadeTrainingConfig(t *testing.T) {
 }
 
 // DESIGN.md's experiment index must list every catalogue entry, so the
-// documented `dsv3bench -run` names cannot drift from the code.
+// documented `dsv3bench -run` names cannot drift from the code, and
+// every Runner it names must be an exported top-level function of
+// internal/experiments.
 func TestDesignIndexCoversCatalogue(t *testing.T) {
 	doc, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -60,16 +67,120 @@ func TestDesignIndexCoversCatalogue(t *testing.T) {
 	}
 	index, _, _ = strings.Cut(index, "\n## ")
 	indexed := map[string]bool{}
+	var runners []string
 	for _, line := range strings.Split(index, "\n") {
 		if name, ok := strings.CutPrefix(line, "| `"); ok {
 			if name, _, ok = strings.Cut(name, "` |"); ok {
 				indexed[name] = true
+				cells := strings.Split(line, "|")
+				runners = append(runners, strings.Trim(strings.TrimSpace(cells[len(cells)-2]), "`"))
 			}
 		}
 	}
 	for _, r := range Experiments() {
 		if !indexed[r.Name] {
 			t.Errorf("experiment %q missing from DESIGN.md's experiment index", r.Name)
+		}
+	}
+
+	funcs := map[string]bool{}
+	files, err := filepath.Glob("internal/experiments/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.IsExported() {
+				funcs[fn.Name.Name] = true
+			}
+		}
+	}
+	for _, r := range runners {
+		if !funcs[r] {
+			t.Errorf("DESIGN.md's experiment index names runner %q, not an exported func of internal/experiments", r)
+		}
+	}
+}
+
+// DESIGN.md's allocation-budget table and the budgets scripts/alloc_gate.sh
+// enforces must agree row for row: every gated benchmark is documented
+// with the same budget, and every documented row gates something.
+func TestAllocBudgetsMatchDesign(t *testing.T) {
+	script, err := os.ReadFile("scripts/alloc_gate.sh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, ok := strings.Cut(string(script), "\nbudgets=\"")
+	if !ok {
+		t.Fatal("scripts/alloc_gate.sh has no budgets= block")
+	}
+	block, _, _ = strings.Cut(block, "\"")
+	gate := map[string]string{}
+	for _, line := range strings.Split(block, "\n") {
+		if f := strings.Fields(line); len(f) == 2 {
+			gate[f[0]] = f[1]
+		} else if len(f) != 0 {
+			t.Fatalf("alloc_gate.sh budgets line %q: want \"name budget\"", line)
+		}
+	}
+	if len(gate) == 0 {
+		t.Fatal("alloc_gate.sh budgets block is empty")
+	}
+
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "**3. Pinned allocation budgets.**")
+	if !ok {
+		t.Fatal("DESIGN.md has no pinned allocation budgets section")
+	}
+	_, rows, ok := strings.Cut(section, "\n| benchmark | budget |")
+	if !ok {
+		t.Fatal("DESIGN.md's allocation budgets section has no budget table")
+	}
+	design := map[string]string{}
+	for _, line := range strings.Split(rows, "\n")[1:] {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		cells := strings.Split(line, "|")
+		if len(cells) < 3 || strings.HasPrefix(strings.TrimSpace(cells[1]), "---") {
+			continue
+		}
+		name := strings.Trim(strings.TrimSpace(cells[1]), "`")
+		budget, _, _ := strings.Cut(strings.TrimSpace(cells[2]), " ")
+		design[name] = budget
+	}
+
+	matched := map[string]bool{}
+	for name, budget := range gate {
+		var found bool
+		for pattern, want := range design {
+			if ok, err := path.Match(pattern, name); err != nil {
+				t.Fatalf("DESIGN.md budget row %q: %v", pattern, err)
+			} else if ok {
+				found, matched[pattern] = true, true
+				if budget != want {
+					t.Errorf("%s: alloc_gate.sh budget %s, DESIGN.md says %s", name, budget, want)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s is gated by alloc_gate.sh but missing from DESIGN.md's budget table", name)
+		}
+	}
+	for pattern := range design {
+		if !matched[pattern] {
+			t.Errorf("DESIGN.md budget row %q matches no alloc_gate.sh budget", pattern)
 		}
 	}
 }

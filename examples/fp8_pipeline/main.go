@@ -28,13 +28,17 @@ func main() {
 	relBF16, _ := stats.RMSRelativeError(bf16.Data, ref.Data)
 	fmt.Printf("GEMM (16x1024x16) RMS relative error: FP8 recipe %.2e, BF16 %.2e\n\n", relFP8, relBF16)
 
-	if out, err := dsv3.RenderAccumulation(13); err == nil {
-		fmt.Println(out)
-	}
-	if out, err := dsv3.RenderLogFMT(17); err == nil {
-		fmt.Println(out)
-	}
-	if out, err := dsv3.RenderFP8Accuracy(); err == nil {
-		fmt.Println(out)
+	// The catalogue's §3 entries: accumulation ablation, LogFMT, and
+	// the toy training run.
+	for _, name := range []string{"accum", "logfmt", "fp8"} {
+		exp, ok := dsv3.FindExperiment(name)
+		if !ok {
+			panic(name + " missing from the experiment catalogue")
+		}
+		out, err := exp.Run(dsv3.RunOptions{})
+		if err != nil {
+			panic(err)
+		}
+		fmt.Println(out.Text())
 	}
 }

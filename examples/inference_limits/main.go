@@ -10,11 +10,15 @@ import (
 )
 
 func main() {
-	out, err := dsv3.RenderInferenceLimits()
+	exp, ok := dsv3.FindExperiment("inference")
+	if !ok {
+		panic("inference missing from the experiment catalogue")
+	}
+	out, err := exp.Run(dsv3.RunOptions{})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(out)
+	fmt.Println(out.Text())
 
 	// Sweep interconnect bandwidth between the two systems.
 	cfg := dsv3.V3EPInference()

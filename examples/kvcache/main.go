@@ -11,7 +11,15 @@ import (
 )
 
 func main() {
-	fmt.Println(dsv3.RenderTable1())
+	exp, ok := dsv3.FindExperiment("table1")
+	if !ok {
+		panic("table1 missing from the experiment catalogue")
+	}
+	table1, err := exp.Run(dsv3.RunOptions{})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(table1.Text())
 
 	// How many 32k-context conversations fit in 64 GiB of KV budget?
 	const ctx = 32768

@@ -11,9 +11,15 @@ import (
 )
 
 func main() {
-	if out, err := dsv3.RenderNodeLimited(19); err == nil {
-		fmt.Println(out)
+	exp, ok := dsv3.FindExperiment("nodelimit")
+	if !ok {
+		panic("nodelimit missing from the experiment catalogue")
 	}
+	out, err := exp.Run(dsv3.RunOptions{})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(out.Text())
 
 	// Extension: sweep the group limit from 1 to 8.
 	place := moe.Placement{Experts: 256, Nodes: 8, GPUsPerNode: 8}

@@ -35,6 +35,14 @@ func main() {
 	}
 	fmt.Printf("32-GPU all-to-all, 1 GiB/rank: %.2f GB/s algorithm bandwidth\n\n", res.AlgBW/1e9)
 
-	// 4. Experiment runners: regenerate a paper table.
-	fmt.Println(dsv3.RenderTable1())
+	// 4. Experiment catalogue: regenerate a paper table by name.
+	exp, ok := dsv3.FindExperiment("table1")
+	if !ok {
+		panic("table1 missing from the experiment catalogue")
+	}
+	out, err := exp.Run(dsv3.RunOptions{})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(out.Text())
 }

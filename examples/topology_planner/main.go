@@ -10,11 +10,15 @@ import (
 )
 
 func main() {
-	out, err := dsv3.RenderTable3()
+	exp, ok := dsv3.FindExperiment("table3")
+	if !ok {
+		panic("table3 missing from the experiment catalogue")
+	}
+	out, err := exp.Run(dsv3.RunOptions{})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(out)
+	fmt.Println(out.Text())
 
 	m := dsv3.DefaultCostModel()
 	const target = 10000 // endpoints needed

@@ -80,15 +80,6 @@ func Table4Result() (*results.Table, error) {
 	return t, nil
 }
 
-// RenderTable4 renders the training metric comparison.
-func RenderTable4() (string, error) {
-	t, err := Table4Result()
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
-}
-
 // Table5Result returns the link-layer latency comparison. Cell values
 // are seconds; the text keeps the human-scaled formatting.
 func Table5Result() *results.Table {
@@ -105,9 +96,6 @@ func Table5Result() *results.Table {
 		results.Val("3.33us", 3.33e-6), results.NA())
 	return t
 }
-
-// RenderTable5 renders the link-layer latency comparison.
-func RenderTable5() string { return Table5Result().Text() }
 
 // InferenceLimitsRow is one interconnect of the §2.3.2 analysis.
 type InferenceLimitsRow struct {
@@ -160,15 +148,6 @@ func InferenceLimitsResult() (*results.Table, error) {
 	return t, nil
 }
 
-// RenderInferenceLimits renders §2.3.2 with paper references.
-func RenderInferenceLimits() (string, error) {
-	t, err := InferenceLimitsResult()
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
-}
-
 // MTPResult reports §2.3.3.
 type MTPResult struct {
 	Analytic  float64
@@ -204,15 +183,6 @@ func MTPResultTables(seed int64) ([]*results.Table, error) {
 			results.Float("%.2fx", pts[1].Speedup), results.Float("%.2fx", pts[2].Speedup))
 	}
 	return []*results.Table{t, sweep}, nil
-}
-
-// RenderMTP renders the MTP result plus the depth/acceptance sweep.
-func RenderMTP(seed int64) (string, error) {
-	tables, err := MTPResultTables(seed)
-	if err != nil {
-		return "", err
-	}
-	return tables[0].Text() + "\n" + tables[1].Text(), nil
 }
 
 // FP8AccuracyResult reports the §2.4 toy-training validation.
@@ -252,15 +222,6 @@ func FP8AccuracyResultTable() (*results.Table, error) {
 	t.Row(results.Str("FP8 fine-grained + promoted"), results.Float("%.6f", r.FP8FineLoss), results.Float("%.3f%%", r.FineGapPct))
 	t.Row(results.Str("FP8 per-tensor, no promotion"), results.Float("%.6f", r.FP8CoarseLoss), results.Float("%.3f%%", r.CoarseGapPct))
 	return t, nil
-}
-
-// RenderFP8Accuracy renders §2.4.
-func RenderFP8Accuracy() (string, error) {
-	t, err := FP8AccuracyResultTable()
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
 }
 
 // AccumulationRow is one accumulator configuration of the §3.1.1 sweep.
@@ -316,15 +277,6 @@ func AccumulationAblationResult(seed int64) (*results.Table, error) {
 		t.Row(results.Str(r.Name), results.Float("%.2e", r.RelError))
 	}
 	return t, nil
-}
-
-// RenderAccumulationAblation renders §3.1.1.
-func RenderAccumulationAblation(seed int64) (string, error) {
-	t, err := AccumulationAblationResult(seed)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
 }
 
 // LogFMTRow is one format of the §3.2 comparison.
@@ -395,15 +347,6 @@ func LogFMTAccuracyResult(seed int64) (*results.Table, error) {
 	return t, nil
 }
 
-// RenderLogFMT renders §3.2.
-func RenderLogFMT(seed int64) (string, error) {
-	t, err := LogFMTAccuracyResult(seed)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
-}
-
 // NodeLimitedRow is one gate configuration of the §4.3 study.
 type NodeLimitedRow struct {
 	Gate            string
@@ -452,13 +395,4 @@ func NodeLimitedRoutingResult(seed int64) (*results.Table, error) {
 			results.Float("%.2f", r.MeanRemoteNodes), results.Int(r.MaxNodes))
 	}
 	return t, nil
-}
-
-// RenderNodeLimited renders §4.3.
-func RenderNodeLimited(seed int64) (string, error) {
-	t, err := NodeLimitedRoutingResult(seed)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
 }

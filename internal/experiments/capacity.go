@@ -147,21 +147,3 @@ func CapacityStudyResult(seed int64, quick bool) (*results.Table, error) {
 	}
 	return t, nil
 }
-
-// RenderRouterShootout renders the policy shoot-out.
-func RenderRouterShootout(seed int64, quick bool) (string, error) {
-	t, err := RouterShootoutResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
-}
-
-// RenderCapacityStudy renders the capacity study.
-func RenderCapacityStudy(seed int64, quick bool) (string, error) {
-	t, err := CapacityStudyResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
-}

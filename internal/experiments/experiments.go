@@ -61,9 +61,6 @@ func Table1Result() *results.Table {
 	return t
 }
 
-// RenderTable1 renders Table 1 with paper references.
-func RenderTable1() string { return Table1Result().Text() }
-
 // Table2Row is one model's training cost.
 type Table2Row struct {
 	Model          string
@@ -107,9 +104,6 @@ func Table2Result() *results.Table {
 	}
 	return t
 }
-
-// RenderTable2 renders Table 2 with paper references.
-func RenderTable2() string { return Table2Result().Text() }
 
 // Table3Row is one topology's cost breakdown.
 type Table3Row struct {
@@ -170,15 +164,6 @@ func Table3Result() (*results.Table, error) {
 	return t, nil
 }
 
-// RenderTable3 renders Table 3 with paper references.
-func RenderTable3() (string, error) {
-	t, err := Table3Result()
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
-}
-
 // LocalDeploymentRow is one §2.2.2 scenario.
 type LocalDeploymentRow struct {
 	Deployment string
@@ -207,6 +192,3 @@ func LocalDeploymentResult() *results.Table {
 	}
 	return t
 }
-
-// RenderLocalDeployment renders the §2.2.2 scenario table.
-func RenderLocalDeployment() string { return LocalDeploymentResult().Text() }

@@ -15,7 +15,7 @@ func TestTable1MatchesPaperExactly(t *testing.T) {
 			t.Errorf("%s: %v KB vs paper %v KB", r.Model, r.KVCacheKB, r.PaperKB)
 		}
 	}
-	if s := RenderTable1(); !strings.Contains(s, "70.272") {
+	if s := Table1Result().Text(); !strings.Contains(s, "70.272") {
 		t.Error("render missing the V3 KV figure")
 	}
 }
@@ -48,16 +48,17 @@ func TestTable3WithinBands(t *testing.T) {
 			t.Errorf("%s cost %vM vs paper %vM", r.Name, r.CostMDollar, r.PaperCostM)
 		}
 	}
-	if _, err := RenderTable3(); err != nil {
+	if _, err := Table3Result(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestTable4Render(t *testing.T) {
-	s, err := RenderTable4()
+	tab, err := Table4Result()
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := tab.Text()
 	for _, want := range []string{"tokens/day", "MFU", "19.9"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Table 4 render missing %q:\n%s", want, s)
@@ -66,7 +67,7 @@ func TestTable4Render(t *testing.T) {
 }
 
 func TestTable5Render(t *testing.T) {
-	s := RenderTable5()
+	s := Table5Result().Text()
 	for _, want := range []string{"2.80us", "3.70us", "3.60us", "5.60us", "3.33us"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Table 5 render missing %q:\n%s", want, s)
@@ -288,22 +289,26 @@ func TestFP8AccuracyExperiment(t *testing.T) {
 }
 
 func TestRenderersProduceOutput(t *testing.T) {
-	if s := RenderLocalDeployment(); len(s) == 0 {
+	if s := LocalDeploymentResult().Text(); len(s) == 0 {
 		t.Error("empty local deployment render")
 	}
-	if s, err := RenderInferenceLimits(); err != nil || !strings.Contains(s, "120.96us") {
+	if tab, err := InferenceLimitsResult(); err != nil || !strings.Contains(tab.Text(), "120.96us") {
 		t.Errorf("inference limits render wrong: %v", err)
 	}
-	if s, err := RenderMTP(3); err != nil || !strings.Contains(s, "1.8") {
-		t.Errorf("MTP render wrong: %v\n%s", err, s)
+	tables, err := MTPResultTables(3)
+	if err != nil {
+		t.Fatalf("MTP render wrong: %v", err)
 	}
-	if s, err := RenderNodeLimited(3); err != nil || len(s) == 0 {
+	if s := tables[0].Text() + "\n" + tables[1].Text(); !strings.Contains(s, "1.8") {
+		t.Errorf("MTP render wrong:\n%s", s)
+	}
+	if tab, err := NodeLimitedRoutingResult(3); err != nil || len(tab.Text()) == 0 {
 		t.Errorf("node-limited render wrong: %v", err)
 	}
-	if s, err := RenderLogFMT(3); err != nil || len(s) == 0 {
+	if tab, err := LogFMTAccuracyResult(3); err != nil || len(tab.Text()) == 0 {
 		t.Errorf("LogFMT render wrong: %v", err)
 	}
-	if s, err := RenderAccumulationAblation(3); err != nil || len(s) == 0 {
+	if tab, err := AccumulationAblationResult(3); err != nil || len(tab.Text()) == 0 {
 		t.Errorf("accumulation render wrong: %v", err)
 	}
 }

@@ -62,15 +62,6 @@ func BandwidthContentionResult() (*results.Table, error) {
 	return t, nil
 }
 
-// RenderContention renders §4.5.
-func RenderContention() (string, error) {
-	t, err := BandwidthContentionResult()
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
-}
-
 // OverlapRow is one compute:comm ratio of the §2.3.1 ablation.
 type OverlapRow struct {
 	ComputeCommRatio float64
@@ -105,15 +96,6 @@ func OverlapAblationResult() (*results.Table, error) {
 		t.Row(results.Float("%.1f", r.ComputeCommRatio), results.Float("%.2fx", r.Speedup))
 	}
 	return t, nil
-}
-
-// RenderOverlap renders §2.3.1.
-func RenderOverlap() (string, error) {
-	t, err := OverlapAblationResult()
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
 }
 
 // SDCResult reports the §6.1.2 checksum-validation demo.
@@ -163,13 +145,4 @@ func SDCDetectionResult(seed int64) (*results.Table, error) {
 	t.Row(results.Str("injected corruptions"), results.Int(r.FaultsInjected))
 	t.Row(results.Str("corruptions detected"), results.Int(r.FaultsCaught))
 	return t, nil
-}
-
-// RenderSDC renders §6.1.2.
-func RenderSDC(seed int64) (string, error) {
-	t, err := SDCDetectionResult(seed)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
 }

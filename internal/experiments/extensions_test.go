@@ -62,13 +62,17 @@ func TestSDCDetectionCatchesEverything(t *testing.T) {
 }
 
 func TestExtensionRenderers(t *testing.T) {
-	if s, err := RenderContention(); err != nil || !strings.Contains(s, "PCIe") {
+	if tab, err := BandwidthContentionResult(); err != nil || !strings.Contains(tab.Text(), "PCIe") {
 		t.Errorf("contention render: %v", err)
 	}
-	if s, err := RenderOverlap(); err != nil || !strings.Contains(s, "2.00x") {
-		t.Errorf("overlap render: %v\n%s", err, s)
+	tab, err := OverlapAblationResult()
+	if err != nil {
+		t.Fatalf("overlap render: %v", err)
 	}
-	if s, err := RenderSDC(31); err != nil || !strings.Contains(s, "true") {
+	if s := tab.Text(); !strings.Contains(s, "2.00x") {
+		t.Errorf("overlap render:\n%s", s)
+	}
+	if tab, err := SDCDetectionResult(31); err != nil || !strings.Contains(tab.Text(), "true") {
 		t.Errorf("SDC render: %v", err)
 	}
 }

@@ -142,21 +142,3 @@ func ShedStudyResult(seed int64, quick bool) (*results.Table, error) {
 	}
 	return t, nil
 }
-
-// RenderFailureStudy renders the incident replay.
-func RenderFailureStudy(seed int64, quick bool) (string, error) {
-	t, err := FailureStudyResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
-}
-
-// RenderShedStudy renders the admission shoot-out.
-func RenderShedStudy(seed int64, quick bool) (string, error) {
-	t, err := ShedStudyResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
-}

@@ -77,9 +77,6 @@ func Figure5Result(points []Figure5Point) *results.Table {
 	return t
 }
 
-// RenderFigure5 renders the sweep.
-func RenderFigure5(points []Figure5Point) string { return Figure5Result(points).Text() }
-
 // Figure6Point is one message size of the 16-GPU latency comparison.
 type Figure6Point struct {
 	Size        units.Bytes
@@ -137,9 +134,6 @@ func Figure6Result(points []Figure6Point) *results.Table {
 	return t
 }
 
-// RenderFigure6 renders the latency comparison.
-func RenderFigure6(points []Figure6Point) string { return Figure6Result(points).Text() }
-
 // Figure7Paper holds the paper's measured DeepEP values (GB/s).
 var Figure7Paper = map[int][2]float64{
 	16:  {42.47, 43.05},
@@ -171,9 +165,6 @@ func Figure7Result(points []deepep.EPSweepPoint) *results.Table {
 	}
 	return t
 }
-
-// RenderFigure7 renders the sweep with the paper's values.
-func RenderFigure7(points []deepep.EPSweepPoint) string { return Figure7Result(points).Text() }
 
 // Figure8Point is one (TP, policy) bar.
 type Figure8Point struct {
@@ -241,9 +232,6 @@ func Figure8Result(points []Figure8Point) *results.Table {
 	}
 	return t
 }
-
-// RenderFigure8 renders the routing-policy comparison.
-func RenderFigure8(points []Figure8Point) string { return Figure8Result(points).Text() }
 
 // PlaneFailureRow is one plane-failure scenario (§5.1.1 robustness).
 type PlaneFailureRow struct {
@@ -335,6 +323,3 @@ func PlaneFailureResult(rows []PlaneFailureRow) *results.Table {
 	}
 	return t
 }
-
-// RenderPlaneFailure renders the robustness table.
-func RenderPlaneFailure(rows []PlaneFailureRow) string { return PlaneFailureResult(rows).Text() }

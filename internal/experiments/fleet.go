@@ -78,12 +78,3 @@ func FleetStudyResult(seed int64, quick bool) (*results.Table, error) {
 	}
 	return t, nil
 }
-
-// RenderFleetStudy renders the fleet study.
-func RenderFleetStudy(seed int64, quick bool) (string, error) {
-	t, err := FleetStudyResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
-}

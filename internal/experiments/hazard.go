@@ -177,21 +177,3 @@ func HedgeStudyResult(seed int64, quick bool) (*results.Table, error) {
 	}
 	return t, nil
 }
-
-// RenderHazardStudy renders the composed-hazard grid.
-func RenderHazardStudy(seed int64, quick bool) (string, error) {
-	t, err := HazardStudyResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
-}
-
-// RenderHedgeStudy renders the hedging shoot-out.
-func RenderHedgeStudy(seed int64, quick bool) (string, error) {
-	t, err := HedgeStudyResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
-}

@@ -144,12 +144,3 @@ func KVTierStudyResult(seed int64, quick bool) (*results.Table, error) {
 	}
 	return t, nil
 }
-
-// RenderKVTierStudy renders the tiered-KV frontier.
-func RenderKVTierStudy(seed int64, quick bool) (string, error) {
-	t, err := KVTierStudyResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
-}

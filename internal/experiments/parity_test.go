@@ -8,6 +8,7 @@ package experiments
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"dsv3/internal/deepep"
@@ -39,6 +40,10 @@ func assertParity(t *testing.T, f func() (string, error)) {
 	}
 }
 
+// The first cases run sweep runners on inputs the catalogue does not
+// use. The named catalogue entries compare the memoized quick Results
+// that TestCatalogueEmitterParity also checks (JSON and text), so they
+// add no catalogue run.
 func TestParallelSerialParity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -49,80 +54,98 @@ func TestParallelSerialParity(t *testing.T) {
 			if err != nil {
 				return "", err
 			}
-			return RenderFigure5(pts), nil
+			return Figure5Result(pts).Text(), nil
 		}},
 		{"figure6", func() (string, error) {
 			pts, err := Figure6([]units.Bytes{64, 16 * units.MiB, 1 * units.GiB})
 			if err != nil {
 				return "", err
 			}
-			return RenderFigure6(pts), nil
-		}},
-		{"figure7", func() (string, error) {
-			pts, err := Figure7()
-			if err != nil {
-				return "", err
-			}
-			return RenderFigure7(pts), nil
-		}},
-		{"figure8", func() (string, error) {
-			pts, err := Figure8()
-			if err != nil {
-				return "", err
-			}
-			return RenderFigure8(pts), nil
+			return Figure6Result(pts).Text(), nil
 		}},
 		{"planefail", func() (string, error) {
 			rows, err := PlaneFailure([]int{0, 2})
 			if err != nil {
 				return "", err
 			}
-			return RenderPlaneFailure(rows), nil
+			return PlaneFailureResult(rows).Text(), nil
 		}},
-		{"table4", RenderTable4},
-		{"fp8", RenderFP8Accuracy},
-		{"serve", func() (string, error) { return RenderServeLoadSweep(SeedServe, true) }},
-		{"serve-disagg", func() (string, error) { return RenderDisaggRatioStudy(SeedServeDisagg, true) }},
-		{"serve-spec", func() (string, error) { return RenderSpeculativeServing(SeedServeSpec, true) }},
-		{"serve-router", func() (string, error) { return RenderRouterShootout(SeedServeRouter, true) }},
-		{"serve-capacity", func() (string, error) { return RenderCapacityStudy(SeedServeCapacity, true) }},
-		{"serve-failure", func() (string, error) { return RenderFailureStudy(SeedServeFailure, true) }},
-		{"serve-shed", func() (string, error) { return RenderShedStudy(SeedServeShed, true) }},
-		{"serve-kvtier", func() (string, error) { return RenderKVTierStudy(SeedServeKVTier, true) }},
-		{"serve-trace", func() (string, error) { return RenderTraceStudy(SeedServeTrace, true) }},
-		{"accum", func() (string, error) { return RenderAccumulationAblation(13) }},
-		{"logfmt", func() (string, error) { return RenderLogFMT(17) }},
-		{"nodelimit", func() (string, error) { return RenderNodeLimited(19) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { assertParity(t, c.f) })
 	}
+	for _, name := range []string{"table4", "fp8", "figure7", "figure8", "accum", "logfmt", "nodelimit",
+		"serve", "serve-disagg", "serve-spec", "serve-router", "serve-capacity", "serve-failure",
+		"serve-shed", "serve-kvtier", "serve-trace"} {
+		t.Run(name, func(t *testing.T) {
+			r, ok := Find(name)
+			if !ok {
+				t.Fatalf("%s missing from the catalogue", name)
+			}
+			assertParity(t, func() (string, error) { return quickResult(t, r, parallel.Workers()).Text(), nil })
+		})
+	}
+}
+
+func runWithWorkers(t *testing.T, workers int, r Runner) *results.Result {
+	t.Helper()
+	prev := parallel.SetWorkers(workers)
+	defer parallel.SetWorkers(prev)
+	res, err := r.Run(Options{Quick: true})
+	if err != nil {
+		t.Fatalf("%s workers=%d: %v", r.Name, workers, err)
+	}
+	return res
+}
+
+type quickKey struct {
+	name    string
+	workers int
+}
+
+// quickResults memoizes each runner's quick-mode Result per pool
+// width, so the parity and structure tests check the very same Results
+// and the catalogue runs once serially and once in parallel per test
+// binary.
+var quickResults = struct {
+	sync.Mutex
+	m map[quickKey]*results.Result
+}{m: map[quickKey]*results.Result{}}
+
+func quickResult(t *testing.T, r Runner, workers int) *results.Result {
+	t.Helper()
+	quickResults.Lock()
+	defer quickResults.Unlock()
+	k := quickKey{r.Name, workers}
+	res, ok := quickResults.m[k]
+	if !ok {
+		res = runWithWorkers(t, workers, r)
+		quickResults.m[k] = res
+	}
+	return res
 }
 
 // The determinism contract extends to every emitter: the structured
 // results (and hence the JSON and text encodings) of every catalogue
 // runner must be byte-identical between serial and parallel execution.
 func TestCatalogueEmitterParity(t *testing.T) {
-	emitJSON := func(t *testing.T, workers int, r Runner) []byte {
+	emitJSON := func(t *testing.T, res *results.Result) []byte {
 		t.Helper()
-		prev := parallel.SetWorkers(workers)
-		defer parallel.SetWorkers(prev)
-		res, err := r.Run(Options{Quick: true})
-		if err != nil {
-			t.Fatalf("%s workers=%d: %v", r.Name, workers, err)
-		}
 		var buf bytes.Buffer
 		if err := results.EmitJSON(&buf, res); err != nil {
-			t.Fatalf("%s: emit: %v", r.Name, err)
+			t.Fatalf("%s: emit: %v", res.Experiment, err)
 		}
 		return buf.Bytes()
 	}
 	for _, r := range Catalogue() {
 		t.Run(r.Name, func(t *testing.T) {
-			serial := emitJSON(t, 1, r)
-			par := emitJSON(t, 8, r)
+			serialRes, parRes := quickResult(t, r, 1), quickResult(t, r, 8)
+			serial, par := emitJSON(t, serialRes), emitJSON(t, parRes)
 			if !bytes.Equal(serial, par) {
 				t.Errorf("parallel JSON differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, par)
+			}
+			if st, pt := serialRes.Text(), parRes.Text(); st != pt {
+				t.Errorf("parallel text differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", st, pt)
 			}
 		})
 	}
@@ -133,10 +156,7 @@ func TestCatalogueEmitterParity(t *testing.T) {
 // the pre-refactor rendering is pinned by the .txt golden corpus.)
 func TestCatalogueStructure(t *testing.T) {
 	for _, r := range Catalogue() {
-		res, err := r.Run(Options{Quick: true})
-		if err != nil {
-			t.Fatalf("%s: %v", r.Name, err)
-		}
+		res := quickResult(t, r, 1)
 		if len(res.Tables) == 0 {
 			t.Fatalf("%s: no tables", r.Name)
 		}

@@ -198,30 +198,3 @@ func SpeculativeServingResult(seed int64, quick bool) (*results.Table, error) {
 	}
 	return t, nil
 }
-
-// RenderServeLoadSweep renders the load sweep.
-func RenderServeLoadSweep(seed int64, quick bool) (string, error) {
-	t, err := ServeLoadSweepResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
-}
-
-// RenderDisaggRatioStudy renders the ratio study.
-func RenderDisaggRatioStudy(seed int64, quick bool) (string, error) {
-	t, err := DisaggRatioStudyResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
-}
-
-// RenderSpeculativeServing renders the MTP serving study.
-func RenderSpeculativeServing(seed int64, quick bool) (string, error) {
-	t, err := SpeculativeServingResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return t.Text(), nil
-}

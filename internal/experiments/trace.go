@@ -77,12 +77,3 @@ func TraceStudyResult(seed int64, quick bool) ([]*results.Table, error) {
 		reg.Table(),
 	}, nil
 }
-
-// RenderTraceStudy renders the traced-run tables as text.
-func RenderTraceStudy(seed int64, quick bool) (string, error) {
-	tables, err := TraceStudyResult(seed, quick)
-	if err != nil {
-		return "", err
-	}
-	return results.New("serve-trace", "deterministic lifecycle trace of the tiered+faulted reference run", tables...).Text(), nil
-}

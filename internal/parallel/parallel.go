@@ -52,49 +52,8 @@ func SetWorkers(n int) int {
 // width of 1 (or n <= 1) tasks run inline, in order, on the caller's
 // goroutine.
 func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	results := make([]T, n)
-	w := Workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		var firstErr error
-		for i := 0; i < n; i++ {
-			r, err := fn(i)
-			results[i] = r
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return results, firstErr
-	}
-
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				results[i], errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return results, err
-		}
-	}
-	return results, nil
+	return MapScratch(n, func() struct{} { return struct{}{} },
+		func(i int, _ struct{}) (T, error) { return fn(i) })
 }
 
 // Run is Map for tasks without a result value.

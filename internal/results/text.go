@@ -26,7 +26,7 @@ func (t *Table) Text() string {
 }
 
 // Text renders every table of the result, blank-line separated — the
-// exact concatenation the historical Render helpers produced.
+// form dsv3bench prints and the .txt goldens pin.
 func (r *Result) Text() string {
 	parts := make([]string, len(r.Tables))
 	for i, t := range r.Tables {

@@ -176,7 +176,7 @@ func TestParseTrace(t *testing.T) {
 	if len(reqs) != 2 || reqs[0].PromptTokens != 128 || reqs[1].Arrival != 1.5 || reqs[1].OutputTokens != 64 {
 		t.Errorf("parsed %+v", reqs)
 	}
-	for _, bad := range []string{"1.0,2", "x,1,2", "1,1.5,2", "1,2,z"} {
+	for _, bad := range []string{"1.0,2", "x,1,2", "1,1.5,2", "1,2,z", "NaN,100,20", "+Inf,100,20"} {
 		if _, err := ParseTrace(strings.NewReader(bad)); err == nil {
 			t.Errorf("ParseTrace(%q) succeeded, want error", bad)
 		}
@@ -184,6 +184,7 @@ func TestParseTrace(t *testing.T) {
 }
 
 func TestWorkloadValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
 	cases := []Workload{
 		{Arrival: ArrivalPoisson, RatePerSec: 0, Requests: 1, Prompt: Fixed(1), Output: Fixed(1)},
 		{Arrival: ArrivalPoisson, RatePerSec: 1, Requests: 0, Prompt: Fixed(1), Output: Fixed(1)},
@@ -194,6 +195,18 @@ func TestWorkloadValidate(t *testing.T) {
 		{Arrival: ArrivalBursty, RatePerSec: 1, Requests: 1, BurstOnMean: 1, Prompt: Fixed(1), Output: Fixed(1)},
 		{Arrival: ArrivalDiurnal, RatePerSec: 1, Requests: 1, Prompt: Fixed(1), Output: Fixed(1)},
 		{Arrival: ArrivalDiurnal, RatePerSec: 1, Requests: 1, DiurnalPeriod: 10, DiurnalAmplitude: 1.5, Prompt: Fixed(1), Output: Fixed(1)},
+		// Non-finite inputs: every ordered comparison with NaN is false.
+		{Arrival: ArrivalPoisson, RatePerSec: nan, Requests: 1, Prompt: Fixed(1), Output: Fixed(1)},
+		{Arrival: ArrivalPoisson, RatePerSec: inf, Requests: 1, Prompt: Fixed(1), Output: Fixed(1)},
+		{Arrival: ArrivalPoisson, RatePerSec: 1, Requests: 1, Turns: 2, ThinkTime: nan, Prompt: Fixed(1), Output: Fixed(1)},
+		{Arrival: ArrivalPoisson, RatePerSec: 1, Requests: 1, Turns: 2, ThinkTime: inf, Prompt: Fixed(1), Output: Fixed(1)},
+		{Arrival: ArrivalTrace, Trace: []Request{{Arrival: nan, PromptTokens: 1, OutputTokens: 1}}},
+		{Arrival: ArrivalTrace, Trace: []Request{{Arrival: inf, PromptTokens: 1, OutputTokens: 1}}},
+		{Arrival: ArrivalBursty, RatePerSec: 1, Requests: 1, BurstOnMean: nan, BurstOffMean: 2, Prompt: Fixed(1), Output: Fixed(1)},
+		{Arrival: ArrivalBursty, RatePerSec: 1, Requests: 1, BurstOnMean: 1, BurstOffMean: inf, Prompt: Fixed(1), Output: Fixed(1)},
+		{Arrival: ArrivalDiurnal, RatePerSec: 1, Requests: 1, DiurnalPeriod: nan, DiurnalAmplitude: 0.5, Prompt: Fixed(1), Output: Fixed(1)},
+		{Arrival: ArrivalDiurnal, RatePerSec: 1, Requests: 1, DiurnalPeriod: inf, DiurnalAmplitude: 0.5, Prompt: Fixed(1), Output: Fixed(1)},
+		{Arrival: ArrivalDiurnal, RatePerSec: 1, Requests: 1, DiurnalPeriod: 10, DiurnalAmplitude: nan, Prompt: Fixed(1), Output: Fixed(1)},
 	}
 	for i, w := range cases {
 		if err := w.Validate(); err == nil {

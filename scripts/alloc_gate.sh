@@ -5,37 +5,9 @@
 # only the allocation counts are checked, and those are deterministic,
 # so this gate is cheap enough for every CI run.
 #
-# Budgets (see DESIGN.md "Performance engineering"):
-#   BenchmarkGateRoute     0  — MoE routing hot path, fully scratch-backed
-#   BenchmarkE4M3Quantize  0  — FP8 quantization kernel, in-place
-#   BenchmarkServeEngine   6  — one serving run on a warm engine:
-#                               the Report + its Timeline copy + the
-#                               workload RNG/stepper closures
-#   BenchmarkServeEngineTiered 10 — the same run with KV tiers, sessions
-#                               and the prefix cache live; the extra
-#                               allocs are the multi-turn generator's
-#                               stable sort, not the tier machinery
-#   BenchmarkServeEngineTraced 20 — the tiered+faulted run with the trace
-#                               recorder and metrics registry attached;
-#                               a warm recorder appends into reused
-#                               buffers, so the overhead is O(1) per run
-#                               (the per-tier metric-name strings), not
-#                               per event
-#   BenchmarkServeEngineHazard 8 — the run with the cross-layer hazard
-#                               stack live (plane derate, SDC +
-#                               Freivalds verify, EWMA gray-failure
-#                               detection, p95-tracked hedging,
-#                               retries); hazard state is engine-owned
-#                               and recycled, so the overhead over the
-#                               clean engine is the hazard plan's
-#                               per-run RNG plus the hedge tracker
-#   BenchmarkServeFleet    12 — the 1000-instance run on a warm engine:
-#                               the 6 of BenchmarkServeEngine plus the
-#                               two power-of-two routers built per run
-#                               (each router and its seeded RNG)
-#   BenchmarkEventQueue/*  0  — a steady-state hold op (pop + push) on
-#                               the event heap touches only retained
-#                               heap storage
+# The budgets below, and why each holds, are documented in DESIGN.md's
+# "Pinned allocation budgets" table; TestAllocBudgetsMatchDesign fails
+# when the two drift apart.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
