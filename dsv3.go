@@ -31,7 +31,6 @@ import (
 	"dsv3/internal/collective"
 	"dsv3/internal/deepep"
 	"dsv3/internal/experiments"
-	"dsv3/internal/fp8train"
 	"dsv3/internal/gemm"
 	"dsv3/internal/inference"
 	"dsv3/internal/logfmt"
@@ -116,25 +115,14 @@ type ModelConfig = model.Config
 // Published model configurations.
 var (
 	DeepSeekV3 = model.DeepSeekV3
-	DeepSeekV2 = model.DeepSeekV2
 	Qwen72B    = model.Qwen72B
 	LLaMA405B  = model.LLaMA405B
-)
-
-// Deployment rooflines (§2.2.2).
-type Deployment = model.Deployment
-
-var (
-	AISoC             = model.AISoC
-	ConsumerGPUServer = model.ConsumerGPUServer
 )
 
 // Numerics (§3).
 type (
 	// Format is a bit-exact minifloat format (E4M3, E5M2, BF16, ...).
 	Format = quant.Format
-	// Accumulator simulates the tensor-core accumulation data path.
-	Accumulator = quant.Accumulator
 	// Matrix is the dense matrix carrier used by the GEMM paths.
 	Matrix = quant.Matrix
 	// LogFMTCodec is the §3.2 logarithmic communication format.
@@ -148,7 +136,6 @@ var (
 	E4M3             = quant.E4M3
 	E5M2             = quant.E5M2
 	BF16             = quant.BF16
-	HopperFP8        = quant.HopperFP8
 	NewLogFMT        = logfmt.New
 	DeepSeekV3Recipe = gemm.DeepSeekV3Recipe
 	FP8GEMM          = gemm.FP8
@@ -161,39 +148,19 @@ var (
 type (
 	TopologyCounts = topology.Counts
 	CostModel      = topology.CostModel
-	FatTree2       = topology.FatTree2
-	SlimFly        = topology.SlimFly
-	Dragonfly      = topology.Dragonfly
-	Graph          = topology.Graph
 )
 
 var (
-	FT2Counts        = topology.FT2Counts
 	FT3Counts        = topology.FT3Counts
 	MPFTCounts       = topology.MPFTCounts
 	SlimFlyCounts    = topology.SlimFlyCounts
-	DragonflyCounts  = topology.DragonflyCounts
 	DefaultCostModel = topology.DefaultCostModel
 )
 
 // Network simulation (§5).
-type (
-	Flow          = netsim.Flow
-	SimResult     = netsim.Result
-	Router        = netsim.Router
-	RoutingPolicy = netsim.Policy
-)
+type RoutingPolicy = netsim.Policy
 
-const (
-	PolicyECMP     = netsim.PolicyECMP
-	PolicyAdaptive = netsim.PolicyAdaptive
-	PolicyStatic   = netsim.PolicyStatic
-)
-
-var (
-	SimulateFlows = netsim.Simulate
-	NewRouter     = netsim.NewRouter
-)
+const PolicyECMP = netsim.PolicyECMP
 
 // Cluster model (§4.1) and collectives (Figures 5, 6, 8).
 type (
@@ -201,13 +168,9 @@ type (
 	ClusterConfig  = cluster.Config
 	FabricKind     = cluster.FabricKind
 	CollectiveOpts = collective.Options
-	LatencyParams  = cluster.LatencyParams
 )
 
-const (
-	MPFT = cluster.MPFT
-	MRFT = cluster.MRFT
-)
+const MPFT = cluster.MPFT
 
 var (
 	H800Config   = cluster.H800Config
@@ -217,15 +180,12 @@ var (
 	// sweeps share one graph.
 	CachedCluster         = cluster.Cached
 	AllToAll              = collective.AllToAll
-	RingCollective        = collective.RingCollective
 	DefaultCollectiveOpts = collective.DefaultOptions
-	DefaultLatencyParams  = cluster.DefaultLatencyParams
 )
 
 // MoE routing (§4.3) and DeepEP (Figure 7).
 type (
-	Gate            = moe.Gate
-	ExpertPlacement = moe.Placement
+	Gate = moe.Gate
 	// MoERouter is the allocation-free router used by the routing hot
 	// paths: reusable scratch lives in the Router value.
 	MoERouter    = moe.Router
@@ -238,8 +198,6 @@ var (
 	NewMoERouter   = moe.NewRouter
 	DeepEPV3Config = deepep.V3Config
 	DeepEPDispatch = deepep.Dispatch
-	DeepEPCombine  = deepep.Combine
-	DeepEPSweep    = deepep.Sweep
 )
 
 // Inference analyses (§2.1.2, §2.3.2, §2.3.3).
@@ -344,23 +302,13 @@ var (
 
 // Training (Table 4).
 type (
-	TrainingMetrics = trainsim.Metrics
-	PipelineCosts   = pipeline.Costs
-	PipelineResult  = pipeline.Result
+	PipelineCosts  = pipeline.Costs
+	PipelineResult = pipeline.Result
 )
 
 var (
 	TrainingConfig   = trainsim.V3Config
 	SimulatePipeline = pipeline.Simulate
-	AnalyticDualPipe = pipeline.AnalyticDualPipe
-)
-
-// FP8 training validation (§2.4).
-type FP8TrainConfig = fp8train.Config
-
-var (
-	FP8TrainDefault = fp8train.DefaultConfig
-	FP8Train        = fp8train.Train
 )
 
 // Experiment data runners: the typed rows behind the catalogue's

@@ -78,7 +78,7 @@ func (c EPConfig) AnalyzeOverlap(bw units.BytesPerSecond, computePerLayer units.
 	if err := c.Validate(); err != nil {
 		return OverlapAblation{}, err
 	}
-	if bw <= 0 || computePerLayer < 0 {
+	if bw <= 0 || computePerLayer < 0 || !units.Finite(bw) || !units.Finite(computePerLayer) {
 		return OverlapAblation{}, fmt.Errorf("inference: bad overlap inputs")
 	}
 	comm := c.CommTimePerStep(bw)
@@ -89,11 +89,8 @@ func (c EPConfig) AnalyzeOverlap(bw units.BytesPerSecond, computePerLayer units.
 	// Overlapped: the batch splits into two micro-batches (half the
 	// compute each); while one computes, the other communicates. Each
 	// layer runs two phases of max(comm, compute/2).
-	per := comm
-	if computePerLayer/2 > per {
-		per = computePerLayer / 2
-	}
-	overlap := layers * 2 * per
+	legs := Legs{Layers: 1, Comm: comm, GEMV: computePerLayer / 2}
+	overlap := layers * legs.Overlapped()
 	return OverlapAblation{
 		SerialTPOT:    serial,
 		OverlapTPOT:   overlap,

@@ -133,4 +133,14 @@ func TestAnalyzeOverlapValidation(t *testing.T) {
 	if _, err := V3EPConfig().AnalyzeOverlap(1, -1); err == nil {
 		t.Error("negative compute must fail")
 	}
+	nan := math.NaN()
+	if _, err := V3EPConfig().AnalyzeOverlap(nan, 1); err == nil {
+		t.Error("NaN bandwidth must fail")
+	}
+	if _, err := V3EPConfig().AnalyzeOverlap(1, nan); err == nil {
+		t.Error("NaN compute must fail")
+	}
+	if _, err := V3EPConfig().AnalyzeOverlap(1, math.Inf(1)); err == nil {
+		t.Error("infinite compute must fail")
+	}
 }

@@ -4,6 +4,12 @@
 // 14.76 ms TPOT (~67 tokens/s) on 400G IB, 0.82 ms (~1200 tokens/s) on
 // a GB200 NVL72-class scale-up fabric — and generalizes it into a
 // bandwidth sweep plus a dual-micro-batch overlap model.
+//
+// Legs is the one decode cost model of the repository: the §2.3.2
+// dispatch/combine leg, the §2.1.2 attention roofline and the linear
+// path's GEMV/weight-streaming roofline, combined under
+// dual-micro-batch overlap. EPConfig's analyses and the serving
+// simulator's per-step latency both evaluate it.
 package inference
 
 import (
@@ -11,6 +17,55 @@ import (
 
 	"dsv3/internal/units"
 )
+
+// Legs are the cost legs of one decode step, in seconds at achieved
+// throughput. Comm is one dispatch+combine pass of one layer; the
+// compute legs cover the whole step (all Layers): AttnFLOPs and KVRead
+// are the attention roofline's compute and memory legs, GEMV and
+// WeightStream the linear path's.
+//
+// Compute convention: Legs charge whatever compute they are given in
+// each of the two overlap phases. AnalyzeOverlap halves a whole-batch
+// compute across the two micro-batches before filling GEMV; the
+// serving simulator fills the whole-batch compute, so each phase pays
+// it in full.
+//
+// The methods take a pointer: Legs is too large for the compiler to
+// keep in registers, and a value receiver copies it once per nested
+// call, a cost the serving simulator pays on every decode step.
+type Legs struct {
+	Layers                                float64
+	Comm                                  units.Seconds
+	AttnFLOPs, KVRead, GEMV, WeightStream units.Seconds
+}
+
+// Compute is the step's compute time: the attention roofline (max of
+// its FLOP and KV-read legs) plus the linear roofline (max of GEMV
+// FLOPs and weight streaming).
+func (l *Legs) Compute() units.Seconds {
+	return maxf(l.AttnFLOPs, l.KVRead) + maxf(l.GEMV, l.WeightStream)
+}
+
+// Phase is one overlap phase of one layer: the larger of the layer's
+// communication and its share of the compute, the smaller one hidden.
+func (l *Legs) Phase() units.Seconds {
+	return maxf(l.Comm, l.Compute()/l.Layers)
+}
+
+// Overlapped is the step time under dual-micro-batch overlap: two
+// phases per layer, 2·max(comm, compute)·layers.
+func (l *Legs) Overlapped() units.Seconds {
+	return 2 * l.Phase() * l.Layers
+}
+
+// maxf is max by comparison: the builtin max handles NaN and ±0, which
+// makes the serving hot path measurably slower.
+func maxf(a, b float64) float64 {
+	if b > a {
+		return b
+	}
+	return a
+}
 
 // EPConfig captures the expert-parallel deployment of §2.3.2.
 type EPConfig struct {
@@ -46,10 +101,13 @@ func V3EPConfig() EPConfig {
 	}
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration: positive counts and hidden size,
+// non-negative element widths, every float finite.
 func (c EPConfig) Validate() error {
-	if c.TokensPerDevice <= 0 || c.HiddenBytes <= 0 || c.Copies <= 0 || c.Layers <= 0 {
-		return fmt.Errorf("inference: non-positive EP config %+v", c)
+	if c.TokensPerDevice <= 0 || c.HiddenBytes <= 0 || c.Copies <= 0 || c.Layers <= 0 ||
+		c.DispatchBytesPerElem < 0 || c.CombineBytesPerElem < 0 ||
+		!units.Finite(c.HiddenBytes) || !units.Finite(c.DispatchBytesPerElem) || !units.Finite(c.CombineBytesPerElem) {
+		return fmt.Errorf("inference: invalid EP config %+v", c)
 	}
 	return nil
 }
@@ -83,33 +141,15 @@ func (c EPConfig) Analyze(bw units.BytesPerSecond) (Analysis, error) {
 	if err := c.Validate(); err != nil {
 		return Analysis{}, err
 	}
-	if bw <= 0 {
-		return Analysis{}, fmt.Errorf("inference: bandwidth must be positive")
+	if bw <= 0 || !units.Finite(bw) {
+		return Analysis{}, fmt.Errorf("inference: bandwidth must be positive and finite")
 	}
-	comm := c.CommTimePerStep(bw)
+	legs := Legs{Layers: float64(c.Layers), Comm: c.CommTimePerStep(bw)}
 	a := Analysis{
-		CommTime:     comm,
-		TimePerLayer: 2 * comm,
+		CommTime:     legs.Comm,
+		TimePerLayer: 2 * legs.Phase(),
+		TPOT:         legs.Overlapped(),
 	}
-	a.TPOT = a.TimePerLayer * float64(c.Layers)
-	a.TPS = 1 / a.TPOT
-	return a, nil
-}
-
-// AnalyzeWithCompute refines the ceiling with a per-layer compute time:
-// under dual-micro-batch overlap the layer cost is twice the max of
-// communication and computation — the overlap hides the smaller one.
-func (c EPConfig) AnalyzeWithCompute(bw units.BytesPerSecond, computePerLayer units.Seconds) (Analysis, error) {
-	a, err := c.Analyze(bw)
-	if err != nil {
-		return Analysis{}, err
-	}
-	per := a.CommTime
-	if computePerLayer > per {
-		per = computePerLayer
-	}
-	a.TimePerLayer = 2 * per
-	a.TPOT = a.TimePerLayer * float64(c.Layers)
 	a.TPS = 1 / a.TPOT
 	return a, nil
 }

@@ -75,18 +75,19 @@ func TestSweepMonotone(t *testing.T) {
 func TestAnalyzeWithCompute(t *testing.T) {
 	cfg := V3EPConfig()
 	free, _ := cfg.Analyze(50 * units.GB)
-	// Compute below comm time: fully hidden by overlap.
-	hidden, err := cfg.AnalyzeWithCompute(50*units.GB, 100*units.Microsecond)
-	if err != nil {
-		t.Fatal(err)
+	layers := float64(cfg.Layers)
+	withCompute := func(perLayer units.Seconds) Legs {
+		return Legs{Layers: layers, Comm: free.CommTime, GEMV: perLayer * layers}
 	}
-	if hidden.TPOT != free.TPOT {
-		t.Errorf("sub-comm compute should be hidden: %v vs %v", hidden.TPOT, free.TPOT)
+	// Compute below comm time: fully hidden by overlap.
+	hidden := withCompute(100 * units.Microsecond)
+	if hidden.Overlapped() != free.TPOT {
+		t.Errorf("sub-comm compute should be hidden: %v vs %v", hidden.Overlapped(), free.TPOT)
 	}
 	// Compute above comm time: compute-bound.
-	bound, _ := cfg.AnalyzeWithCompute(50*units.GB, 200*units.Microsecond)
-	if math.Abs(bound.TimePerLayer-400*units.Microsecond) > 1e-12 {
-		t.Errorf("compute-bound layer time = %v, want 400us", bound.TimePerLayer)
+	bound := withCompute(200 * units.Microsecond)
+	if math.Abs(2*bound.Phase()-400*units.Microsecond) > 1e-12 {
+		t.Errorf("compute-bound layer time = %v, want 400us", 2*bound.Phase())
 	}
 }
 
@@ -101,5 +102,27 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := V3EPConfig().Sweep([]units.BytesPerSecond{-1}); err == nil {
 		t.Error("negative bandwidth must fail in sweep")
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bw := range []units.BytesPerSecond{nan, inf} {
+		if _, err := V3EPConfig().Analyze(bw); err == nil {
+			t.Errorf("bandwidth %v must fail", bw)
+		}
+	}
+	// Every ordered comparison with NaN is false, so each float field
+	// needs its own finiteness check.
+	for name, mutate := range map[string]func(*EPConfig){
+		"HiddenBytes=NaN":          func(c *EPConfig) { c.HiddenBytes = nan },
+		"HiddenBytes=Inf":          func(c *EPConfig) { c.HiddenBytes = inf },
+		"DispatchBytesPerElem=-5":  func(c *EPConfig) { c.DispatchBytesPerElem = -5 },
+		"DispatchBytesPerElem=NaN": func(c *EPConfig) { c.DispatchBytesPerElem = nan },
+		"CombineBytesPerElem=-1":   func(c *EPConfig) { c.CombineBytesPerElem = -1 },
+		"CombineBytesPerElem=Inf":  func(c *EPConfig) { c.CombineBytesPerElem = inf },
+	} {
+		c := V3EPConfig()
+		mutate(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: want validation error", name)
+		}
 	}
 }

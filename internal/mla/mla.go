@@ -5,9 +5,11 @@
 // representation is compressed and shared the way MLA does it.
 //
 // The package quantifies, for any model.Config: FLOPs and KV bytes per
-// decoded token, arithmetic intensity, and the roofline decode time on
-// a given accelerator. Table 1 (KV bytes) lives in internal/model; this
-// package explains *why* those bytes matter.
+// decoded token, arithmetic intensity, and the accelerator's ridge
+// point. Divided by an accelerator's throughput they become the
+// attention legs (AttnFLOPs, KVRead) of inference.Legs, the one decode
+// roofline. Table 1 (KV bytes) lives in internal/model; this package
+// explains *why* those bytes matter.
 package mla
 
 import (
@@ -81,25 +83,4 @@ func DecodeFLOPsPerCtxTokenLayer(c *model.Config) float64 {
 		v := float64(a.VDim())
 		return 2*heads*qk + 2*heads*v
 	}
-}
-
-// DecodeTime returns the roofline attention time of one decode step for
-// a batch of concurrent requests at the same context length: the
-// maximum of compute time and memory time. Each request reads its own
-// KV cache (no cross-request reuse), so memory scales with batch while
-// the intensity per request is unchanged.
-func DecodeTime(c *model.Config, acc Accelerator, ctx, batch int, kvBytesPerElem float64) units.Seconds {
-	dc := AttentionDecodeCost(c, ctx, kvBytesPerElem)
-	compute := dc.FLOPs * float64(batch) / acc.PeakFLOPS
-	memory := dc.KVBytes * float64(batch) / acc.MemBandwidth
-	if compute > memory {
-		return compute
-	}
-	return memory
-}
-
-// MemoryBound reports whether attention decode is memory-bound on the
-// accelerator (intensity below the ridge).
-func MemoryBound(c *model.Config, acc Accelerator, ctx int, kvBytesPerElem float64) bool {
-	return AttentionDecodeCost(c, ctx, kvBytesPerElem).Intensity < acc.Ridge()
 }

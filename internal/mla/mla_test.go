@@ -3,16 +3,45 @@ package mla
 import (
 	"testing"
 
+	"dsv3/internal/inference"
 	"dsv3/internal/model"
+	"dsv3/internal/units"
 )
+
+// attnLegs is the attention roofline of one decode step for a batch of
+// concurrent requests at the same context length. Each request reads
+// its own KV cache (no cross-request reuse), so memory scales with
+// batch while the intensity per request is unchanged.
+func attnLegs(c *model.Config, acc Accelerator, ctx, batch int, kvBytesPerElem float64) inference.Legs {
+	dc := AttentionDecodeCost(c, ctx, kvBytesPerElem)
+	return inference.Legs{
+		Layers:    1,
+		AttnFLOPs: dc.FLOPs * float64(batch) / acc.PeakFLOPS,
+		KVRead:    dc.KVBytes * float64(batch) / acc.MemBandwidth,
+	}
+}
+
+// decodeTime is the roofline attention time of one decode step: the
+// maximum of the compute and memory legs.
+func decodeTime(c *model.Config, acc Accelerator, ctx, batch int, kvBytesPerElem float64) units.Seconds {
+	l := attnLegs(c, acc, ctx, batch, kvBytesPerElem)
+	return l.Compute()
+}
+
+// memoryBound reports whether attention decode is memory-bound on the
+// accelerator: the KV-read leg outlasts the FLOP leg.
+func memoryBound(c *model.Config, acc Accelerator, ctx int, kvBytesPerElem float64) bool {
+	l := attnLegs(c, acc, ctx, 1, kvBytesPerElem)
+	return l.KVRead > l.AttnFLOPs
+}
 
 func TestGQADecodeIsMemoryBound(t *testing.T) {
 	// §2.1.2: incremental decode is GEMV-shaped and memory-bound on
 	// modern hardware for conventional attention.
-	if !MemoryBound(model.Qwen72B(), H800(), 4096, 2) {
+	if !memoryBound(model.Qwen72B(), H800(), 4096, 2) {
 		t.Error("GQA decode must be memory-bound on H800")
 	}
-	if !MemoryBound(model.LLaMA405B(), H800(), 4096, 2) {
+	if !memoryBound(model.LLaMA405B(), H800(), 4096, 2) {
 		t.Error("LLaMA-405B decode must be memory-bound on H800")
 	}
 }
@@ -41,13 +70,13 @@ func TestDecodeTimeRoofline(t *testing.T) {
 	cfg := model.Qwen72B()
 	// Memory-bound: time should equal KV bytes / bandwidth.
 	dc := AttentionDecodeCost(cfg, 4096, 2)
-	got := DecodeTime(cfg, acc, 4096, 1, 2)
+	got := decodeTime(cfg, acc, 4096, 1, 2)
 	want := dc.KVBytes / acc.MemBandwidth
 	if got != want {
 		t.Errorf("memory-bound decode time = %v, want %v", got, want)
 	}
 	// Batch scales memory time linearly.
-	if DecodeTime(cfg, acc, 4096, 8, 2) != 8*want {
+	if decodeTime(cfg, acc, 4096, 8, 2) != 8*want {
 		t.Error("batched decode should scale linearly while memory-bound")
 	}
 }
@@ -56,8 +85,8 @@ func TestMLADecodeFasterThanGQAPerContext(t *testing.T) {
 	// The practical consequence of Table 1: per decoded token at equal
 	// context, MLA's attention reads ~5-7x less and finishes faster.
 	acc := H800()
-	v3 := DecodeTime(model.DeepSeekV3(), acc, 4096, 1, 2)
-	llama := DecodeTime(model.LLaMA405B(), acc, 4096, 1, 2)
+	v3 := decodeTime(model.DeepSeekV3(), acc, 4096, 1, 2)
+	llama := decodeTime(model.LLaMA405B(), acc, 4096, 1, 2)
 	if v3 >= llama {
 		t.Errorf("V3 decode (%v) should beat LLaMA-405B (%v)", v3, llama)
 	}

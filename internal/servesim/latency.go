@@ -14,8 +14,8 @@ import (
 // dispatch/combine traffic from inference.EPConfig (§2.3.2), attention
 // FLOPs and KV-cache bytes from mla.AttentionDecodeCost (§2.1.2), and
 // weight streaming / linear compute against the accelerator roofline.
-// Decode follows the paper's dual-micro-batch overlap: a layer costs
-// twice the max of its communication and computation.
+// It only fills the legs of an inference.Legs; the roofline and the
+// paper's dual-micro-batch overlap live there.
 type LatencyModel struct {
 	Model *model.Config
 	Accel mla.Accelerator
@@ -59,16 +59,13 @@ func (l LatencyModel) Validate() error {
 	}
 	if l.InterconnectBW <= 0 || l.Efficiency <= 0 || l.Efficiency > 1 ||
 		l.Accel.PeakFLOPS <= 0 || l.Accel.MemBandwidth <= 0 ||
-		l.WeightBytes < 0 || l.KVBytesPerElem <= 0 {
+		l.WeightBytes < 0 || l.KVBytesPerElem <= 0 ||
+		!units.Finite(l.InterconnectBW) || !units.Finite(l.Efficiency) ||
+		!units.Finite(l.Accel.PeakFLOPS) || !units.Finite(l.Accel.MemBandwidth) ||
+		!units.Finite(l.WeightBytes) || !units.Finite(l.KVBytesPerElem) {
 		return fmt.Errorf("servesim: invalid latency model %+v", l)
 	}
 	return nil
-}
-
-// commBytesPerToken returns the dispatch+combine bytes one token moves
-// per layer (the EPConfig step batch normalized out).
-func (l LatencyModel) commBytesPerToken() units.Bytes {
-	return l.EP.CommBytesPerStep() / float64(l.EP.TokensPerDevice)
 }
 
 // latConsts caches every per-configuration constant of the latency
@@ -81,7 +78,7 @@ type latConsts struct {
 	layers    float64
 	peak, mem float64 // achieved FLOPS / memory bandwidth
 
-	commPerToken       units.Bytes   // commBytesPerToken()
+	commPerToken       units.Bytes   // dispatch+combine bytes per token per layer
 	activeNonEmbedding float64       // Model.Params().ActiveNonEmbedding
 	weightStream       units.Seconds // WeightBytes / mem
 
@@ -97,7 +94,7 @@ func (l LatencyModel) consts() latConsts {
 		layers:               float64(l.Model.Layers),
 		peak:                 l.Accel.PeakFLOPS * l.Efficiency,
 		mem:                  l.Accel.MemBandwidth * l.Efficiency,
-		commPerToken:         l.commBytesPerToken(),
+		commPerToken:         l.EP.CommBytesPerStep() / float64(l.EP.TokensPerDevice),
 		activeNonEmbedding:   l.Model.Params().ActiveNonEmbedding,
 		weightStream:         l.WeightBytes / (l.Accel.MemBandwidth * l.Efficiency),
 		attnFlopsPerCtxLayer: mla.DecodeFLOPsPerCtxTokenLayer(l.Model),
@@ -122,74 +119,56 @@ func (l LatencyModel) addContextC(lc latConsts, b *batchAttention, ctx int) {
 	b.KVBytes += lc.kvPerToken * float64(ctx)
 }
 
-// DecodeStepTime returns the duration of one continuous-batching
+// decodeLegs fills legs with the cost legs of one continuous-batching
 // decode step that advances batch requests whose attention cost has
-// been accumulated in attn. Per layer, communication is the all-to-all
-// for the local batch and computation is attention (max of its compute
-// and KV-read roofline legs) plus the linear path (max of GEMV FLOPs
-// and weight streaming); the step costs 2 x max(comm, compute) per
-// layer under dual-micro-batch overlap, matching
-// inference.EPConfig.AnalyzeWithCompute.
-func (l LatencyModel) DecodeStepTime(batch int, attn batchAttention) units.Seconds {
-	return l.decodeStepTime(l.consts(), batch, attn, 1)
+// been accumulated in attn: the all-to-all for the local batch at
+// bandwidth bw, attention FLOPs and KV reads, GEMV FLOPs and weight
+// streaming. The communication leg is scaled by commScale — the
+// plane-failure derating of a FaultDegrade: k of T lost planes squeeze
+// the all-to-all onto the survivors at T/(T-k) x the healthy duration.
+// Multiplying by exactly 1 is a bit-exact identity. It stores field by
+// field through a pointer because a returned or literal Legs is built
+// in a temporary and copied, which the per-step hot path pays for.
+func (lc *latConsts) decodeLegs(legs *inference.Legs, batch int, attn batchAttention, bw units.BytesPerSecond, commScale float64) {
+	legs.Layers = lc.layers
+	legs.Comm = lc.commPerToken * float64(batch) * commScale / bw
+	legs.AttnFLOPs = attn.FLOPs / lc.peak
+	legs.KVRead = attn.KVBytes / lc.mem
+	legs.GEMV = 2 * lc.activeNonEmbedding * float64(batch) / lc.peak
+	legs.WeightStream = lc.weightStream
 }
 
-// decodeStepTime is DecodeStepTime over precomputed constants, with
-// the communication leg scaled by commScale — the plane-failure
-// derating of a FaultDegrade: k of T lost planes squeeze the
-// all-to-all onto the survivors at T/(T-k) x the healthy duration.
-// Multiplying by exactly 1 is a bit-exact identity.
+// decodeStepTime is the duration of the decode step decodeLegs
+// describes, under dual-micro-batch overlap.
 func (l LatencyModel) decodeStepTime(lc latConsts, batch int, attn batchAttention, commScale float64) units.Seconds {
 	if batch <= 0 {
 		return 0
 	}
-	commPerLayer := lc.commPerToken * float64(batch) * commScale / l.InterconnectBW
-
-	attnTime := attn.FLOPs / lc.peak
-	if kv := attn.KVBytes / lc.mem; kv > attnTime {
-		attnTime = kv
-	}
-	linFLOPs := 2 * lc.activeNonEmbedding * float64(batch)
-	linTime := linFLOPs / lc.peak
-	if lc.weightStream > linTime {
-		linTime = lc.weightStream
-	}
-	computePerLayer := (attnTime + linTime) / lc.layers
-
-	per := commPerLayer
-	if computePerLayer > per {
-		per = computePerLayer
-	}
-	return 2 * per * lc.layers
+	var legs inference.Legs
+	lc.decodeLegs(&legs, batch, attn, l.InterconnectBW, commScale)
+	return legs.Overlapped()
 }
 
-// PrefillTime returns the duration of prefilling a prompt of the given
+// prefillTime is the duration of prefilling a prompt of the given
 // length on one prefill instance: the max of the compute roofline
 // (linear plus causal attention FLOPs), the weight-streaming roofline
 // (the resident weights are read once regardless of prompt length — the
-// same memory leg DecodeStepTime pays, which floors short-prompt
+// same memory leg a decode step pays, which floors short-prompt
 // prefills), and the expert-parallel dispatch/combine traffic for all
-// prompt tokens.
-func (l LatencyModel) PrefillTime(promptTokens int) units.Seconds {
-	return l.prefillTime(l.consts(), promptTokens, 1)
-}
-
-// prefillTime is PrefillTime over precomputed constants, with the
-// dispatch/combine leg scaled by commScale (see decodeStepTime).
+// prompt tokens, scaled by commScale (see decodeLegs). A prefill is a
+// single phase with no micro-batch overlap, so its legs hold
+// whole-prefill times over Layers: 1 and it costs their Phase.
 func (l LatencyModel) prefillTime(lc latConsts, promptTokens int, commScale float64) units.Seconds {
 	tokens := float64(promptTokens)
 	linear := 2 * lc.activeNonEmbedding * tokens
 	attn := lc.prefillAttnCoef * tokens * tokens / 2 * lc.layers
-	compute := (linear + attn) / lc.peak
-	if lc.weightStream > compute {
-		compute = lc.weightStream
+	legs := inference.Legs{
+		Layers:       1,
+		Comm:         lc.commPerToken * tokens * lc.layers * commScale / l.InterconnectBW,
+		GEMV:         (linear + attn) / lc.peak,
+		WeightStream: lc.weightStream,
 	}
-
-	comm := lc.commPerToken * tokens * lc.layers * commScale / l.InterconnectBW
-	if comm > compute {
-		return comm
-	}
-	return compute
+	return legs.Phase()
 }
 
 // kvBytesForContext returns the KV-cache volume of a context, the

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dsv3/internal/inference"
+	"dsv3/internal/mla"
 	"dsv3/internal/mtp"
 	"dsv3/internal/parallel"
 	"dsv3/internal/units"
@@ -92,7 +93,7 @@ func TestDecodeStepReproducesPaperTPOT(t *testing.T) {
 	l := V3LatencyModel()
 	l.Efficiency = 1
 	l.WeightBytes = 0
-	got := l.DecodeStepTime(32, batchAttention{})
+	got := l.decodeStepTime(l.consts(), 32, batchAttention{}, 1)
 	ep := inference.V3EPConfig()
 	a, err := ep.Analyze(50 * units.GB)
 	if err != nil {
@@ -106,6 +107,118 @@ func TestDecodeStepReproducesPaperTPOT(t *testing.T) {
 	}
 }
 
+// With nonzero compute the decode step still lands on Analyze's closed
+// form, 2·max(comm, compute/layers)·layers: at batch 32 (the EP step
+// batch) the comm leg is Analyze's CommTime, so a step whose compute
+// hides under it is the paper TPOT, and a long-context step is twice
+// its compute.
+func TestDecodeStepMatchesAnalyzeWithCompute(t *testing.T) {
+	l := V3LatencyModel()
+	lc := l.consts()
+	a, err := l.EP.Analyze(l.InterconnectBW)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batch = 32
+	layers := float64(l.Model.Layers)
+	for _, tc := range []struct {
+		ctx       int
+		commBound bool
+	}{{4096, true}, {32768, false}} {
+		var attn batchAttention
+		for i := 0; i < batch; i++ {
+			l.addContextC(lc, &attn, tc.ctx)
+		}
+		dc := mla.AttentionDecodeCost(l.Model, tc.ctx, l.KVBytesPerElem)
+		attnTime := math.Max(dc.FLOPs*batch/lc.peak, dc.KVBytes*batch/lc.mem)
+		linTime := math.Max(2*l.Model.Params().ActiveNonEmbedding*batch/lc.peak, l.WeightBytes/lc.mem)
+		compute := (attnTime + linTime) / layers
+		if (compute < a.CommTime) != tc.commBound {
+			t.Fatalf("ctx %d: compute/layer %v vs comm %v, want commBound=%v", tc.ctx, compute, a.CommTime, tc.commBound)
+		}
+		want := 2 * math.Max(a.CommTime, compute) * layers
+		if tc.commBound && want != a.TPOT {
+			t.Fatalf("ctx %d: closed form %v, want paper TPOT %v", tc.ctx, want, a.TPOT)
+		}
+		got := l.decodeStepTime(lc, batch, attn, 1)
+		if rel := math.Abs(got-want) / want; rel > 1e-12 {
+			t.Errorf("ctx %d: step time %.6fms, want closed form %.6fms (rel %.2e)", tc.ctx, got*1e3, want*1e3, rel)
+		}
+	}
+}
+
+// Metamorphic: doubling the interconnect bandwidth halves the comm leg
+// and leaves every compute leg alone, so a comm-bound step halves and
+// a compute-bound step is unchanged. Scaling by 2 is exact, so both
+// hold bit for bit.
+func TestInterconnectScalingMovesOnlyCommLeg(t *testing.T) {
+	base := V3LatencyModel()
+	fast := base
+	fast.InterconnectBW *= 2
+	lc := base.consts()
+	const batch = 32
+	for _, tc := range []struct {
+		ctx       int
+		commBound bool
+	}{{512, true}, {32768, false}} {
+		var attn batchAttention
+		for i := 0; i < batch; i++ {
+			base.addContextC(lc, &attn, tc.ctx)
+		}
+		var b, f inference.Legs
+		lc.decodeLegs(&b, batch, attn, base.InterconnectBW, 1)
+		lc.decodeLegs(&f, batch, attn, fast.InterconnectBW, 1)
+		for _, legs := range []inference.Legs{b, f} {
+			if (legs.Comm > legs.Compute()/legs.Layers) != tc.commBound {
+				t.Fatalf("ctx %d: legs %+v, want commBound=%v at both bandwidths", tc.ctx, legs, tc.commBound)
+			}
+		}
+		if f.Comm != b.Comm/2 {
+			t.Errorf("ctx %d: comm leg %v at 2x bandwidth, want %v", tc.ctx, f.Comm, b.Comm/2)
+		}
+		if f.Comm = b.Comm; f != b {
+			t.Errorf("ctx %d: bandwidth moved a compute leg: %+v vs %+v", tc.ctx, f, b)
+		}
+		slow, quick := base.decodeStepTime(lc, batch, attn, 1), fast.decodeStepTime(lc, batch, attn, 1)
+		want := slow
+		if tc.commBound {
+			want = slow / 2
+		}
+		if quick != want {
+			t.Errorf("ctx %d: step %v at 2x bandwidth, want %v (from %v)", tc.ctx, quick, want, slow)
+		}
+	}
+}
+
+// Every latency-model float must be finite: an ordered comparison with
+// NaN is false, so a sign check alone lets it through and the run
+// reports NaN latencies.
+func TestLatencyModelValidate(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, mutate := range map[string]func(*LatencyModel){
+		"Efficiency=NaN":             func(l *LatencyModel) { l.Efficiency = nan },
+		"InterconnectBW=NaN":         func(l *LatencyModel) { l.InterconnectBW = nan },
+		"InterconnectBW=Inf":         func(l *LatencyModel) { l.InterconnectBW = inf },
+		"KVBytesPerElem=NaN":         func(l *LatencyModel) { l.KVBytesPerElem = nan },
+		"KVBytesPerElem=Inf":         func(l *LatencyModel) { l.KVBytesPerElem = inf },
+		"Accel.PeakFLOPS=NaN":        func(l *LatencyModel) { l.Accel.PeakFLOPS = nan },
+		"Accel.PeakFLOPS=Inf":        func(l *LatencyModel) { l.Accel.PeakFLOPS = inf },
+		"Accel.MemBandwidth=NaN":     func(l *LatencyModel) { l.Accel.MemBandwidth = nan },
+		"Accel.MemBandwidth=Inf":     func(l *LatencyModel) { l.Accel.MemBandwidth = inf },
+		"WeightBytes=NaN":            func(l *LatencyModel) { l.WeightBytes = nan },
+		"WeightBytes=Inf":            func(l *LatencyModel) { l.WeightBytes = inf },
+		"EP.HiddenBytes=NaN":         func(l *LatencyModel) { l.EP.HiddenBytes = nan },
+		"EP.DispatchBytesPerElem=-5": func(l *LatencyModel) { l.EP.DispatchBytesPerElem = -5 },
+		"EP.CombineBytesPerElem=NaN": func(l *LatencyModel) { l.EP.CombineBytesPerElem = nan },
+	} {
+		cfg := V3ServeConfig()
+		mutate(&cfg.Latency)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: want validation error", name)
+		}
+	}
+}
+
 // Larger batches and longer contexts never make a step faster, and the
 // KV-read leg must eventually dominate at long context.
 func TestDecodeStepMonotonic(t *testing.T) {
@@ -116,7 +229,7 @@ func TestDecodeStepMonotonic(t *testing.T) {
 		for i := 0; i < b; i++ {
 			l.addContextC(l.consts(), &attn, 4096)
 		}
-		dt := l.DecodeStepTime(b, attn)
+		dt := l.decodeStepTime(l.consts(), b, attn, 1)
 		if dt <= prev {
 			t.Errorf("step time not increasing at batch %d: %v <= %v", b, dt, prev)
 		}
@@ -125,36 +238,38 @@ func TestDecodeStepMonotonic(t *testing.T) {
 	var short, long batchAttention
 	l.addContextC(l.consts(), &short, 512)
 	l.addContextC(l.consts(), &long, 131072)
-	if l.DecodeStepTime(1, long) <= l.DecodeStepTime(1, short) {
+	if l.decodeStepTime(l.consts(), 1, long, 1) <= l.decodeStepTime(l.consts(), 1, short, 1) {
 		t.Error("long context no slower than short")
 	}
 }
 
 func TestPrefillTime(t *testing.T) {
 	l := V3LatencyModel()
-	if l.PrefillTime(1024) <= l.PrefillTime(256) {
+	lc := l.consts()
+	if l.prefillTime(lc, 1024, 1) <= l.prefillTime(lc, 256, 1) {
 		t.Error("prefill time not increasing in prompt length")
 	}
 	// At moderate prompt lengths prefill is dispatch/combine-bound:
 	// per-token comm bytes x tokens x layers / bandwidth.
-	want := l.commBytesPerToken() * 512 * float64(l.Model.Layers) / l.InterconnectBW
-	if got := l.PrefillTime(512); math.Abs(got-want)/want > 1e-12 {
+	want := lc.commPerToken * 512 * float64(l.Model.Layers) / l.InterconnectBW
+	if got := l.prefillTime(lc, 512, 1); math.Abs(got-want)/want > 1e-12 {
 		t.Errorf("prefill(512) = %v, want comm-bound %v", got, want)
 	}
 }
 
 // A prefill can never finish faster than the resident weights can be
-// streamed from HBM — the same memory-roofline leg DecodeStepTime pays.
+// streamed from HBM — the same memory-roofline leg a decode step pays.
 // For a one-token prompt both the compute and comm legs are negligible,
 // so the weight-streaming floor is the exact answer.
 func TestPrefillTimeWeightStreamingFloor(t *testing.T) {
 	l := V3LatencyModel()
+	lc := l.consts()
 	floor := l.WeightBytes / (l.Accel.MemBandwidth * l.Efficiency)
-	if got := l.PrefillTime(1); math.Abs(got-floor)/floor > 1e-12 {
+	if got := l.prefillTime(lc, 1, 1); math.Abs(got-floor)/floor > 1e-12 {
 		t.Errorf("prefill(1) = %v, want weight-streaming floor %v", got, floor)
 	}
 	for _, tokens := range []int{1, 8, 64, 512, 4096} {
-		if got := l.PrefillTime(tokens); got < floor {
+		if got := l.prefillTime(lc, tokens, 1); got < floor {
 			t.Errorf("prefill(%d) = %v beats the weight-streaming floor %v", tokens, got, floor)
 		}
 	}
@@ -270,7 +385,7 @@ func TestTraceReplayAnalytic(t *testing.T) {
 	const prompt, output = 600, 4
 	w := Workload{Arrival: ArrivalTrace, Trace: []Request{{Arrival: 0.5, PromptTokens: prompt, OutputTokens: output}}}
 	rep := mustRun(t, cfg, w)
-	wantTTFT := cfg.Latency.PrefillTime(prompt)
+	wantTTFT := cfg.Latency.prefillTime(cfg.Latency.consts(), prompt, 1)
 	if math.Abs(rep.TTFT.Mean-wantTTFT) > 1e-9 {
 		t.Errorf("TTFT %.6f, want prefill time %.6f", rep.TTFT.Mean, wantTTFT)
 	}

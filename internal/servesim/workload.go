@@ -206,7 +206,7 @@ func (w Workload) Validate() error {
 	if w.Turns < 0 {
 		return fmt.Errorf("servesim: negative session turns %d", w.Turns)
 	}
-	if w.ThinkTime < 0 || !finite(w.ThinkTime) {
+	if w.ThinkTime < 0 || !units.Finite(w.ThinkTime) {
 		return fmt.Errorf("servesim: think time must be finite and non-negative, got %v", w.ThinkTime)
 	}
 	if w.Arrival == ArrivalTrace {
@@ -217,24 +217,24 @@ func (w Workload) Validate() error {
 			return fmt.Errorf("servesim: trace workload with empty trace")
 		}
 		for i, r := range w.Trace {
-			if r.PromptTokens <= 0 || r.OutputTokens <= 0 || r.Arrival < 0 || !finite(r.Arrival) {
+			if r.PromptTokens <= 0 || r.OutputTokens <= 0 || r.Arrival < 0 || !units.Finite(r.Arrival) {
 				return fmt.Errorf("servesim: trace entry %d invalid: %+v", i, r)
 			}
 		}
 		return nil
 	}
-	if w.RatePerSec <= 0 || !finite(w.RatePerSec) {
+	if w.RatePerSec <= 0 || !units.Finite(w.RatePerSec) {
 		return fmt.Errorf("servesim: arrival rate must be positive and finite, got %v", w.RatePerSec)
 	}
 	if w.Requests <= 0 {
 		return fmt.Errorf("servesim: request count must be positive, got %d", w.Requests)
 	}
 	if w.Arrival == ArrivalBursty && (w.BurstOnMean <= 0 || w.BurstOffMean <= 0 ||
-		!finite(w.BurstOnMean) || !finite(w.BurstOffMean)) {
+		!units.Finite(w.BurstOnMean) || !units.Finite(w.BurstOffMean)) {
 		return fmt.Errorf("servesim: bursty arrivals need positive, finite on/off dwell means, got %v/%v",
 			w.BurstOnMean, w.BurstOffMean)
 	}
-	if w.Arrival == ArrivalDiurnal && (w.DiurnalPeriod <= 0 || !finite(w.DiurnalPeriod) ||
+	if w.Arrival == ArrivalDiurnal && (w.DiurnalPeriod <= 0 || !units.Finite(w.DiurnalPeriod) ||
 		!(w.DiurnalAmplitude >= 0 && w.DiurnalAmplitude <= 1)) {
 		return fmt.Errorf("servesim: diurnal arrivals need positive, finite period and amplitude in [0,1], got %v/%v",
 			w.DiurnalPeriod, w.DiurnalAmplitude)
@@ -244,11 +244,6 @@ func (w Workload) Validate() error {
 	}
 	return w.Output.Validate()
 }
-
-// finite reports whether x is neither NaN nor infinite. Every ordered
-// comparison with NaN is false, so the sign checks above let it
-// through without this.
-func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // maxContextTokens returns the worst-case final context length
 // (prompt + output) of any single request. Multi-turn sessions grow
@@ -420,7 +415,7 @@ func ParseTrace(r io.Reader) ([]Request, error) {
 		if err != nil {
 			return nil, fmt.Errorf("servesim: trace line %d: %w", line, err)
 		}
-		if arr < 0 || !finite(arr) {
+		if arr < 0 || !units.Finite(arr) {
 			return nil, fmt.Errorf("servesim: trace line %d: arrival must be finite and non-negative, got %v", line, arr)
 		}
 		if prompt < 0 {

@@ -6,7 +6,10 @@
 // simulator; this package owns the conversions at the edges.
 package units
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Common byte sizes.
 const (
@@ -38,6 +41,10 @@ type BytesPerSecond = float64
 
 // Seconds is a duration in seconds.
 type Seconds = float64
+
+// Finite reports whether x is neither NaN nor infinite. Every ordered
+// comparison with NaN is false, so a sign check alone lets NaN through.
+func Finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // GbpsToBytes converts a line rate in gigabits per second to bytes per
 // second (decimal): 400 Gbps -> 50e9 B/s.

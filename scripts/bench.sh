@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Benchmark snapshot: runs the microbenchmark suite (-benchmem) and the
-# end-to-end dsv3bench wall clock, and emits BENCH_<date>[_label].json
+# end-to-end dsv3bench wall clock (suite totals plus per-experiment
+# wall time of the serial run), and emits BENCH_<date>[_label].json
 # so the performance trajectory is trackable across PRs.
 #
 # Usage:
@@ -32,9 +33,18 @@ t0="$(date +%s.%N)"
 t1="$(date +%s.%N)"
 suite_parallel="$(echo "$t1 $t0" | awk '{printf "%.3f", $1-$2}')"
 t0="$(date +%s.%N)"
-/tmp/dsv3bench-snapshot -parallel=false >/dev/null 2>&1
+serial_err="$(/tmp/dsv3bench-snapshot -parallel=false 2>&1 >/dev/null)"
 t1="$(date +%s.%N)"
 suite_serial="$(echo "$t1 $t0" | awk '{printf "%.3f", $1-$2}')"
+# Per-experiment wall time from the serial run's stderr table
+# ("<name> <ms>ms" rows after the "--- wall time" header). One JSON
+# object on one line: bench_compare.sh's "name": parser must not see it.
+experiment_wall="$(awk '
+  /^--- wall time/ { on=1; next }
+  on && NF == 2 && $1 != "total" {
+    ms=$2; sub(/ms$/, "", ms)
+    printf "%s\"%s\": %s", sep, $1, ms; sep=", "
+  }' <<<"$serial_err")"
 
 {
   printf '{\n'
@@ -44,6 +54,7 @@ suite_serial="$(echo "$t1 $t0" | awk '{printf "%.3f", $1-$2}')"
   printf '  "cpus": %s,\n' "$(nproc)"
   printf '  "suite_wall_seconds_parallel": %s,\n' "$suite_parallel"
   printf '  "suite_wall_seconds_serial": %s,\n' "$suite_serial"
+  printf '  "experiment_wall_ms": {%s},\n' "$experiment_wall"
   printf '  "benchmarks": [\n'
   echo "$bench_raw" | awk '
     /^Benchmark/ {
