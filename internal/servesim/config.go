@@ -53,7 +53,7 @@ type FleetConfig struct {
 	// ColocatedStride is the minimum number of decode steps a
 	// colocated instance runs between stall-the-world prefills (the
 	// decode-SLO-protecting policy; a prefill also runs whenever the
-	// instance has nothing to decode). Default 4.
+	// instance has nothing to decode). 0 means the default of 4.
 	ColocatedStride int
 
 	// MaxBatch caps the continuous-batching decode batch per instance.
@@ -94,6 +94,9 @@ func (f FleetConfig) Validate() error {
 	} else if f.PrefillInstances <= 0 || f.DecodeInstances <= 0 {
 		errs = append(errs, fmt.Errorf("servesim: disaggregated cluster needs prefill and decode instances, got %d+%d",
 			f.PrefillInstances, f.DecodeInstances))
+	}
+	if f.ColocatedStride < 0 {
+		errs = append(errs, fmt.Errorf("servesim: negative colocated stride %d", f.ColocatedStride))
 	}
 	if f.TransferBW < 0 {
 		errs = append(errs, fmt.Errorf("servesim: negative transfer bandwidth %v", f.TransferBW))

@@ -329,19 +329,11 @@ func ParseFaultEvents(s string) ([]FaultEvent, error) {
 		if !ok {
 			return nil, fmt.Errorf("servesim: fault %q: want kind@seconds:target", item)
 		}
-		var kind FaultKind
-		switch strings.TrimSpace(kindStr) {
-		case "crash":
-			kind = FaultCrash
-		case "recover":
-			kind = FaultRecover
-		case "drain":
-			kind = FaultDrain
-		case "degrade":
-			kind = FaultDegrade
-		case "heal":
-			kind = FaultHeal
-		default:
+		kind := FaultCrash
+		for kind <= FaultHeal && kind.String() != strings.TrimSpace(kindStr) {
+			kind++
+		}
+		if kind > FaultHeal {
 			return nil, fmt.Errorf("servesim: fault %q: unknown kind %q (want crash, recover, drain, degrade, or heal)", item, kindStr)
 		}
 		at, err := strconv.ParseFloat(strings.TrimSpace(atStr), 64)

@@ -2,11 +2,13 @@ package servesim
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
 	"testing"
 
+	"dsv3/internal/obs"
 	"dsv3/internal/units"
 )
 
@@ -221,6 +223,142 @@ func TestFifoTeardownLeavesNoPointers(t *testing.T) {
 	f.pop()
 	if f.buf[0] != nil {
 		t.Error("pop left the vacated slot pointing at a request")
+	}
+}
+
+// lifecycleTracer records instance incidents and prefill compute
+// slices; every other hook goes to the embedded TraceRecorder.
+type lifecycleTracer struct {
+	*obs.TraceRecorder
+	incidents map[bool][]string // by pool (prefill?): "p0 degrade", ...
+	prefills  []prefillSlice
+}
+
+type prefillSlice struct {
+	inst       int
+	start, dur units.Seconds
+}
+
+func (r *lifecycleTracer) Incident(t units.Seconds, prefill bool, inst int, kind string) {
+	pool := "d"
+	if prefill {
+		pool = "p"
+	}
+	r.incidents[prefill] = append(r.incidents[prefill], fmt.Sprintf("%s%d %s", pool, inst, kind))
+}
+
+func (r *lifecycleTracer) Compute(start, dur units.Seconds, prefill bool, inst int, kind obs.ComputeKind, v int) {
+	if prefill && kind == obs.ComputePrefill {
+		r.prefills = append(r.prefills, prefillSlice{inst, start, dur})
+	}
+}
+
+// Every fault kind runs on both pools through the one instance
+// lifecycle: each transition is traced on the right pool, leaves the
+// right final health, a degraded prefill instance prefills slower for
+// exactly its degraded span, and crashes on either pool report their
+// incident rows.
+func TestFaultKindsOnBothPools(t *testing.T) {
+	const prompt = 1024
+	cfg := V3ServeConfig()
+	cfg.Fleet.PrefillInstances, cfg.Fleet.DecodeInstances = 2, 2
+	cfg.Resilience.Retry = DefaultRetryPolicy()
+	cfg.Resilience.Faults = &FaultPlan{Events: []FaultEvent{
+		{At: 1, Kind: FaultDegrade, Prefill: true, Instance: 0, FailedPlanes: 4},
+		{At: 1, Kind: FaultDegrade, Instance: 0, FailedPlanes: 4},
+		{At: 3, Kind: FaultHeal, Prefill: true, Instance: 0},
+		{At: 3, Kind: FaultHeal, Instance: 0},
+		{At: 3.5, Kind: FaultDrain, Instance: 0},
+		{At: 4, Kind: FaultDrain, Prefill: true, Instance: 1},
+		{At: 4, Kind: FaultRecover, Instance: 0},
+		{At: 5, Kind: FaultCrash, Prefill: true, Instance: 0},
+		{At: 5, Kind: FaultCrash, Instance: 1},
+		{At: 6, Kind: FaultRecover, Prefill: true, Instance: 0},
+	}}
+	w := Workload{Arrival: ArrivalPoisson, RatePerSec: 8, Requests: 80, Prompt: Fixed(prompt), Output: Fixed(64)}
+	tr := &lifecycleTracer{TraceRecorder: obs.NewTraceRecorder(), incidents: map[bool][]string{}}
+	eng := NewEngine()
+	eng.AttachTracer(tr)
+	r, err := eng.Run(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Completed+r.Failed+r.Shed != r.Requests {
+		t.Fatalf("conservation: %d completed + %d failed + %d shed != %d offered",
+			r.Completed, r.Failed, r.Shed, r.Requests)
+	}
+
+	wantIncidents := map[bool][]string{
+		true:  {"p0 degrade", "p0 heal", "p1 drain", "p0 crash", "p0 recover"},
+		false: {"d0 degrade", "d0 heal", "d0 drain", "d0 recover", "d1 crash"},
+	}
+	for _, prefill := range []bool{true, false} {
+		if got := tr.incidents[prefill]; !slices.Equal(got, wantIncidents[prefill]) {
+			t.Errorf("prefill=%v incidents %q, want %q", prefill, got, wantIncidents[prefill])
+		}
+	}
+
+	for _, c := range []struct {
+		prefill bool
+		inst    int
+		want    healthState
+	}{
+		{true, 0, healthUp}, {true, 1, healthDraining},
+		{false, 0, healthUp}, {false, 1, healthDown},
+	} {
+		u := eng.unit(c.prefill, c.inst)
+		if u.health != c.want || u.commScale != 1 {
+			t.Errorf("prefill=%v inst %d ends %d (comm x%v), want %d (x1)", c.prefill, c.inst, u.health, u.commScale, c.want)
+		}
+	}
+
+	// Before the crashes nothing re-prefills, so every prefill slice
+	// processes exactly the prompt: p0 pays the 4-of-8-planes comm
+	// slowdown while degraded, every other slice the healthy time.
+	healthy := cfg.Latency.prefillTime(eng.lc, prompt, 1)
+	degraded := cfg.Latency.prefillTime(eng.lc, prompt, 2)
+	if degraded <= healthy {
+		t.Fatalf("degraded prefill %v not slower than healthy %v", degraded, healthy)
+	}
+	var slow, fast int
+	for _, s := range tr.prefills {
+		if s.start >= 5 {
+			continue
+		}
+		want := healthy
+		if s.inst == 0 && s.start >= 1 && s.start < 3 {
+			want, slow = degraded, slow+1
+		} else if s.inst == 0 {
+			fast++
+		}
+		if s.dur != want {
+			t.Errorf("p%d prefill at %.3f took %v, want %v", s.inst, s.start, s.dur, want)
+		}
+	}
+	if slow == 0 || fast == 0 {
+		t.Errorf("p0 ran %d degraded and %d healthy prefills, want both > 0", slow, fast)
+	}
+
+	if len(r.Incidents) != 2 {
+		t.Fatalf("incidents %+v, want the two crashes", r.Incidents)
+	}
+	for i, want := range []Incident{
+		{At: 5, Instance: 0, Prefill: true, Kind: "crash"},
+		{At: 5, Instance: 1, Kind: "crash"},
+	} {
+		got := r.Incidents[i]
+		if got.At != want.At || got.Instance != want.Instance || got.Prefill != want.Prefill || got.Kind != want.Kind {
+			t.Errorf("incident %d = %+v, want %+v", i, got, want)
+		}
+	}
+	if in := r.Incidents[0]; in.Orphaned > 1 || (in.Orphaned == 1) != (in.KVTokensLost == prompt) {
+		t.Errorf("prefill crash orphaned %d / lost %d tokens, want at most its one in-flight prompt", in.Orphaned, in.KVTokensLost)
+	}
+	if in := r.Incidents[1]; in.Orphaned == 0 || in.KVTokensLost == 0 {
+		t.Errorf("decode crash under load orphaned %d / lost %d tokens, want > 0", in.Orphaned, in.KVTokensLost)
+	}
+	if got := r.Incidents[0].KVTokensLost + r.Incidents[1].KVTokensLost; r.KVTokensLost != got {
+		t.Errorf("report KV lost %d, incidents sum %d", r.KVTokensLost, got)
 	}
 }
 

@@ -334,51 +334,13 @@ func (e *Engine) sdcStep() (corrupt, detected bool) {
 }
 
 // quarantine takes a decode instance out of service after a detected
-// SDC: active, pending, reloading and in-flight-prefill requests are
-// orphaned into the retry path (their outputs cannot be trusted), the
-// KV pool is freed wholesale, and the instance waits for an optional
-// repair. Structurally a crash with a different health terminal and an
-// "sdc" incident kind.
+// SDC: everything it holds is orphaned into the retry path (the
+// outputs cannot be trusted) exactly as in a crash, but the instance
+// lands in healthQuarantined with an "sdc" incident and waits for an
+// optional repair.
 func (e *Engine) quarantine(inst int) {
-	d := &e.decodes[inst]
-	e.trIncident(false, inst, "quarantine")
-	inc := Incident{At: e.now, Instance: inst, Kind: "sdc"}
-	for _, req := range d.active {
-		inc.Orphaned++
-		inc.KVTokensLost += req.ctx
-		e.orphan(req)
-	}
-	clearPtrs(d.active)
-	d.active = d.active[:0]
-	for _, req := range d.reloads {
-		inc.Orphaned++
-		inc.KVTokensLost += req.ctx
-		e.orphan(req)
-	}
-	clearPtrs(d.reloads)
-	d.reloads = d.reloads[:0]
-	for d.pending.len() > 0 {
-		inc.Orphaned++
-		e.orphan(d.pending.pop())
-	}
-	d.pending.reset()
-	if d.prefilling && d.prefillReq != nil {
-		inc.Orphaned++
-		inc.KVTokensLost += d.prefillReq.ctxForPrefill()
-		e.orphan(d.prefillReq)
-	}
-	d.prefillReq = nil
-	d.prefilling = false
-	d.stepping = false
-	d.kv.used = 0
-	d.epoch++
-	e.noteHealth(d.health, healthQuarantined)
-	d.health = healthQuarantined
-	e.kvLost += inc.KVTokensLost
-	e.incidents = append(e.incidents, inc)
-	if e.hz.repair > 0 {
-		e.schedule(e.now+e.hz.repair, evFaultRecover, inst, nil)
-	}
+	e.takeDown(false, inst, healthQuarantined, "quarantine", "sdc")
+	e.scheduleRecover(false, inst, e.hz.repair)
 }
 
 // noteStepEWMA folds a completed step's observed-vs-expected time
@@ -421,8 +383,7 @@ func (e *Engine) noteStepEWMA(inst int) {
 		return
 	}
 	e.trIncident(false, inst, "gray-drain")
-	e.noteHealth(d.health, healthDraining)
-	d.health = healthDraining
+	e.setHealth(&d.unitState, healthDraining)
 	hz.grayDrained[inst] = true
 	hz.grayDrains++
 	e.incidents = append(e.incidents, Incident{At: e.now, Instance: inst, Kind: "gray-drain"})

@@ -24,8 +24,9 @@ type KVConfig struct {
 
 // Validate checks the configuration.
 func (k KVConfig) Validate() error {
-	if k.CapacityBytes <= 0 || k.PageTokens <= 0 || k.BytesPerElem <= 0 {
-		return fmt.Errorf("servesim: non-positive KV config %+v", k)
+	if k.CapacityBytes <= 0 || k.PageTokens <= 0 || k.BytesPerElem <= 0 ||
+		!units.Finite(k.CapacityBytes) || !units.Finite(k.BytesPerElem) {
+		return fmt.Errorf("servesim: non-positive or non-finite KV config %+v", k)
 	}
 	return nil
 }
@@ -49,13 +50,8 @@ func (k KVConfig) TotalPages(m *model.Config) int {
 // pages are interchangeable — what matters for the simulation is
 // exhaustion, admission, and occupancy, not page identity.
 type kvPool struct {
-	cfg   KVConfig
 	total int
 	used  int
-}
-
-func newKVPool(cfg KVConfig, m *model.Config) *kvPool {
-	return &kvPool{cfg: cfg, total: cfg.TotalPages(m)}
 }
 
 // tryAlloc claims n pages, reporting whether they were available.
@@ -77,11 +73,3 @@ func (p *kvPool) release(n int) {
 
 // free returns the available pages.
 func (p *kvPool) free() int { return p.total - p.used }
-
-// occupancy returns the used fraction in [0,1].
-func (p *kvPool) occupancy() float64 {
-	if p.total == 0 {
-		return 0
-	}
-	return float64(p.used) / float64(p.total)
-}

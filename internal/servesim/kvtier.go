@@ -40,16 +40,21 @@ type KVTierConfig struct {
 // Validate checks the tier parameters, reporting every problem at once.
 func (t KVTierConfig) Validate() error {
 	var errs []error
-	if t.CapacityBytes <= 0 {
-		errs = append(errs, fmt.Errorf("non-positive capacity %v", t.CapacityBytes))
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"capacity", t.CapacityBytes}, {"read bandwidth", t.ReadBW}, {"write bandwidth", t.WriteBW}} {
+		switch {
+		case !units.Finite(f.v):
+			errs = append(errs, fmt.Errorf("non-finite %s %v", f.name, f.v))
+		case f.v <= 0:
+			errs = append(errs, fmt.Errorf("non-positive %s %v", f.name, f.v))
+		}
 	}
-	if t.ReadBW <= 0 {
-		errs = append(errs, fmt.Errorf("non-positive read bandwidth %v", t.ReadBW))
-	}
-	if t.WriteBW <= 0 {
-		errs = append(errs, fmt.Errorf("non-positive write bandwidth %v", t.WriteBW))
-	}
-	if t.ChunkLatency < 0 {
+	switch {
+	case !units.Finite(t.ChunkLatency):
+		errs = append(errs, fmt.Errorf("non-finite chunk latency %v", t.ChunkLatency))
+	case t.ChunkLatency < 0:
 		errs = append(errs, fmt.Errorf("negative chunk latency %v", t.ChunkLatency))
 	}
 	return errors.Join(errs...)
@@ -408,31 +413,10 @@ func (e *Engine) offloadVictim(d *decodeUnit, req *reqState) bool {
 	if !h.on || e.cfg.Fleet.Colocated {
 		return false
 	}
-	chunks := h.chunksFor(req.ctx)
-	tier := -1
-	for i := range h.caps {
-		if chunks <= h.caps[i] {
-			tier = i
-			break
-		}
-	}
-	if tier < 0 {
+	idx, ok := e.tierStore(offEntry{req: req, tokens: req.ctx})
+	if !ok {
 		return false
 	}
-	e.tierEnsure(tier, chunks)
-	h.used[tier] += chunks
-	b := float64(chunks) * h.chunkBytes
-	h.bytesOut[0] += b
-	h.bytesIn[tier+1] += b
-	h.touchSeq++
-	idx := h.allocEntry(offEntry{
-		req:    req,
-		tokens: req.ctx,
-		chunks: chunks,
-		tier:   tier,
-		touch:  h.touchSeq,
-		ready:  e.now + e.tierXfer(tier, chunks, false),
-	})
 	req.entry = idx + 1
 	h.offloads++
 	d.pending.push(req)
@@ -482,7 +466,7 @@ func (e *Engine) reloadDone(inst int, req *reqState) {
 		d.kv.release(req.pages)
 		req.pages = 0
 		e.hedgeDrop(req)
-		if !d.stepping && !d.prefilling {
+		if !d.stepping && d.prefill == nil {
 			e.startStep(inst)
 		}
 		return
@@ -492,7 +476,7 @@ func (e *Engine) reloadDone(inst int, req *reqState) {
 	e.trPhaseEnd(req)
 	e.trPhaseBegin(req, obs.PhaseDecode, inst)
 	d.active = append(d.active, req)
-	if !d.stepping && !d.prefilling {
+	if !d.stepping && d.prefill == nil {
 		e.startStep(inst)
 	}
 }
@@ -514,31 +498,33 @@ func (e *Engine) prefixStore(req *reqState) {
 		delete(h.bySession, req.Session)
 		h.freeEntry(old)
 	}
-	chunks := h.chunksFor(req.ctx)
-	tier := -1
-	for i := range h.caps {
-		if chunks <= h.caps[i] {
-			tier = i
-			break
+	if idx, ok := e.tierStore(offEntry{session: req.Session, tokens: req.ctx}); ok {
+		h.bySession[req.Session] = idx
+	}
+}
+
+// tierStore writes an entry's chunks from HBM into the first tier that
+// can ever hold them, making room there by demotion, and returns the
+// entry's index. The write-back is asynchronous: it is charged onto the
+// entry's ready time. ok is false when no tier is large enough.
+func (e *Engine) tierStore(ent offEntry) (idx int, ok bool) {
+	h := &e.hier
+	ent.chunks = h.chunksFor(ent.tokens)
+	for tier := range h.caps {
+		if ent.chunks > h.caps[tier] {
+			continue
 		}
+		e.tierEnsure(tier, ent.chunks)
+		h.used[tier] += ent.chunks
+		b := float64(ent.chunks) * h.chunkBytes
+		h.bytesOut[0] += b
+		h.bytesIn[tier+1] += b
+		h.touchSeq++
+		ent.tier, ent.touch = tier, h.touchSeq
+		ent.ready = e.now + e.tierXfer(tier, ent.chunks, false)
+		return h.allocEntry(ent), true
 	}
-	if tier < 0 {
-		return
-	}
-	e.tierEnsure(tier, chunks)
-	h.used[tier] += chunks
-	b := float64(chunks) * h.chunkBytes
-	h.bytesOut[0] += b
-	h.bytesIn[tier+1] += b
-	h.touchSeq++
-	h.bySession[req.Session] = h.allocEntry(offEntry{
-		session: req.Session,
-		tokens:  req.ctx,
-		chunks:  chunks,
-		tier:    tier,
-		touch:   h.touchSeq,
-		ready:   e.now + e.tierXfer(tier, chunks, false),
-	})
+	return 0, false
 }
 
 // prefillCost is the prefill duration for a request, with the prefix

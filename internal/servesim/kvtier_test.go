@@ -1,6 +1,7 @@
 package servesim
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -75,6 +76,11 @@ func TestParseKVTiersRejects(t *testing.T) {
 		{"cap8,read=6", `clause "cap8" is not key=value`},
 		{"cap=-3,read=6", "kv tier 1: non-positive capacity"},
 		{"cap=8,read=6/cap=1,read=0", "kv tier 2: non-positive read bandwidth"},
+		{"name=dram,cap=8,read=NaN", "kv tier 1: non-finite read bandwidth NaN"},
+		{"cap=NaN,read=6", "kv tier 1: non-finite capacity NaN"},
+		{"cap=Inf,read=6", "kv tier 1: non-finite capacity +Inf"},
+		{"cap=8,read=6,write=Inf", "kv tier 1: non-finite write bandwidth +Inf"},
+		{"cap=8,read=6,lat=NaN", "kv tier 1: non-finite chunk latency NaN"},
 	}
 	for _, c := range cases {
 		_, err := ParseKVTiers(c.spec)
@@ -114,6 +120,30 @@ func TestKVHierarchyValidate(t *testing.T) {
 	k.ChunkTokens = 0
 	if err := k.Validate(); err == nil || !strings.Contains(err.Error(), "prefix cache needs") {
 		t.Errorf("prefix cache without tiers not rejected: %v", err)
+	}
+
+	// Non-finite sizes and rates are rejected, not silently run.
+	nan, inf := math.NaN(), math.Inf(1)
+	hbm := KVConfig{CapacityBytes: units.GB, PageTokens: 64, BytesPerElem: 1}
+	tier := KVTierConfig{Name: "dram", CapacityBytes: units.GB, ReadBW: units.GB, WriteBW: units.GB}
+	for _, c := range []struct {
+		name string
+		mut  func(*KVHierarchy)
+		want string
+	}{
+		{"NaN HBM capacity", func(k *KVHierarchy) { k.HBM.CapacityBytes = nan }, "non-finite KV config"},
+		{"+Inf HBM capacity", func(k *KVHierarchy) { k.HBM.CapacityBytes = inf }, "non-finite KV config"},
+		{"+Inf bytes per elem", func(k *KVHierarchy) { k.HBM.BytesPerElem = inf }, "non-finite KV config"},
+		{"NaN tier capacity", func(k *KVHierarchy) { k.Tiers[0].CapacityBytes = nan }, "KV tier 1 (dram): non-finite capacity NaN"},
+		{"+Inf read bandwidth", func(k *KVHierarchy) { k.Tiers[0].ReadBW = inf }, "non-finite read bandwidth +Inf"},
+		{"NaN write bandwidth", func(k *KVHierarchy) { k.Tiers[0].WriteBW = nan }, "non-finite write bandwidth NaN"},
+		{"+Inf chunk latency", func(k *KVHierarchy) { k.Tiers[0].ChunkLatency = inf }, "non-finite chunk latency +Inf"},
+	} {
+		k := KVHierarchy{HBM: hbm, Tiers: []KVTierConfig{tier}}
+		c.mut(&k)
+		if err := k.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate() = %v, want %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -209,22 +209,26 @@ func (h healthState) servable() bool { return h == healthUp || h == healthDegrad
 // dead reports whether the instance holds nothing (crash-like states).
 func (h healthState) dead() bool { return h == healthDown || h == healthQuarantined }
 
-// prefillUnit is one prefill (or the prefill half of a colocated)
-// instance.
-type prefillUnit struct {
-	busy bool
-	// cur is the in-flight prefill (orphaned if the instance crashes);
-	// epoch invalidates the matching evPrefillDone after a crash.
-	cur    *reqState
-	epoch  int
+// unitState is the lifecycle record every instance carries, prefill or
+// decode: e.prefills holds it bare, decodeUnit embeds it, so one fault
+// switch (applyFault) and one teardown (takeDown) serve both pools.
+type unitState struct {
 	health healthState
+	// epoch invalidates the events a dead incarnation scheduled
+	// (evPrefillDone, evStepDone, evReloadDone) after a takedown.
+	epoch int
 	// commScale is the comm-leg slowdown of the instance's EP all-to-all
 	// (1 = healthy, T/(T-k) after a FaultDegrade of k of T planes).
 	commScale float64
+	// prefill is the in-flight prefill — a prefill instance's current
+	// request or a colocated instance's stall-the-world prefill — nil
+	// when none runs; it is orphaned if the instance goes down.
+	prefill *reqState
 }
 
 // decodeUnit is one decode (or colocated) instance.
 type decodeUnit struct {
+	unitState
 	active  []*reqState
 	pending fifo // landed, waiting for batch slot + KV pages
 	// reloads holds admitted requests whose offloaded KV is in flight
@@ -233,13 +237,7 @@ type decodeUnit struct {
 	reloads  []*reqState
 	kv       kvPool
 	stepping bool
-	epoch    int
-	health   healthState
-	// commScale is the comm-leg slowdown (see prefillUnit.commScale).
-	commScale float64
 	// colocated bookkeeping
-	prefilling   bool
-	prefillReq   *reqState // in-flight stall-the-world prefill
 	sincePrefill int
 	admitCounter int
 }
@@ -254,11 +252,7 @@ func (d *decodeUnit) reset(kv kvPool) {
 	d.pending.reset()
 	d.kv = kv
 	d.stepping = false
-	d.epoch = 0
-	d.health = healthUp
-	d.commScale = 1
-	d.prefilling = false
-	d.prefillReq = nil
+	d.unitState = unitState{commScale: 1}
 	d.sincePrefill = 0
 	d.admitCounter = 0
 }
@@ -321,7 +315,7 @@ type Engine struct {
 	reqs     []Request  // generated workload scratch
 	arena    []reqState // one entry per request, pointer-stable within a run
 	prefillQ fifo
-	prefills []prefillUnit // empty when colocated
+	prefills []unitState // empty when colocated
 	decodes  []decodeUnit
 	// idlePrefills counts prefill units that are idle and healthy — the
 	// dispatch candidate set size — so the post-event dispatch call can
@@ -415,11 +409,8 @@ func Run(cfg Config, w Workload) (*Report, error) {
 
 // Run simulates the workload, reusing the engine's buffers.
 func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
-	if cfg.Fleet.ColocatedStride <= 0 {
+	if cfg.Fleet.ColocatedStride == 0 {
 		cfg.Fleet.ColocatedStride = 4
-	}
-	if len(cfg.KV.Tiers) > 0 && cfg.KV.ChunkTokens <= 0 {
-		cfg.KV.ChunkTokens = DefaultChunkTokens
 	}
 	if err := cfg.validateRun(w); err != nil {
 		return nil, err
@@ -460,11 +451,11 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 	}
 	nPrefill, nDecode := cfg.Fleet.shape()
 	if cap(e.prefills) < nPrefill {
-		e.prefills = make([]prefillUnit, nPrefill)
+		e.prefills = make([]unitState, nPrefill)
 	}
 	e.prefills = e.prefills[:nPrefill]
 	for i := range e.prefills {
-		e.prefills[i] = prefillUnit{commScale: 1}
+		e.prefills[i] = unitState{commScale: 1}
 	}
 	e.idlePrefills = nPrefill
 	if cap(e.decodes) < nDecode {
@@ -473,7 +464,7 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 		e.decodes = next
 	}
 	e.decodes = e.decodes[:nDecode]
-	kv := kvPool{cfg: cfg.KV.HBM, total: cfg.KV.HBM.TotalPages(cfg.Latency.Model)}
+	kv := kvPool{total: cfg.KV.HBM.TotalPages(cfg.Latency.Model)}
 	for i := range e.decodes {
 		e.decodes[i].reset(kv)
 	}
@@ -577,7 +568,7 @@ func (e *Engine) processEvent(ev *event) (stop bool, err error) {
 		e.trPhaseEnd(ev.req)
 		e.trPhaseBegin(ev.req, obs.PhaseQueue, ev.inst)
 		d.pending.push(ev.req)
-		if !d.stepping && !d.prefilling {
+		if !d.stepping && d.prefill == nil {
 			e.startStep(ev.inst)
 		}
 	case evStepDone:
@@ -592,11 +583,11 @@ func (e *Engine) processEvent(ev *event) (stop bool, err error) {
 	case evFaultRandom:
 		e.randomCrash()
 	case evFaultRecover:
-		if ev.inst >= 0 {
-			e.applyFault(FaultEvent{Kind: FaultRecover, Instance: ev.inst})
-		} else {
-			e.applyFault(FaultEvent{Kind: FaultRecover, Prefill: true, Instance: -(ev.inst + 1)})
+		fe := FaultEvent{Kind: FaultRecover, Instance: ev.inst}
+		if fe.Instance < 0 {
+			fe.Prefill, fe.Instance = true, -(fe.Instance + 1)
 		}
+		e.applyFault(fe)
 	case evRetry:
 		req := ev.req
 		if req.hstate == hzLost {
@@ -692,7 +683,7 @@ func (e *Engine) dispatch() {
 			if e.prefillQ.len() == 0 {
 				return
 			}
-			if d := &e.decodes[i]; d.health.servable() && !d.stepping && !d.prefilling {
+			if d := &e.decodes[i]; d.health.servable() && !d.stepping && d.prefill == nil {
 				e.startStep(i)
 			}
 		}
@@ -705,7 +696,7 @@ func (e *Engine) dispatch() {
 	// invisible to the router (degraded ones still serve, slower).
 	idle := e.loads[:0]
 	for i := range e.prefills {
-		if p := &e.prefills[i]; !p.busy && p.health.servable() {
+		if p := &e.prefills[i]; p.prefill == nil && p.health.servable() {
 			idle = append(idle, InstanceLoad{Instance: i})
 		}
 	}
@@ -715,9 +706,8 @@ func (e *Engine) dispatch() {
 		idle = append(idle[:k], idle[k+1:]...)
 		req := e.prefillQ.pop()
 		p := &e.prefills[inst]
-		p.busy = true
+		p.prefill = req
 		e.idlePrefills--
-		p.cur = req
 		cost := e.prefillCost(req, p.commScale)
 		e.trPhaseEnd(req)
 		e.trPhaseBegin(req, obs.PhasePrefill, inst)
@@ -750,20 +740,17 @@ func (r *reqState) ctxForPrefill() int {
 // KV moves to a decode instance.
 func (e *Engine) prefillDone(ev *event) {
 	req := ev.req
-	if e.cfg.Fleet.Colocated {
-		if e.decodes[ev.inst].epoch != ev.epoch {
-			return // the instance crashed mid-prefill; req was orphaned then
-		}
+	colocated := e.cfg.Fleet.Colocated
+	u := e.unit(!colocated, ev.inst)
+	if u.epoch != ev.epoch {
+		return // the instance crashed mid-prefill; req was orphaned then
+	}
+	u.prefill = nil
+	if colocated {
 		e.colocatedPrefillDone(ev.inst, req)
 		return
 	}
-	p := &e.prefills[ev.inst]
-	if p.epoch != ev.epoch {
-		return // the instance crashed mid-prefill; req was orphaned then
-	}
-	p.busy = false
-	p.cur = nil
-	if p.health.servable() {
+	if u.health.servable() {
 		e.idlePrefills++
 	}
 	if req.hstate == hzLost {
@@ -868,8 +855,7 @@ func (e *Engine) startStep(inst int) {
 		if d.kv.tryAlloc(pages) {
 			e.prefillQ.pop()
 			req.pages = pages
-			d.prefilling = true
-			d.prefillReq = req
+			d.prefill = req
 			e.notePeakOcc()
 			cost := e.prefillCost(req, d.commScale)
 			e.trPhaseEnd(req)
@@ -963,12 +949,11 @@ func (e *Engine) startStep(inst int) {
 }
 
 // colocatedPrefillDone finishes a stall-the-world prefill on a
-// colocated instance: the request joins that instance's batch directly
-// (its KV pages were reserved at prefill start).
+// colocated instance (prefillDone has cleared d.prefill): the request
+// joins that instance's batch directly (its KV pages were reserved at
+// prefill start).
 func (e *Engine) colocatedPrefillDone(inst int, req *reqState) {
 	d := &e.decodes[inst]
-	d.prefilling = false
-	d.prefillReq = nil
 	d.sincePrefill = 0
 	if req.hstate == hzLost {
 		d.kv.release(req.pages)
@@ -1177,11 +1162,20 @@ func (e *Engine) notePeakOcc() {
 	}
 }
 
-// noteHealth tracks fleet degradation across one instance's health
-// transition, opening/closing the degraded span that splits SLO
-// attainment by fault epoch.
-func (e *Engine) noteHealth(from, to healthState) {
-	wasUp, isUp := from == healthUp, to == healthUp
+// unit returns the lifecycle record of a prefill or decode instance.
+func (e *Engine) unit(prefill bool, inst int) *unitState {
+	if prefill {
+		return &e.prefills[inst]
+	}
+	return &e.decodes[inst].unitState
+}
+
+// setHealth moves an instance to a new health state, tracking fleet
+// degradation across the transition: it opens/closes the degraded span
+// that splits SLO attainment by fault epoch.
+func (e *Engine) setHealth(u *unitState, to healthState) {
+	wasUp, isUp := u.health == healthUp, to == healthUp
+	u.health = to
 	if wasUp == isUp {
 		return
 	}
@@ -1198,89 +1192,55 @@ func (e *Engine) noteHealth(from, to healthState) {
 	e.downCount++
 }
 
-// applyFault applies one scheduled incident to an instance. Crashing a
-// down instance, recovering an up one, draining a non-servable one,
-// degrading a non-up one or healing a non-degraded one are no-ops on
-// health, so fault scripts compose without ordering hazards. Degrade
-// and heal always set the comm scale, whatever the health.
+// applyFault applies one incident to a prefill or decode instance.
+// Crashing a down instance, recovering an up one, draining a
+// non-servable one, degrading a non-up one or healing a non-degraded
+// one are no-ops on health, so fault scripts compose without ordering
+// hazards. Degrade and heal always set the comm scale, whatever the
+// health.
 func (e *Engine) applyFault(ev FaultEvent) {
-	inst := ev.Instance
-	if ev.Prefill {
-		p := &e.prefills[inst]
-		switch ev.Kind {
-		case FaultCrash:
-			if !p.health.dead() {
-				e.crashPrefill(inst)
-			}
-		case FaultRecover:
-			if p.health != healthUp {
-				e.trIncident(true, inst, "recover")
-			}
-			e.noteHealth(p.health, healthUp)
-			p.health = healthUp
-		case FaultDrain:
-			if p.health.servable() {
-				e.trIncident(true, inst, "drain")
-				e.noteHealth(p.health, healthDraining)
-				p.health = healthDraining
-			}
-		case FaultDegrade:
-			p.commScale = ev.commScale()
-			if p.health == healthUp {
-				e.trIncident(true, inst, "degrade")
-				e.noteHealth(healthUp, healthDegraded)
-				p.health = healthDegraded
-			}
-		case FaultHeal:
-			p.commScale = 1
-			if p.health == healthDegraded {
-				e.trIncident(true, inst, "heal")
-				e.noteHealth(healthDegraded, healthUp)
-				p.health = healthUp
-			}
+	prefill, inst := ev.Prefill, ev.Instance
+	u := e.unit(prefill, inst)
+	switch ev.Kind {
+	case FaultCrash:
+		if !u.health.dead() {
+			e.takeDown(prefill, inst, healthDown, "crash", "crash")
 		}
+	case FaultRecover:
+		if u.health != healthUp {
+			e.trIncident(prefill, inst, "recover")
+		}
+		e.setHealth(u, healthUp)
+	case FaultDrain:
+		if u.health.servable() {
+			e.trIncident(prefill, inst, "drain")
+			e.setHealth(u, healthDraining)
+		}
+	case FaultDegrade:
+		u.commScale = ev.commScale()
+		if u.health == healthUp {
+			e.trIncident(prefill, inst, "degrade")
+			e.setHealth(u, healthDegraded)
+		}
+	case FaultHeal:
+		u.commScale = 1
+		// A degraded instance returns to full health; so does a decode
+		// straggler the detector drained, its cause now gone.
+		if u.health == healthDegraded ||
+			(!prefill && u.health == healthDraining && e.hz.on && e.hz.grayDrained[inst]) {
+			e.trIncident(prefill, inst, "heal")
+			e.setHealth(u, healthUp)
+		}
+	}
+	if prefill {
 		e.recountIdlePrefills()
 		return
 	}
-	d := &e.decodes[inst]
-	switch ev.Kind {
-	case FaultCrash:
-		if !d.health.dead() {
-			e.crashDecode(inst)
-		}
-	case FaultRecover:
-		if d.health != healthUp {
-			e.trIncident(false, inst, "recover")
-		}
-		e.noteHealth(d.health, healthUp)
-		d.health = healthUp
+	if ev.Kind == FaultRecover || ev.Kind == FaultHeal {
 		e.forgetStraggler(inst)
-	case FaultDrain:
-		if d.health.servable() {
-			e.trIncident(false, inst, "drain")
-			e.noteHealth(d.health, healthDraining)
-			d.health = healthDraining
-		}
-	case FaultDegrade:
-		d.commScale = ev.commScale()
-		if d.health == healthUp {
-			e.trIncident(false, inst, "degrade")
-			e.noteHealth(healthUp, healthDegraded)
-			d.health = healthDegraded
-		}
-	case FaultHeal:
-		d.commScale = 1
-		if d.health == healthDegraded || (d.health == healthDraining && e.hz.on && e.hz.grayDrained[inst]) {
-			// A degraded instance returns to full health; so does a
-			// straggler the detector drained, its cause now gone.
-			e.trIncident(false, inst, "heal")
-			e.noteHealth(d.health, healthUp)
-			d.health = healthUp
-		}
-		e.forgetStraggler(inst)
-		if !d.stepping && !d.prefilling {
-			e.startStep(inst)
-		}
+	}
+	if d := &e.decodes[inst]; ev.Kind == FaultHeal && !d.stepping && d.prefill == nil {
+		e.startStep(inst)
 	}
 }
 
@@ -1291,51 +1251,32 @@ func (e *Engine) applyFault(ev FaultEvent) {
 // fixed order, so the schedule is a pure function of the seed.
 func (e *Engine) randomCrash() {
 	plan := e.cfg.Resilience.Faults
-	n := len(e.prefills) + len(e.decodes)
-	pick := e.faultRng.Intn(n)
+	pick := e.faultRng.Intn(len(e.prefills) + len(e.decodes))
 	var repair units.Seconds
 	if plan.MTTR > 0 {
 		repair = e.faultRng.ExpFloat64() * plan.MTTR
 	}
-	if pick < len(e.prefills) {
-		if p := &e.prefills[pick]; !p.health.dead() {
-			e.crashPrefill(pick)
-			if repair > 0 {
-				e.schedule(e.now+repair, evFaultRecover, -(pick + 1), nil)
-			}
-		}
-	} else {
-		pick -= len(e.prefills)
-		if d := &e.decodes[pick]; !d.health.dead() {
-			e.crashDecode(pick)
-			if repair > 0 {
-				e.schedule(e.now+repair, evFaultRecover, pick, nil)
-			}
-		}
+	ev := FaultEvent{Kind: FaultCrash, Prefill: pick < len(e.prefills), Instance: pick}
+	if !ev.Prefill {
+		ev.Instance -= len(e.prefills)
+	}
+	if !e.unit(ev.Prefill, ev.Instance).health.dead() {
+		e.applyFault(ev)
+		e.scheduleRecover(ev.Prefill, ev.Instance, repair)
 	}
 	e.schedule(e.now+e.faultRng.ExpFloat64()*plan.MTBF, evFaultRandom, 0, nil)
 }
 
-// crashPrefill kills a prefill instance: the in-flight prefill (if any)
-// is orphaned — its partially built KV counts as lost tokens — and the
-// epoch bump invalidates the matching evPrefillDone still in the heap.
-func (e *Engine) crashPrefill(inst int) {
-	p := &e.prefills[inst]
-	e.trIncident(true, inst, "crash")
-	inc := Incident{At: e.now, Instance: inst, Prefill: true, Kind: "crash"}
-	if p.busy && p.cur != nil {
-		inc.Orphaned++
-		inc.KVTokensLost += p.cur.ctxForPrefill()
-		e.orphan(p.cur)
+// scheduleRecover repairs a taken-down instance after a dwell; a zero
+// dwell leaves it down for the rest of the run.
+func (e *Engine) scheduleRecover(prefill bool, inst int, after units.Seconds) {
+	if after <= 0 {
+		return
 	}
-	p.cur = nil
-	p.busy = false
-	p.epoch++
-	e.noteHealth(p.health, healthDown)
-	p.health = healthDown
-	e.kvLost += inc.KVTokensLost
-	e.incidents = append(e.incidents, inc)
-	e.recountIdlePrefills()
+	if prefill {
+		inst = -(inst + 1) // see evFaultRecover
+	}
+	e.schedule(e.now+after, evFaultRecover, inst, nil)
 }
 
 // recountIdlePrefills rebuilds the dispatch candidate count after a
@@ -1343,56 +1284,62 @@ func (e *Engine) crashPrefill(inst int) {
 func (e *Engine) recountIdlePrefills() {
 	n := 0
 	for i := range e.prefills {
-		if p := &e.prefills[i]; !p.busy && p.health.servable() {
+		if p := &e.prefills[i]; p.prefill == nil && p.health.servable() {
 			n++
 		}
 	}
 	e.idlePrefills = n
 }
 
-// crashDecode kills a decode (or colocated) instance: the active batch,
-// the landing queue and any stall-the-world prefill are orphaned, the
-// KV pool is freed wholesale, and the epoch bump invalidates the
-// instance's in-flight evStepDone/evPrefillDone events.
-func (e *Engine) crashDecode(inst int) {
-	d := &e.decodes[inst]
-	e.trIncident(false, inst, "crash")
-	inc := Incident{At: e.now, Instance: inst, Kind: "crash"}
-	for _, req := range d.active {
+// takeDown removes an instance from service, as a crash (to =
+// healthDown) or an SDC quarantine (to = healthQuarantined): every
+// request it holds is orphaned into the retry path, a decode
+// instance's KV pool is freed wholesale, and the epoch bump invalidates
+// the events its dead incarnation scheduled. The decode queues are
+// orphaned first — active batch, in-flight reloads, landing queue — and
+// the in-flight prefill last, because orphan order sets the order of
+// the retry events.
+func (e *Engine) takeDown(prefill bool, inst int, to healthState, traceKind, kind string) {
+	u := e.unit(prefill, inst)
+	e.trIncident(prefill, inst, traceKind)
+	inc := Incident{At: e.now, Instance: inst, Prefill: prefill, Kind: kind}
+	if !prefill {
+		d := &e.decodes[inst]
+		// Active and reloading requests hold pages on the dead pool and
+		// count as KV-resident context lost.
+		for _, req := range d.active {
+			inc.Orphaned++
+			inc.KVTokensLost += req.ctx
+			e.orphan(req)
+		}
+		clearPtrs(d.active)
+		d.active = d.active[:0]
+		for _, req := range d.reloads {
+			inc.Orphaned++
+			inc.KVTokensLost += req.ctx
+			e.orphan(req)
+		}
+		clearPtrs(d.reloads)
+		d.reloads = d.reloads[:0]
+		for d.pending.len() > 0 {
+			// Landed requests hold no pages yet; they are affected but
+			// add no KV loss.
+			inc.Orphaned++
+			e.orphan(d.pending.pop())
+		}
+		d.pending.reset()
+		d.stepping = false
+		d.kv.used = 0
+	}
+	if req := u.prefill; req != nil {
+		// Partially built prefill KV counts as lost.
 		inc.Orphaned++
-		inc.KVTokensLost += req.ctx
+		inc.KVTokensLost += req.ctxForPrefill()
 		e.orphan(req)
+		u.prefill = nil
 	}
-	clearPtrs(d.active)
-	d.active = d.active[:0]
-	for _, req := range d.reloads {
-		// In-flight reloads hold pages on the crashed pool and count as
-		// KV-resident context lost.
-		inc.Orphaned++
-		inc.KVTokensLost += req.ctx
-		e.orphan(req)
-	}
-	clearPtrs(d.reloads)
-	d.reloads = d.reloads[:0]
-	for d.pending.len() > 0 {
-		// Landed requests hold no pages yet; they are affected but add
-		// no KV loss.
-		inc.Orphaned++
-		e.orphan(d.pending.pop())
-	}
-	d.pending.reset()
-	if d.prefilling && d.prefillReq != nil {
-		inc.Orphaned++
-		inc.KVTokensLost += d.prefillReq.ctxForPrefill()
-		e.orphan(d.prefillReq)
-	}
-	d.prefillReq = nil
-	d.prefilling = false
-	d.stepping = false
-	d.kv.used = 0
-	d.epoch++
-	e.noteHealth(d.health, healthDown)
-	d.health = healthDown
+	u.epoch++
+	e.setHealth(u, to)
 	e.kvLost += inc.KVTokensLost
 	e.incidents = append(e.incidents, inc)
 }

@@ -293,12 +293,12 @@ func TestKVConfigPaging(t *testing.T) {
 	if want := int((1 << 30) / wantPage); total != want {
 		t.Errorf("TotalPages = %d, want %d", total, want)
 	}
-	p := newKVPool(k, m)
+	p := &kvPool{total: total}
 	if !p.tryAlloc(total) || p.tryAlloc(1) {
 		t.Error("pool over- or under-allocates")
 	}
 	p.release(total)
-	if p.used != 0 || p.occupancy() != 0 {
+	if p.used != 0 || p.free() != total {
 		t.Errorf("release did not restore pool: %+v", p)
 	}
 }
@@ -337,6 +337,46 @@ func TestValidateRejectsImpossibleKV(t *testing.T) {
 	_, err := Run(cfg, testWorkload(5, 10))
 	if err == nil || !strings.Contains(err.Error(), "worst-case request") {
 		t.Fatalf("want worst-case KV error, got %v", err)
+	}
+}
+
+// A negative colocated stride is rejected; 0 means the default of 4.
+func TestFleetConfigValidate(t *testing.T) {
+	base := V3ServeConfig().Fleet
+	for _, c := range []struct {
+		name string
+		mut  func(*FleetConfig)
+		want string
+	}{
+		{"colocated negative stride", func(f *FleetConfig) { f.Colocated, f.ColocatedStride = true, -3 }, "negative colocated stride -3"},
+		{"disaggregated negative stride", func(f *FleetConfig) { f.ColocatedStride = -1 }, "negative colocated stride -1"},
+	} {
+		f := base
+		c.mut(&f)
+		if err := f.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate() = %v, want %q", c.name, err, c.want)
+		}
+	}
+	cfg := V3ServeConfig()
+	cfg.Fleet.Colocated, cfg.Fleet.ColocatedStride = true, 0
+	if err := cfg.Fleet.Validate(); err != nil {
+		t.Fatalf("zero stride rejected: %v", err)
+	}
+	zero, err := json.Marshal(mustRun(t, cfg, testWorkload(6, 60)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Fleet.ColocatedStride = 4
+	four, err := json.Marshal(mustRun(t, cfg, testWorkload(6, 60)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(zero) != string(four) {
+		t.Error("stride 0 did not run as the default stride 4")
+	}
+	cfg.Fleet.ColocatedStride = -3
+	if _, err := Run(cfg, testWorkload(6, 60)); err == nil {
+		t.Error("Run accepted a negative colocated stride")
 	}
 }
 
