@@ -354,7 +354,7 @@ func BenchmarkServeEngineTraced(b *testing.B) {
 			{At: 14, Kind: FaultRecover, Instance: 1},
 		},
 	}
-	cfg.Resilience.Retry = DefaultServeRetryPolicy()
+	cfg.Resilience.MaxRetries = 3
 	w := ServeWorkload{
 		Arrival:    ArrivalPoisson,
 		RatePerSec: 2.5,
@@ -405,11 +405,11 @@ func BenchmarkServeEngineHazard(b *testing.B) {
 	cfg.Resilience.Hazards = &ServeHazardPlan{
 		SDCRate:          0.001,
 		VerifyTrials:     8,
-		Detect:           ServeDetectionConfig{Threshold: 1.25},
+		DetectThreshold:  1.25,
 		QuarantineRepair: 4,
 	}
 	cfg.Resilience.Hedge = ServeHedgePolicy{Delay: 4, TrackP95: true}
-	cfg.Resilience.Retry = DefaultServeRetryPolicy()
+	cfg.Resilience.MaxRetries = 3
 	w := ServeWorkload{
 		Arrival:    ArrivalPoisson,
 		RatePerSec: 5,

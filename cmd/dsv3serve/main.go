@@ -63,6 +63,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -148,7 +149,7 @@ func main() {
 		cfg.MTP = &spec
 	}
 	degraded := false
-	if *failSpec != "" || *mtbf > 0 {
+	if *failSpec != "" || *mtbf != 0 {
 		var events []dsv3.ServeFaultEvent
 		if *failSpec != "" {
 			events, err = dsv3.ParseServeFaultEvents(*failSpec)
@@ -161,10 +162,7 @@ func main() {
 		}
 		cfg.Resilience.Faults = &dsv3.ServeFaultPlan{Events: events, MTBF: *mtbf, MTTR: *mttr}
 	}
-	if *retries > 0 {
-		cfg.Resilience.Retry = dsv3.DefaultServeRetryPolicy()
-		cfg.Resilience.Retry.MaxRetries = *retries
-	}
+	cfg.Resilience.MaxRetries = *retries
 	if *admissionSpec != "" {
 		adm, err := dsv3.ParseServeAdmissionPolicy(*admissionSpec)
 		if err != nil {
@@ -172,11 +170,11 @@ func main() {
 		}
 		cfg.Resilience.Admission = adm
 	}
-	if *sdcRate > 0 || *verifyTrials > 0 || *detect > 0 || *quarantineRepair > 0 {
+	if *sdcRate != 0 || *verifyTrials != 0 || *detect != 0 || *quarantineRepair != 0 {
 		cfg.Resilience.Hazards = &dsv3.ServeHazardPlan{
 			SDCRate:          *sdcRate,
 			VerifyTrials:     *verifyTrials,
-			Detect:           dsv3.ServeDetectionConfig{Threshold: *detect},
+			DetectThreshold:  *detect,
 			QuarantineRepair: *quarantineRepair,
 		}
 	}
@@ -194,8 +192,8 @@ func main() {
 		if *findCapacity {
 			fail(fmt.Errorf("dsv3serve: -trace-out/-metrics-out record a single run and cannot follow a -find-capacity search"))
 		}
-		if *metricsInterval <= 0 {
-			fail(fmt.Errorf("dsv3serve: -metrics-interval must be > 0, got %g", *metricsInterval))
+		if !(*metricsInterval > 0) || math.IsInf(*metricsInterval, 0) {
+			fail(fmt.Errorf("dsv3serve: -metrics-interval must be finite and > 0, got %g", *metricsInterval))
 		}
 	}
 

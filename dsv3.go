@@ -237,26 +237,23 @@ type (
 	// per-fleet goodput knee (see DefaultServeCapacityPlanner).
 	ServeCapacityResult = servesim.CapacityResult
 	// Fault injection and graceful degradation (ServeConfig.Resilience
-	// .Faults / .Retry / .Admission): one seeded incident timeline —
+	// .Faults / .MaxRetries / .Admission): one seeded incident timeline —
 	// crash, recover, drain, and plane degrade/heal events — plus
 	// MTBF-style random crashes, retry-with-backoff for orphaned
 	// requests, and queue-depth/KV-occupancy admission shedding.
 	ServeFaultPlan       = servesim.FaultPlan
 	ServeFaultEvent      = servesim.FaultEvent
-	ServeRetryPolicy     = servesim.RetryPolicy
 	ServeAdmissionPolicy = servesim.AdmissionPolicy
 	// Cross-layer hazards (ServeConfig.Resilience.Hazards / .Hedge):
 	// silent data corruption on decode steps with Freivalds verification
 	// and quarantine, EWMA gray-failure draining, and hedged requests
 	// (speculative duplicates racing the straggling original).
-	ServeHazardPlan      = servesim.HazardPlan
-	ServeDetectionConfig = servesim.DetectionConfig
-	ServeHedgePolicy     = servesim.HedgePolicy
+	ServeHazardPlan  = servesim.HazardPlan
+	ServeHedgePolicy = servesim.HedgePolicy
 )
 
 const (
 	ArrivalPoisson = servesim.ArrivalPoisson
-	ArrivalUniform = servesim.ArrivalUniform
 	ArrivalTrace   = servesim.ArrivalTrace
 	ArrivalBursty  = servesim.ArrivalBursty
 	ArrivalDiurnal = servesim.ArrivalDiurnal
@@ -286,7 +283,6 @@ var (
 	ParseServeRouterPolicy      = servesim.ParseRouterPolicy
 	ServeRouterPolicies         = servesim.RouterPolicies
 	DefaultServeCapacityPlanner = servesim.DefaultCapacityPlanner
-	DefaultServeRetryPolicy     = servesim.DefaultRetryPolicy
 	ParseServeFaultEvents       = servesim.ParseFaultEvents
 	ParseServeAdmissionPolicy   = servesim.ParseAdmissionPolicy
 	// ParseServeKVTiers parses a "/"-separated KV tier spec

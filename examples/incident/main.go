@@ -49,11 +49,11 @@ func main() {
 	fmt.Println("no retries:")
 	show(rep)
 
-	// The default retry policy (3 attempts, 0.25s exponential backoff)
+	// A budget of 3 retries (0.25s exponential backoff, capped at 4s)
 	// re-queues orphans through dispatch: failures become retries, at
 	// the cost of retry amplification — extra prefill traffic on the
 	// survivors.
-	cfg.Resilience.Retry = dsv3.DefaultServeRetryPolicy()
+	cfg.Resilience.MaxRetries = 3
 	rep, err = dsv3.RunServe(cfg, workload)
 	if err != nil {
 		log.Fatal(err)
@@ -84,7 +84,7 @@ func main() {
 	over := workload
 	over.RatePerSec = 12.5
 	c := cfg
-	c.Resilience.Faults, c.Resilience.Retry = nil, dsv3.ServeRetryPolicy{}
+	c.Resilience.Faults, c.Resilience.MaxRetries = nil, 0
 	base, err := dsv3.RunServe(c, over)
 	if err != nil {
 		log.Fatal(err)

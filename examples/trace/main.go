@@ -39,7 +39,7 @@ func main() {
 			{At: 14, Kind: dsv3.FaultRecover, Instance: 1},
 		},
 	}
-	cfg.Resilience.Retry = dsv3.DefaultServeRetryPolicy()
+	cfg.Resilience.MaxRetries = 3
 	// Narrow uniform lengths keep the worst-case session close to the
 	// mean, so the deliberately tight HBM pool admits requests but
 	// stays under KV pressure — the regime the spill tier exists for.

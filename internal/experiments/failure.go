@@ -38,7 +38,7 @@ func FailureStudy(seed int64, quick bool) ([]servesim.SweepPoint, error) {
 		cfg.KV.HBM.CapacityBytes = 2 * units.GB / 5
 		cfg.Fleet.Router = arms[i]
 		cfg.Resilience.Faults = failurePlan()
-		cfg.Resilience.Retry = servesim.DefaultRetryPolicy()
+		cfg.Resilience.MaxRetries = 3
 		rep, err := servesim.Run(cfg, w)
 		if err != nil {
 			return servesim.SweepPoint{}, err

@@ -53,12 +53,12 @@ func HazardStudy(seed int64, quick bool) ([]servesim.SweepPoint, error) {
 		cfg.Seed = seed
 		cfg.KV.HBM.CapacityBytes = 2 * units.GB / 5
 		cfg.Fleet.Router = arms[i].Router
-		cfg.Resilience.Retry = servesim.DefaultRetryPolicy()
+		cfg.Resilience.MaxRetries = 3
 		cfg.Resilience.Faults = hazardPlanes()
 		plan := &servesim.HazardPlan{SDCRate: 0.001}
 		if arms[i].Detect {
 			plan.VerifyTrials = 8
-			plan.Detect = servesim.DetectionConfig{Threshold: 1.25}
+			plan.DetectThreshold = 1.25
 			plan.QuarantineRepair = 4
 		}
 		cfg.Resilience.Hazards = plan
@@ -142,7 +142,7 @@ func HedgeStudy(seed int64, quick bool) ([]servesim.SweepPoint, error) {
 		cfg := servesim.V3ServeConfig()
 		cfg.Seed = seed
 		cfg.KV.HBM.CapacityBytes = 2 * units.GB / 5
-		cfg.Resilience.Retry = servesim.DefaultRetryPolicy()
+		cfg.Resilience.MaxRetries = 3
 		cfg.Resilience.Faults = &servesim.FaultPlan{Events: []servesim.FaultEvent{
 			{At: 2, Kind: servesim.FaultDegrade, Instance: 1, FailedPlanes: 7, TotalPlanes: 8},
 		}}

@@ -24,7 +24,7 @@ func traceStudyConfig(seed int64) servesim.Config {
 	cfg.KV.Tiers = kvTierHierarchy()
 	cfg.KV.PrefixCache = true
 	cfg.Resilience.Faults = failurePlan()
-	cfg.Resilience.Retry = servesim.DefaultRetryPolicy()
+	cfg.Resilience.MaxRetries = 3
 	return cfg
 }
 

@@ -8,8 +8,9 @@ import (
 // a (Config, Workload) pair: the highest Poisson (or bursty/diurnal)
 // rate whose SLO attainment still meets Target — the "goodput knee"
 // that answers how much traffic a given fleet shape can serve within
-// SLO. The search doubles HiRate until attainment drops below Target,
-// then bisects the bracket.
+// SLO. The search probes capacityLoRate, doubles from capacityHiRate
+// until attainment drops below Target (or capacityMaxRate is reached),
+// then bisects the bracket for at most capacityMaxIters steps.
 //
 // Every probe runs the workload at a candidate rate with the
 // configuration's own seed, so the search is a pure function of
@@ -20,32 +21,27 @@ import (
 type CapacityPlanner struct {
 	// Target is the required SLO attainment in (0, 1].
 	Target float64
-	// LoRate seeds the bracket: the search assumes (and verifies) this
-	// rate is sustainable; if it is not, the planner reports MaxRate 0.
-	LoRate float64
-	// HiRate is the first overload probe; it is doubled until
-	// unsustainable, capped at MaxRate.
-	HiRate float64
-	// MaxRate bounds the doubling phase.
-	MaxRate float64
 	// Tolerance is the relative bracket width (hi-lo)/hi at which
 	// bisection stops.
 	Tolerance float64
-	// MaxIters caps the number of bisection steps.
-	MaxIters int
 }
 
-// DefaultCapacityPlanner returns the reference search: 90% attainment,
-// bracket seeded at [1, 4] req/s, 4% resolution.
+// The capacity search bracket, in req/s: capacityLoRate is assumed
+// (and verified) sustainable — if it is not, the planner reports
+// MaxRate 0; capacityHiRate is the first overload probe, doubled until
+// unsustainable and capped at capacityMaxRate. capacityMaxIters caps
+// the bisection steps.
+const (
+	capacityLoRate   = 1.0
+	capacityHiRate   = 4.0
+	capacityMaxRate  = 4096.0
+	capacityMaxIters = 32
+)
+
+// DefaultCapacityPlanner returns the reference search: 90% attainment
+// at 4% resolution.
 func DefaultCapacityPlanner() CapacityPlanner {
-	return CapacityPlanner{
-		Target:    0.9,
-		LoRate:    1,
-		HiRate:    4,
-		MaxRate:   4096,
-		Tolerance: 0.04,
-		MaxIters:  32,
-	}
+	return CapacityPlanner{Target: 0.9, Tolerance: 0.04}
 }
 
 // CapacityProbe is one evaluated rate of a capacity search.
@@ -58,15 +54,16 @@ type CapacityProbe struct {
 // CapacityResult is the outcome of a capacity search.
 type CapacityResult struct {
 	// MaxRate is the highest rate verified to meet Target (the knee);
-	// 0 when even LoRate misses it.
+	// 0 when even capacityLoRate misses it.
 	MaxRate float64
 	// Attainment is the SLO attainment measured at MaxRate.
 	Attainment float64
-	// Saturated marks a search that hit MaxRate while still meeting
-	// Target — the true knee lies above the configured ceiling.
+	// Saturated marks a search that hit capacityMaxRate while still
+	// meeting Target — the true knee lies above the search ceiling.
 	Saturated bool
-	// Report is the full simulation report at MaxRate (at LoRate when
-	// MaxRate is 0, so the caller can inspect why admission failed).
+	// Report is the full simulation report at MaxRate (at
+	// capacityLoRate when MaxRate is 0, so the caller can inspect why
+	// admission failed).
 	Report *Report
 	// Probes lists every evaluated rate in evaluation order.
 	Probes []CapacityProbe
@@ -76,17 +73,11 @@ type CapacityResult struct {
 
 // Validate checks the planner parameters.
 func (p CapacityPlanner) Validate() error {
-	if p.Target <= 0 || p.Target > 1 {
+	if !(p.Target > 0 && p.Target <= 1) {
 		return fmt.Errorf("servesim: capacity target must be in (0,1], got %v", p.Target)
 	}
-	if p.LoRate <= 0 || p.HiRate <= p.LoRate || p.MaxRate < p.HiRate {
-		return fmt.Errorf("servesim: capacity bracket invalid: lo %v, hi %v, max %v", p.LoRate, p.HiRate, p.MaxRate)
-	}
-	if p.Tolerance <= 0 || p.Tolerance >= 1 {
+	if !(p.Tolerance > 0 && p.Tolerance < 1) {
 		return fmt.Errorf("servesim: capacity tolerance must be in (0,1), got %v", p.Tolerance)
-	}
-	if p.MaxIters <= 0 {
-		return fmt.Errorf("servesim: capacity iteration cap must be positive, got %d", p.MaxIters)
 	}
 	return nil
 }
@@ -120,7 +111,7 @@ func (p CapacityPlanner) Find(cfg Config, w Workload) (*CapacityResult, error) {
 		return rep, ok, nil
 	}
 
-	lo := p.LoRate
+	lo := capacityLoRate
 	loRep, ok, err := probe(lo)
 	if err != nil {
 		return nil, err
@@ -135,7 +126,7 @@ func (p CapacityPlanner) Find(cfg Config, w Workload) (*CapacityResult, error) {
 	best, bestRep := lo, loRep
 
 	// Doubling phase: push hi until the SLO breaks or the ceiling hits.
-	hi := p.HiRate
+	hi := capacityHiRate
 	for {
 		rep, ok, err := probe(hi)
 		if err != nil {
@@ -146,21 +137,18 @@ func (p CapacityPlanner) Find(cfg Config, w Workload) (*CapacityResult, error) {
 		}
 		best, bestRep = hi, rep
 		lo = hi
-		if hi >= p.MaxRate {
+		if hi >= capacityMaxRate {
 			res.Saturated = true
 			res.MaxRate = best
 			res.Attainment = bestRep.SLOAttainment
 			res.Report = bestRep
 			return res, nil
 		}
-		hi *= 2
-		if hi > p.MaxRate {
-			hi = p.MaxRate
-		}
+		hi = min(2*hi, capacityMaxRate)
 	}
 
 	// Bisection phase: [lo sustainable, hi unsustainable].
-	for i := 0; i < p.MaxIters && (hi-lo) > p.Tolerance*hi; i++ {
+	for i := 0; i < capacityMaxIters && (hi-lo) > p.Tolerance*hi; i++ {
 		mid := (lo + hi) / 2
 		rep, ok, err := probe(mid)
 		if err != nil {

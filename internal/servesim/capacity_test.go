@@ -1,6 +1,7 @@
 package servesim
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -13,13 +14,12 @@ func quickPlanner() CapacityPlanner {
 }
 
 func TestCapacityPlannerValidate(t *testing.T) {
+	nan := math.NaN()
 	bad := []CapacityPlanner{
-		{Target: 0, LoRate: 1, HiRate: 2, MaxRate: 10, Tolerance: 0.1, MaxIters: 8},
-		{Target: 0.9, LoRate: 0, HiRate: 2, MaxRate: 10, Tolerance: 0.1, MaxIters: 8},
-		{Target: 0.9, LoRate: 2, HiRate: 1, MaxRate: 10, Tolerance: 0.1, MaxIters: 8},
-		{Target: 0.9, LoRate: 1, HiRate: 2, MaxRate: 1, Tolerance: 0.1, MaxIters: 8},
-		{Target: 0.9, LoRate: 1, HiRate: 2, MaxRate: 10, Tolerance: 0, MaxIters: 8},
-		{Target: 0.9, LoRate: 1, HiRate: 2, MaxRate: 10, Tolerance: 0.1, MaxIters: 0},
+		{Target: 0, Tolerance: 0.1},
+		{Target: 0.9, Tolerance: 0},
+		{Target: nan, Tolerance: 0.1},
+		{Target: 0.9, Tolerance: nan},
 	}
 	for i, p := range bad {
 		if _, err := p.Find(V3ServeConfig(), testWorkload(1, 10)); err == nil {
@@ -114,17 +114,33 @@ func TestCapacityPlannerMonotoneInFleet(t *testing.T) {
 // report attached for diagnosis.
 func TestCapacityPlannerUnsustainableFloor(t *testing.T) {
 	p := quickPlanner()
-	p.LoRate, p.HiRate = 64, 128
 	cfg := V3ServeConfig()
 	cfg.Fleet.PrefillInstances, cfg.Fleet.DecodeInstances = 1, 1
+	cfg.SLO.TTFT = 1e-6 // no prefill finishes this fast
 	res, err := p.Find(cfg, testWorkload(0, 80))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.MaxRate != 0 {
-		t.Errorf("64 req/s on a 1P+1D fleet reported sustainable: %+v", res)
+		t.Errorf("a 1 us TTFT on a 1P+1D fleet reported sustainable: %+v", res)
 	}
 	if res.Report == nil || len(res.Probes) != 1 || res.Probes[0].Sustainable {
 		t.Errorf("floor-failure result malformed: %+v", res)
+	}
+}
+
+// A workload every rate sustains runs the doubling phase into the
+// search ceiling: the knee is reported as a lower bound (Saturated) at
+// capacityMaxRate after the floor probe and 11 doublings from 4 req/s.
+func TestCapacityPlannerSaturates(t *testing.T) {
+	cfg := V3ServeConfig()
+	cfg.SLO = SLO{TTFT: 1e9, TPOT: 1e9}
+	res, err := quickPlanner().Find(cfg, testWorkload(0, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Saturated || res.MaxRate != 4096 || len(res.Probes) != 12 {
+		t.Errorf("saturated search = {Saturated %v, MaxRate %v, probes %d}, want {true, 4096, 12}",
+			res.Saturated, res.MaxRate, len(res.Probes))
 	}
 }

@@ -41,7 +41,7 @@ type Config struct {
 
 // FleetConfig shapes the serving fleet: how many instances, whether
 // prefill and decode are disaggregated or colocated, the continuous-
-// batching cap, the KV hand-off bandwidth, and the routing policy.
+// batching cap, and the routing policy.
 type FleetConfig struct {
 	// PrefillInstances and DecodeInstances size the disaggregated
 	// deployment. Under Colocated the two pools merge into
@@ -58,9 +58,6 @@ type FleetConfig struct {
 
 	// MaxBatch caps the continuous-batching decode batch per instance.
 	MaxBatch int
-	// TransferBW is the prefill->decode KV migration bandwidth; 0
-	// makes the hand-off instantaneous.
-	TransferBW units.BytesPerSecond
 
 	// Router selects the instance-selection policy applied to both
 	// prefill dispatch and the prefill->decode hand-off. The zero value
@@ -69,6 +66,9 @@ type FleetConfig struct {
 	// policy has no effect under Colocated.
 	Router RouterPolicy
 }
+
+// kvTransferBW is the prefill->decode KV migration bandwidth.
+const kvTransferBW units.BytesPerSecond = 50 * units.GB
 
 // shape resolves the fleet into (prefill, decode) unit counts; under
 // Colocated the pools merge into unified decode-capable instances.
@@ -98,9 +98,6 @@ func (f FleetConfig) Validate() error {
 	if f.ColocatedStride < 0 {
 		errs = append(errs, fmt.Errorf("servesim: negative colocated stride %d", f.ColocatedStride))
 	}
-	if f.TransferBW < 0 {
-		errs = append(errs, fmt.Errorf("servesim: negative transfer bandwidth %v", f.TransferBW))
-	}
 	if err := f.Router.Validate(); err != nil {
 		errs = append(errs, err)
 	}
@@ -117,9 +114,10 @@ type ResilienceConfig struct {
 	// — into the run; nil disables fault injection and the engine
 	// behaves exactly as a fault-free build.
 	Faults *FaultPlan
-	// Retry governs requests orphaned by crashes; the zero value fails
-	// every orphan immediately (see DefaultRetryPolicy).
-	Retry RetryPolicy
+	// MaxRetries is the per-request retry budget for requests orphaned
+	// by crashes (exponential backoff, see retryDelay); 0 fails every
+	// orphan immediately.
+	MaxRetries int
 	// Admission sheds arriving requests under overload (queue-depth /
 	// KV-occupancy gates); the zero value admits everything.
 	Admission AdmissionPolicy
@@ -136,7 +134,10 @@ type ResilienceConfig struct {
 // (fault events name instances; colocated fleets have no prefill
 // targets), reporting every problem at once.
 func (r ResilienceConfig) validate(f FleetConfig) error {
-	errs := []error{r.Retry.Validate(), r.Admission.Validate(), r.Hedge.Validate()}
+	errs := []error{r.Admission.Validate(), r.Hedge.Validate()}
+	if r.MaxRetries < 0 {
+		errs = append(errs, fmt.Errorf("servesim: negative retry budget %d", r.MaxRetries))
+	}
 	if r.Faults != nil {
 		nPrefill, nDecode := f.shape()
 		errs = append(errs, r.Faults.validate(nPrefill, nDecode, f.Colocated))
@@ -151,23 +152,15 @@ func (r ResilienceConfig) validate(f FleetConfig) error {
 // model, 2 prefill + 4 decode instances, batch 64, FP8 paged KV in
 // 64 GB of HBM per instance, no below-HBM tiers.
 func V3ServeConfig() Config {
-	l := V3LatencyModel()
 	return Config{
-		Latency: l,
+		Latency: V3LatencyModel(),
 		Fleet: FleetConfig{
 			PrefillInstances: 2,
 			DecodeInstances:  4,
 			ColocatedStride:  4,
 			MaxBatch:         64,
-			TransferBW:       50 * units.GB,
 		},
-		KV: KVHierarchy{
-			HBM: KVConfig{
-				CapacityBytes: 64 * units.GB,
-				PageTokens:    64,
-				BytesPerElem:  l.KVBytesPerElem,
-			},
-		},
+		KV:   KVHierarchy{HBM: KVConfig{CapacityBytes: 64 * units.GB}},
 		SLO:  DefaultSLO(),
 		Seed: 1,
 	}
@@ -202,7 +195,7 @@ func (c Config) validateRun(w Workload) error {
 	if cfgErr != nil || wErr != nil {
 		return errors.Join(cfgErr, wErr)
 	}
-	total := c.KV.HBM.TotalPages(c.Latency.Model)
+	total := c.KV.HBM.TotalPages(c.Latency.Model.KVCacheBytesPerToken(c.Latency.KVBytesPerElem))
 	if need := c.KV.HBM.PagesFor(w.maxContextTokens()); need > total {
 		return fmt.Errorf("servesim: KV pool (%d pages) cannot hold one worst-case request (%d pages)", total, need)
 	}

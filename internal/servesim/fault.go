@@ -137,16 +137,15 @@ type FaultPlan struct {
 	// rest of the run. Scheduled FaultCrash events are not auto-repaired
 	// — pair them with explicit FaultRecover events.
 	MTTR units.Seconds
-
-	// RecoveryWindow is the goodput averaging window of the per-incident
-	// recovery-time metric (default 5 s): an incident has recovered at
-	// the first instant the within-SLO completion rate over the next
-	// window reaches RecoveryBand x its pre-crash level.
-	RecoveryWindow units.Seconds
-	// RecoveryBand is the recovered fraction of pre-crash goodput in
-	// (0, 1] (default 0.8).
-	RecoveryBand float64
 }
+
+// Recovery-time metric of an incident: it has recovered at the first
+// instant the within-SLO completion rate over the next recoveryWindow
+// reaches recoveryBand x its pre-crash level.
+const (
+	recoveryWindow units.Seconds = 5
+	recoveryBand   float64       = 0.8
+)
 
 // validate checks the plan against the resolved cluster shape.
 func (p *FaultPlan) validate(nPrefill, nDecode int, colocated bool) error {
@@ -155,91 +154,31 @@ func (p *FaultPlan) validate(nPrefill, nDecode int, colocated bool) error {
 			return fmt.Errorf("servesim: fault event %d %w", i, err)
 		}
 	}
-	if p.MTBF < 0 || p.MTTR < 0 {
-		return fmt.Errorf("servesim: negative MTBF/MTTR %v/%v", p.MTBF, p.MTTR)
-	}
-	if p.RecoveryWindow < 0 {
-		return fmt.Errorf("servesim: negative recovery window %v", p.RecoveryWindow)
-	}
-	if p.RecoveryBand < 0 || p.RecoveryBand > 1 {
-		return fmt.Errorf("servesim: recovery band %v outside [0,1]", p.RecoveryBand)
+	if p.MTBF < 0 || p.MTTR < 0 || !units.Finite(p.MTBF) || !units.Finite(p.MTTR) {
+		return fmt.Errorf("servesim: negative or non-finite MTBF/MTTR %v/%v", p.MTBF, p.MTTR)
 	}
 	return nil
 }
 
-// recoveryWindow returns the configured window with the default
-// applied. Nil-safe: SDC quarantines and gray-failure drains record
-// incidents without a FaultPlan, and recovery resolution still runs
-// over them with the defaults.
-func (p *FaultPlan) recoveryWindow() units.Seconds {
-	if p != nil && p.RecoveryWindow > 0 {
-		return p.RecoveryWindow
-	}
-	return 5
-}
+// Orphaned requests (an instance crash, or a hand-off that finds no
+// healthy decode instance) re-enter prefill dispatch after an
+// exponential backoff until ResilienceConfig.MaxRetries runs out, at
+// which point they fail: retry n waits retryBackoff x 2^(n-1), capped
+// at retryMaxBackoff.
+const (
+	retryBackoff    units.Seconds = 0.25
+	retryMaxBackoff units.Seconds = 4
+)
 
-// recoveryBand returns the configured band with the default applied
-// (nil-safe, see recoveryWindow).
-func (p *FaultPlan) recoveryBand() float64 {
-	if p != nil && p.RecoveryBand > 0 {
-		return p.RecoveryBand
+// retryDelay returns the backoff before the n-th retry (n >= 1). The
+// doubling loop stops as soon as the cap is passed, so a huge budget
+// never walks the delay out to +Inf before capping.
+func retryDelay(n int) units.Seconds {
+	d := retryBackoff
+	for i := 1; i < n && d < retryMaxBackoff; i++ {
+		d *= 2
 	}
-	return 0.8
-}
-
-// RetryPolicy governs requests orphaned by an instance crash (or by a
-// hand-off that finds no healthy decode instance): each orphan re-enters
-// prefill dispatch after an exponential backoff until its budget runs
-// out, at which point it becomes a failed request. The zero value
-// retries nothing — every orphan fails immediately.
-type RetryPolicy struct {
-	// MaxRetries is the per-request retry budget (0: fail on first
-	// orphaning).
-	MaxRetries int
-	// Backoff delays the first retry; retry n waits
-	// Backoff * BackoffFactor^(n-1), capped at MaxBackoff.
-	Backoff units.Seconds
-	// BackoffFactor multiplies the delay per retry (values <= 0 are
-	// treated as 1: constant backoff).
-	BackoffFactor float64
-	// MaxBackoff caps the delay (0: uncapped).
-	MaxBackoff units.Seconds
-}
-
-// DefaultRetryPolicy returns the reference policy: 3 retries starting
-// at 250 ms, doubling, capped at 4 s.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxRetries: 3, Backoff: 0.25, BackoffFactor: 2, MaxBackoff: 4}
-}
-
-// Validate checks the policy.
-func (r RetryPolicy) Validate() error {
-	if r.MaxRetries < 0 {
-		return fmt.Errorf("servesim: negative retry budget %d", r.MaxRetries)
-	}
-	if r.Backoff < 0 || r.MaxBackoff < 0 {
-		return fmt.Errorf("servesim: negative retry backoff %v/%v", r.Backoff, r.MaxBackoff)
-	}
-	return nil
-}
-
-// delay returns the backoff before the n-th retry (n >= 1). The
-// multiply loop stops as soon as the cap is passed, so a huge budget x
-// factor product never walks the delay out to +Inf before capping.
-func (r RetryPolicy) delay(n int) units.Seconds {
-	d := r.Backoff
-	if f := r.BackoffFactor; f > 0 {
-		for i := 1; i < n; i++ {
-			d *= f
-			if r.MaxBackoff > 0 && d > r.MaxBackoff {
-				break
-			}
-		}
-	}
-	if r.MaxBackoff > 0 && d > r.MaxBackoff {
-		d = r.MaxBackoff
-	}
-	return d
+	return min(d, retryMaxBackoff)
 }
 
 // AdmissionPolicy sheds arriving requests under overload so the
@@ -259,7 +198,7 @@ func (a AdmissionPolicy) Validate() error {
 	if a.MaxQueueDepth < 0 {
 		return fmt.Errorf("servesim: negative admission queue depth %d", a.MaxQueueDepth)
 	}
-	if a.MaxKVOccupancy < 0 || a.MaxKVOccupancy > 1 {
+	if !(a.MaxKVOccupancy >= 0 && a.MaxKVOccupancy <= 1) {
 		return fmt.Errorf("servesim: admission KV occupancy %v outside [0,1]", a.MaxKVOccupancy)
 	}
 	return nil
@@ -304,8 +243,8 @@ type Incident struct {
 	// tokens (decode pool contents plus partially built prefill KV).
 	KVTokensLost int
 	// Recovery is the time from the crash until the fleet's within-SLO
-	// completion rate regained RecoveryBand x its pre-crash level over a
-	// RecoveryWindow (0 when there was no pre-crash goodput to regain;
+	// completion rate regained recoveryBand x its pre-crash level over a
+	// recoveryWindow (0 when there was no pre-crash goodput to regain;
 	// censored at run end when goodput never returned to the band).
 	Recovery units.Seconds
 }

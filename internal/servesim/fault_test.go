@@ -28,7 +28,7 @@ func TestFaultDeterminism(t *testing.T) {
 	cfg := V3ServeConfig()
 	cfg.KV.HBM.CapacityBytes = 0.4e9
 	cfg.Resilience.Faults = crashPlan(1, 6, 14)
-	cfg.Resilience.Retry = DefaultRetryPolicy()
+	cfg.Resilience.MaxRetries = 3
 	w := testWorkload(5, 150)
 	a, err := json.Marshal(mustRun(t, cfg, w))
 	if err != nil {
@@ -57,7 +57,7 @@ func TestFaultDeterminism(t *testing.T) {
 func TestRandomFaultDeterminism(t *testing.T) {
 	cfg := V3ServeConfig()
 	cfg.Resilience.Faults = &FaultPlan{MTBF: 8, MTTR: 2}
-	cfg.Resilience.Retry = DefaultRetryPolicy()
+	cfg.Resilience.MaxRetries = 3
 	w := testWorkload(5, 120)
 	a, err := json.Marshal(mustRun(t, cfg, w))
 	if err != nil {
@@ -119,7 +119,7 @@ func TestRetrySalvagesOrphans(t *testing.T) {
 	if base.Failed == 0 {
 		t.Skip("crash orphaned nothing at this seed; accounting covered elsewhere")
 	}
-	cfg.Resilience.Retry = DefaultRetryPolicy()
+	cfg.Resilience.MaxRetries = 3
 	r := mustRun(t, cfg, w)
 	if r.Failed != 0 {
 		t.Errorf("failed %d with a 3-retry budget, want 0", r.Failed)
@@ -262,7 +262,7 @@ func TestFaultKindsOnBothPools(t *testing.T) {
 	const prompt = 1024
 	cfg := V3ServeConfig()
 	cfg.Fleet.PrefillInstances, cfg.Fleet.DecodeInstances = 2, 2
-	cfg.Resilience.Retry = DefaultRetryPolicy()
+	cfg.Resilience.MaxRetries = 3
 	cfg.Resilience.Faults = &FaultPlan{Events: []FaultEvent{
 		{At: 1, Kind: FaultDegrade, Prefill: true, Instance: 0, FailedPlanes: 4},
 		{At: 1, Kind: FaultDegrade, Instance: 0, FailedPlanes: 4},
@@ -381,8 +381,10 @@ func TestFaultPlanValidate(t *testing.T) {
 		"degrade single-plane fabric":   {Events: []FaultEvent{{At: 1, Kind: FaultDegrade, FailedPlanes: 1, TotalPlanes: 1}}},
 		"degrade negative total planes": {Events: []FaultEvent{{At: 1, Kind: FaultDegrade, FailedPlanes: 1, TotalPlanes: -8}}},
 		"negative MTBF":                 {MTBF: -1},
-		"negative recovery window":      {RecoveryWindow: -1},
-		"recovery band above 1":         {RecoveryBand: 1.5},
+		"NaN MTBF":                      {MTBF: nan},
+		"+Inf MTBF":                     {MTBF: inf},
+		"NaN MTTR":                      {MTBF: 4, MTTR: nan},
+		"+Inf MTTR":                     {MTBF: 4, MTTR: inf},
 	}
 	for name, plan := range bad {
 		cfg := V3ServeConfig()
@@ -421,18 +423,16 @@ func TestFaultPlanValidate(t *testing.T) {
 }
 
 func TestRetryPolicyDelay(t *testing.T) {
-	p := DefaultRetryPolicy()
 	want := []units.Seconds{0.25, 0.5, 1, 2, 4, 4}
 	for i, w := range want {
-		if got := p.delay(i + 1); got != w {
-			t.Errorf("delay(%d) = %v, want %v", i+1, got, w)
+		if got := retryDelay(i + 1); got != w {
+			t.Errorf("retryDelay(%d) = %v, want %v", i+1, got, w)
 		}
 	}
-	if (RetryPolicy{MaxRetries: -1}).Validate() == nil {
+	cfg := V3ServeConfig()
+	cfg.Resilience.MaxRetries = -1
+	if cfg.Validate() == nil {
 		t.Error("negative retry budget validated")
-	}
-	if (RetryPolicy{Backoff: -1}).Validate() == nil {
-		t.Error("negative backoff validated")
 	}
 }
 
@@ -499,7 +499,7 @@ func TestParseAdmissionPolicy(t *testing.T) {
 	if (AdmissionPolicy{}).String() != "admit-all" {
 		t.Errorf("zero policy String() = %q", AdmissionPolicy{}.String())
 	}
-	for _, bad := range []string{"queue", "depth=3", "queue=x", "kv=2", "queue=-1"} {
+	for _, bad := range []string{"queue", "depth=3", "queue=x", "kv=2", "queue=-1", "kv=NaN"} {
 		if _, err := ParseAdmissionPolicy(bad); err == nil {
 			t.Errorf("ParseAdmissionPolicy(%q) succeeded, want error", bad)
 		}

@@ -40,41 +40,14 @@ import (
 	"dsv3/internal/units"
 )
 
-// DetectionConfig tunes router-side gray-failure detection: every
-// decode instance's observed-vs-expected step-time ratio (observed
-// step latency over the model's healthy-interconnect prediction at the
-// same batch size) is EWMA-tracked and compared against the fleet
-// median; a persistent straggler is drained. The zero value disables
-// detection.
-type DetectionConfig struct {
-	// Threshold drains an instance whose EWMA step-time ratio exceeds
-	// Threshold x the fleet median ratio (values <= 0 disable
-	// detection; sensible values are > 1 — a healthy instance's ratio
-	// is 1.0 at any occupancy).
-	Threshold float64
-	// EWMAAlpha is the smoothing factor in (0, 1]; 0 means the default
-	// 0.2.
-	EWMAAlpha float64
-	// MinSteps is the warm-up: an instance (and the median pool) needs
-	// this many steps before it can be judged; 0 means the default 8.
-	MinSteps int
-}
-
-func (d DetectionConfig) enabled() bool { return d.Threshold > 0 }
-
-func (d DetectionConfig) alpha() float64 {
-	if d.EWMAAlpha > 0 {
-		return d.EWMAAlpha
-	}
-	return 0.2
-}
-
-func (d DetectionConfig) minSteps() int {
-	if d.MinSteps > 0 {
-		return d.MinSteps
-	}
-	return 8
-}
+// Gray-failure detection tracks every decode instance's EWMA
+// observed-vs-expected step-time ratio with smoothing detectAlpha; an
+// instance (and the median pool) needs detectMinSteps steps before it
+// can be judged.
+const (
+	detectAlpha    = 0.2
+	detectMinSteps = 8
+)
 
 // HazardPlan composes the cross-layer hazards of one run: silent data
 // corruption with optional Freivalds verification, gray-failure
@@ -92,8 +65,14 @@ type HazardPlan struct {
 	// propagates.
 	VerifyTrials int
 
-	// Detect tunes gray-failure detection (zero value: disabled).
-	Detect DetectionConfig
+	// DetectThreshold enables router-side gray-failure detection: every
+	// decode instance's observed-vs-expected step-time ratio (observed
+	// step latency over the model's healthy-interconnect prediction at
+	// the same batch size) is EWMA-tracked, and an instance whose EWMA
+	// exceeds DetectThreshold x the fleet median ratio is drained.
+	// Values <= 0 disable detection; enabled values must exceed 1 — a
+	// healthy instance's ratio is 1.0 at any occupancy.
+	DetectThreshold float64
 
 	// QuarantineRepair returns an SDC-quarantined instance to service
 	// after this dwell; 0 leaves it quarantined for the rest of the run.
@@ -108,19 +87,11 @@ func (h *HazardPlan) validate() error {
 	if h.VerifyTrials < 0 {
 		return fmt.Errorf("servesim: negative verify trials %d", h.VerifyTrials)
 	}
-	if d := h.Detect; d.enabled() {
-		if d.Threshold <= 1 {
-			return fmt.Errorf("servesim: gray-detection threshold %v must exceed 1", d.Threshold)
-		}
-		if d.EWMAAlpha < 0 || d.EWMAAlpha > 1 {
-			return fmt.Errorf("servesim: gray-detection EWMA alpha %v outside [0,1]", d.EWMAAlpha)
-		}
-		if d.MinSteps < 0 {
-			return fmt.Errorf("servesim: negative gray-detection warm-up %d", d.MinSteps)
-		}
+	if t := h.DetectThreshold; !units.Finite(t) || (t > 0 && t <= 1) {
+		return fmt.Errorf("servesim: gray-detection threshold %v must exceed 1 (or be <= 0 to disable)", t)
 	}
-	if h.QuarantineRepair < 0 {
-		return fmt.Errorf("servesim: negative quarantine repair %v", h.QuarantineRepair)
+	if h.QuarantineRepair < 0 || !units.Finite(h.QuarantineRepair) {
+		return fmt.Errorf("servesim: negative or non-finite quarantine repair %v", h.QuarantineRepair)
 	}
 	return nil
 }
@@ -175,8 +146,7 @@ const (
 // configured; a hazard-free run writes one bool.
 type hazardState struct {
 	on     bool
-	detect bool    // gray-failure detection enabled
-	sdc    float64 // per-step corruption probability
+	detect bool // gray-failure detection enabled
 	// detectP is the Freivalds detection probability 1-2^-trials (0 when
 	// verification is off).
 	detectP float64
@@ -184,10 +154,6 @@ type hazardState struct {
 	// trials x 2 x activeNonEmbedding params (one GEMV-equivalent pass
 	// per trial), divided by achieved FLOPS at charge time.
 	verifyFactor float64
-	repair       units.Seconds
-	alpha        float64
-	minSteps     int
-	threshold    float64
 
 	// Gray-failure detection state per decode instance.
 	ewma        []float64 // EWMA observed-vs-expected step-time ratio
@@ -207,9 +173,7 @@ type hazardState struct {
 // arena (pointer-stable across a run, recycled across runs) and the
 // win/waste accounting.
 type hedgeState struct {
-	on       bool
-	delay    units.Seconds
-	trackP95 bool
+	on bool
 
 	// clones is a pool of individually heap-allocated request states
 	// reused across runs (hedge copies live outside the arena).
@@ -242,18 +206,13 @@ func (e *Engine) resetHazards(nDecode int) {
 		return
 	}
 	if hz.on {
-		hz.sdc = plan.SDCRate
 		hz.detectP = 0
 		hz.verifyFactor = 0
 		if plan.VerifyTrials > 0 {
 			hz.detectP = 1 - math.Pow(2, -float64(plan.VerifyTrials))
 			hz.verifyFactor = float64(plan.VerifyTrials) * 2 * e.lc.activeNonEmbedding
 		}
-		hz.repair = plan.QuarantineRepair
-		hz.detect = plan.Detect.enabled()
-		hz.alpha = plan.Detect.alpha()
-		hz.minSteps = plan.Detect.minSteps()
-		hz.threshold = plan.Detect.Threshold
+		hz.detect = plan.DetectThreshold > 0
 		hz.ewma = growFloats(hz.ewma, nDecode)
 		hz.stepCost = growFloats(hz.stepCost, nDecode)
 		if cap(hz.ewmaSteps) < nDecode {
@@ -272,8 +231,6 @@ func (e *Engine) resetHazards(nDecode int) {
 		}
 	}
 	if hg.on {
-		hg.delay = e.cfg.Resilience.Hedge.Delay
-		hg.trackP95 = e.cfg.Resilience.Hedge.TrackP95
 		hg.nClones = 0
 		for _, c := range hg.clones {
 			*c = reqState{}
@@ -319,10 +276,11 @@ func (e *Engine) verifyCost(batch int) units.Seconds {
 // — the stream is a pure function of the event sequence.
 func (e *Engine) sdcStep() (corrupt, detected bool) {
 	hz := &e.hz
-	if !hz.on || hz.sdc == 0 {
+	if !hz.on {
 		return false, false
 	}
-	if e.hazardRng.Float64() >= hz.sdc {
+	sdc := e.cfg.Resilience.Hazards.SDCRate
+	if sdc == 0 || e.hazardRng.Float64() >= sdc {
 		return false, false
 	}
 	hz.sdcSteps++
@@ -340,7 +298,7 @@ func (e *Engine) sdcStep() (corrupt, detected bool) {
 // optional repair.
 func (e *Engine) quarantine(inst int) {
 	e.takeDown(false, inst, healthQuarantined, "quarantine", "sdc")
-	e.scheduleRecover(false, inst, e.hz.repair)
+	e.scheduleRecover(false, inst, e.cfg.Resilience.Hazards.QuarantineRepair)
 }
 
 // noteStepEWMA folds a completed step's observed-vs-expected time
@@ -358,18 +316,18 @@ func (e *Engine) noteStepEWMA(inst int) {
 	if hz.ewmaSteps[inst] == 0 {
 		hz.ewma[inst] = x
 	} else {
-		hz.ewma[inst] = hz.alpha*x + (1-hz.alpha)*hz.ewma[inst]
+		hz.ewma[inst] = detectAlpha*x + (1-detectAlpha)*hz.ewma[inst]
 	}
 	hz.ewmaSteps[inst]++
 	d := &e.decodes[inst]
-	if hz.ewmaSteps[inst] < hz.minSteps || hz.grayDrained[inst] || !d.health.servable() {
+	if hz.ewmaSteps[inst] < detectMinSteps || hz.grayDrained[inst] || !d.health.servable() {
 		return
 	}
 	// Fleet median over warmed-up, servable instances. Fewer than two
 	// eligible peers means no basis for comparison.
 	med := hz.medScratch[:0]
 	for i := range e.decodes {
-		if hz.ewmaSteps[i] >= hz.minSteps && e.decodes[i].health.servable() {
+		if hz.ewmaSteps[i] >= detectMinSteps && e.decodes[i].health.servable() {
 			med = append(med, hz.ewma[i])
 		}
 	}
@@ -379,7 +337,7 @@ func (e *Engine) noteStepEWMA(inst int) {
 	}
 	sort.Float64s(med)
 	median := med[(len(med)-1)/2]
-	if median <= 0 || hz.ewma[inst] <= hz.threshold*median {
+	if median <= 0 || hz.ewma[inst] <= e.cfg.Resilience.Hazards.DetectThreshold*median {
 		return
 	}
 	e.trIncident(false, inst, "gray-drain")
@@ -393,9 +351,9 @@ func (e *Engine) noteStepEWMA(inst int) {
 // the fixed delay, lifted to the observed p95 end-to-end latency once
 // enough completions have accumulated.
 func (e *Engine) hedgeDelay() units.Seconds {
-	hg := &e.hedge
-	d := hg.delay
-	if hg.trackP95 && len(hg.e2e) >= 16 {
+	hg, pol := &e.hedge, e.cfg.Resilience.Hedge
+	d := pol.Delay
+	if pol.TrackP95 && len(hg.e2e) >= 16 {
 		if p := units.Seconds(hg.e2e[(len(hg.e2e)-1)*95/100]); p > d {
 			d = p
 		}
@@ -407,7 +365,7 @@ func (e *Engine) hedgeDelay() units.Seconds {
 // tracker (sorted insert into an engine-owned buffer).
 func (e *Engine) noteHedgeE2E(lat units.Seconds) {
 	hg := &e.hedge
-	if !hg.on || !hg.trackP95 {
+	if !hg.on || !e.cfg.Resilience.Hedge.TrackP95 {
 		return
 	}
 	x := float64(lat)

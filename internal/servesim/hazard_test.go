@@ -2,6 +2,7 @@ package servesim
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -24,7 +25,7 @@ func hazardTestPlan(detect bool) *HazardPlan {
 	plan := &HazardPlan{SDCRate: 0.001}
 	if detect {
 		plan.VerifyTrials = 8
-		plan.Detect = DetectionConfig{Threshold: 1.25}
+		plan.DetectThreshold = 1.25
 		plan.QuarantineRepair = 4
 	}
 	return plan
@@ -33,7 +34,7 @@ func hazardTestPlan(detect bool) *HazardPlan {
 func hazardTestConfig(detect bool) Config {
 	cfg := V3ServeConfig()
 	cfg.KV.HBM.CapacityBytes = 0.4e9
-	cfg.Resilience.Retry = DefaultRetryPolicy()
+	cfg.Resilience.MaxRetries = 3
 	cfg.Resilience.Faults = hazardTestPlanes()
 	cfg.Resilience.Hazards = hazardTestPlan(detect)
 	return cfg
@@ -155,7 +156,7 @@ func TestHazardDetectionCatchesCorruption(t *testing.T) {
 func TestHedgeFirstWins(t *testing.T) {
 	cfg := V3ServeConfig()
 	cfg.KV.HBM.CapacityBytes = 0.4e9
-	cfg.Resilience.Retry = DefaultRetryPolicy()
+	cfg.Resilience.MaxRetries = 3
 	cfg.Resilience.Faults = &FaultPlan{Events: []FaultEvent{
 		{At: 2, Kind: FaultDegrade, Instance: 1, FailedPlanes: 7, TotalPlanes: 8},
 	}}
@@ -261,12 +262,16 @@ func TestHazardPlanValidate(t *testing.T) {
 		cfg.Resilience.Hazards = &HazardPlan{}
 		return cfg
 	}
+	nan, inf := math.NaN(), math.Inf(1)
 	for name, mutate := range map[string]func(*Config){
 		"sdc rate above 1":  func(c *Config) { c.Resilience.Hazards.SDCRate = 1.5 },
 		"negative trials":   func(c *Config) { c.Resilience.Hazards.VerifyTrials = -1 },
-		"threshold below 1": func(c *Config) { c.Resilience.Hazards.Detect.Threshold = 0.9 },
-		"alpha above 1":     func(c *Config) { c.Resilience.Hazards.Detect = DetectionConfig{Threshold: 1.5, EWMAAlpha: 2} },
+		"threshold below 1": func(c *Config) { c.Resilience.Hazards.DetectThreshold = 0.9 },
+		"NaN threshold":     func(c *Config) { c.Resilience.Hazards.DetectThreshold = nan },
+		"+Inf threshold":    func(c *Config) { c.Resilience.Hazards.DetectThreshold = inf },
 		"negative repair":   func(c *Config) { c.Resilience.Hazards.QuarantineRepair = -1 },
+		"NaN repair":        func(c *Config) { c.Resilience.Hazards.QuarantineRepair = nan },
+		"+Inf repair":       func(c *Config) { c.Resilience.Hazards.QuarantineRepair = inf },
 		"negative hedge":    func(c *Config) { c.Resilience.Hedge.Delay = -1 },
 		"p95 without floor": func(c *Config) { c.Resilience.Hedge = HedgePolicy{TrackP95: true} },
 	} {
@@ -283,21 +288,20 @@ func TestHazardPlanValidate(t *testing.T) {
 	}
 }
 
-// Satellite: a huge retry budget times a large backoff factor must not
-// walk the delay past the cap (or to +Inf) before capping.
+// Satellite: a huge retry budget must not walk the delay past the cap
+// (or to +Inf) before capping.
 func TestRetryPolicyDelayLargeBudget(t *testing.T) {
-	p := RetryPolicy{MaxRetries: 1 << 20, Backoff: 0.25, BackoffFactor: 10, MaxBackoff: 4}
 	for _, n := range []int{1, 2, 3, 10, 1000, 1 << 20} {
-		d := p.delay(n)
-		if d < 0 || d > p.MaxBackoff {
-			t.Fatalf("delay(%d) = %v outside (0, %v]", n, d, p.MaxBackoff)
+		d := retryDelay(n)
+		if d < 0 || d > retryMaxBackoff {
+			t.Fatalf("retryDelay(%d) = %v outside (0, %v]", n, d, retryMaxBackoff)
 		}
 	}
-	if got := p.delay(1); got != 0.25 {
-		t.Errorf("delay(1) = %v, want first backoff 0.25", got)
+	if got := retryDelay(1); got != 0.25 {
+		t.Errorf("retryDelay(1) = %v, want first backoff 0.25", got)
 	}
-	if got := p.delay(1 << 20); got != 4 {
-		t.Errorf("delay(1<<20) = %v, want cap 4", got)
+	if got := retryDelay(1 << 20); got != 4 {
+		t.Errorf("retryDelay(1<<20) = %v, want cap 4", got)
 	}
 }
 

@@ -3,43 +3,40 @@ package servesim
 import (
 	"fmt"
 
-	"dsv3/internal/model"
 	"dsv3/internal/units"
 )
 
+// pageTokens is the KV allocation granularity in tokens (vLLM-style
+// paging).
+const pageTokens = 64
+
 // KVConfig sizes the paged KV-cache pool of one decode (or colocated)
 // instance. The per-token footprint comes from the model's attention
-// design (model.Config.KVCacheBytesPerToken — Table 1), which is how
-// MLA's compressed cache translates directly into serving capacity.
+// design (model.Config.KVCacheBytesPerToken — Table 1) at the latency
+// model's cached element width, which is how MLA's compressed cache
+// translates directly into serving capacity.
 type KVConfig struct {
 	// CapacityBytes is the HBM left for KV after weights and
 	// activations.
 	CapacityBytes units.Bytes
-	// PageTokens is the allocation granularity in tokens (vLLM-style
-	// paging; 64 by default).
-	PageTokens int
-	// BytesPerElem is the cached element width (1 for FP8 KV).
-	BytesPerElem float64
 }
 
 // Validate checks the configuration.
 func (k KVConfig) Validate() error {
-	if k.CapacityBytes <= 0 || k.PageTokens <= 0 || k.BytesPerElem <= 0 ||
-		!units.Finite(k.CapacityBytes) || !units.Finite(k.BytesPerElem) {
-		return fmt.Errorf("servesim: non-positive or non-finite KV config %+v", k)
+	if k.CapacityBytes <= 0 || !units.Finite(k.CapacityBytes) {
+		return fmt.Errorf("servesim: non-positive or non-finite KV config: capacity %v", k.CapacityBytes)
 	}
 	return nil
 }
 
 // PagesFor returns the pages a context of tokens occupies.
 func (k KVConfig) PagesFor(tokens int) int {
-	return (tokens + k.PageTokens - 1) / k.PageTokens
+	return (tokens + pageTokens - 1) / pageTokens
 }
 
-// TotalPages returns the pool size for the given model.
-func (k KVConfig) TotalPages(m *model.Config) int {
-	perToken := m.KVCacheBytesPerToken(k.BytesPerElem)
-	pageBytes := perToken * float64(k.PageTokens)
+// TotalPages returns the pool size for a per-token KV footprint.
+func (k KVConfig) TotalPages(perToken units.Bytes) int {
+	pageBytes := perToken * pageTokens
 	if pageBytes <= 0 {
 		return 0
 	}

@@ -98,7 +98,7 @@ func TestParseKVTiersRejects(t *testing.T) {
 // problem at once, with tiers named by index and label.
 func TestKVHierarchyValidate(t *testing.T) {
 	k := KVHierarchy{
-		HBM:         KVConfig{CapacityBytes: units.GB, PageTokens: 64, BytesPerElem: 1},
+		HBM:         KVConfig{CapacityBytes: units.GB},
 		ChunkTokens: -4,
 		Tiers:       []KVTierConfig{{Name: "dram", CapacityBytes: units.GB, ReadBW: 0, WriteBW: units.GB}},
 		PrefixCache: true,
@@ -124,7 +124,7 @@ func TestKVHierarchyValidate(t *testing.T) {
 
 	// Non-finite sizes and rates are rejected, not silently run.
 	nan, inf := math.NaN(), math.Inf(1)
-	hbm := KVConfig{CapacityBytes: units.GB, PageTokens: 64, BytesPerElem: 1}
+	hbm := KVConfig{CapacityBytes: units.GB}
 	tier := KVTierConfig{Name: "dram", CapacityBytes: units.GB, ReadBW: units.GB, WriteBW: units.GB}
 	for _, c := range []struct {
 		name string
@@ -133,7 +133,6 @@ func TestKVHierarchyValidate(t *testing.T) {
 	}{
 		{"NaN HBM capacity", func(k *KVHierarchy) { k.HBM.CapacityBytes = nan }, "non-finite KV config"},
 		{"+Inf HBM capacity", func(k *KVHierarchy) { k.HBM.CapacityBytes = inf }, "non-finite KV config"},
-		{"+Inf bytes per elem", func(k *KVHierarchy) { k.HBM.BytesPerElem = inf }, "non-finite KV config"},
 		{"NaN tier capacity", func(k *KVHierarchy) { k.Tiers[0].CapacityBytes = nan }, "KV tier 1 (dram): non-finite capacity NaN"},
 		{"+Inf read bandwidth", func(k *KVHierarchy) { k.Tiers[0].ReadBW = inf }, "non-finite read bandwidth +Inf"},
 		{"NaN write bandwidth", func(k *KVHierarchy) { k.Tiers[0].WriteBW = nan }, "non-finite write bandwidth NaN"},

@@ -310,13 +310,12 @@ func (e *Engine) inDegraded(t units.Seconds) bool {
 
 // resolveRecovery fills each incident's Recovery time: the delay until
 // the within-SLO completion rate, averaged over the trailing recovery
-// window (clipped at the crash instant), regains the configured band of
+// window (clipped at the crash instant), regains recoveryBand of
 // its pre-crash level. goodDone must be sorted; incidents with no
 // pre-crash goodput recover instantly, and an incident whose goodput
 // never returns is censored at the makespan.
 func (e *Engine) resolveRecovery(incidents []Incident, goodDone []float64, makespan units.Seconds) {
-	w := e.cfg.Resilience.Faults.recoveryWindow()
-	band := e.cfg.Resilience.Faults.recoveryBand()
+	const w, band = recoveryWindow, recoveryBand
 	countIn := func(lo, hi float64) int {
 		return sort.SearchFloat64s(goodDone, hi) - sort.SearchFloat64s(goodDone, lo)
 	}

@@ -154,7 +154,7 @@ type reqState struct {
 	// its KV (recompute); its first token was already emitted.
 	resumed   bool
 	preempted int
-	// retries counts crash-orphaning retries spent (RetryPolicy budget).
+	// retries counts crash-orphaning retries spent (MaxRetries budget).
 	retries    int
 	firstToken units.Seconds
 	done       units.Seconds
@@ -464,7 +464,7 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 		e.decodes = next
 	}
 	e.decodes = e.decodes[:nDecode]
-	kv := kvPool{total: cfg.KV.HBM.TotalPages(cfg.Latency.Model)}
+	kv := kvPool{total: cfg.KV.HBM.TotalPages(e.lc.kvPerToken)}
 	for i := range e.decodes {
 		e.decodes[i].reset(kv)
 	}
@@ -800,10 +800,7 @@ func (e *Engine) prefillDone(ev *event) {
 	best := loads[e.decodeRouter.Pick(loads)].Instance
 	req.inst = best
 	e.loads = loads[:0]
-	var transfer units.Seconds
-	if e.cfg.Fleet.TransferBW > 0 {
-		transfer = e.cfg.Latency.kvBytesForContext(e.lc, req.ctx) / e.cfg.Fleet.TransferBW
-	}
+	transfer := e.cfg.Latency.kvBytesForContext(e.lc, req.ctx) / kvTransferBW
 	e.trPhaseBegin(req, obs.PhaseTransfer, best)
 	e.schedule(e.now+transfer, evDecodeLand, best, req)
 }
@@ -1363,14 +1360,14 @@ func (e *Engine) orphan(req *reqState) {
 	e.affected++
 	e.trPhaseEnd(req)
 	e.trMark(req, obs.MarkOrphan)
-	if req.retries < e.cfg.Resilience.Retry.MaxRetries {
+	if req.retries < e.cfg.Resilience.MaxRetries {
 		if req.retries == 0 {
 			e.retried++
 		}
 		req.retries++
 		e.retries++
 		e.trPhaseBegin(req, obs.PhaseBackoff, -1)
-		e.schedule(e.now+e.cfg.Resilience.Retry.delay(req.retries), evRetry, 0, req)
+		e.schedule(e.now+retryDelay(req.retries), evRetry, 0, req)
 		return
 	}
 	// Retry budget exhausted. A copy whose twin still races is absorbed

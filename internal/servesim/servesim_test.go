@@ -276,7 +276,7 @@ func TestPrefillTimeWeightStreamingFloor(t *testing.T) {
 }
 
 func TestKVConfigPaging(t *testing.T) {
-	k := KVConfig{CapacityBytes: 1 << 30, PageTokens: 64, BytesPerElem: 1}
+	k := KVConfig{CapacityBytes: 1 << 30}
 	if got := k.PagesFor(1); got != 1 {
 		t.Errorf("PagesFor(1) = %d", got)
 	}
@@ -286,8 +286,7 @@ func TestKVConfigPaging(t *testing.T) {
 	if got := k.PagesFor(65); got != 2 {
 		t.Errorf("PagesFor(65) = %d", got)
 	}
-	m := V3LatencyModel().Model
-	total := k.TotalPages(m)
+	total := k.TotalPages(V3LatencyModel().Model.KVCacheBytesPerToken(1))
 	// 576 latent+rope elements x 61 layers x 64 tokens per page.
 	wantPage := 576.0 * 61 * 64
 	if want := int((1 << 30) / wantPage); total != want {
@@ -315,7 +314,7 @@ func TestPreemptionUnderKVPressure(t *testing.T) {
 		Prompt:     Fixed(512),
 		Output:     Fixed(512),
 	}
-	perToken := cfg.Latency.Model.KVCacheBytesPerToken(cfg.KV.HBM.BytesPerElem)
+	perToken := cfg.Latency.Model.KVCacheBytesPerToken(cfg.Latency.KVBytesPerElem)
 	// Room for ~1.5 worst-case contexts: admission succeeds, growth evicts.
 	cfg.KV.HBM.CapacityBytes = perToken * 1024 * 1.5
 	rep := mustRun(t, cfg, w)
@@ -533,7 +532,7 @@ func TestArrivalsPrecedeEventsOnTimeTies(t *testing.T) {
 	cfg := V3ServeConfig()
 	cfg.Fleet.PrefillInstances = 2
 	cfg.Fleet.DecodeInstances = 1
-	cfg.Resilience.Retry = DefaultRetryPolicy()
+	cfg.Resilience.MaxRetries = 3
 	cfg.Resilience.Faults = &FaultPlan{Events: []FaultEvent{{At: 1, Kind: FaultCrash, Prefill: true, Instance: 0}}}
 	w := Workload{Arrival: ArrivalTrace, Trace: []Request{
 		{Arrival: 1, PromptTokens: 300, OutputTokens: 8},

@@ -16,7 +16,7 @@ import (
 func tracedConfig() (Config, Workload) {
 	cfg := tieredConfig()
 	cfg.Resilience.Faults = crashPlan(1, 6, 14)
-	cfg.Resilience.Retry = DefaultRetryPolicy()
+	cfg.Resilience.MaxRetries = 3
 	return cfg, sessionWorkload(4, 150)
 }
 

@@ -124,9 +124,6 @@ const (
 	// ArrivalPoisson draws i.i.d. exponential interarrival gaps at
 	// RatePerSec — the memoryless heavy-traffic model.
 	ArrivalPoisson ArrivalKind = iota
-	// ArrivalUniform spaces requests exactly 1/RatePerSec apart — a
-	// deterministic load for calibration runs.
-	ArrivalUniform
 	// ArrivalTrace replays Workload.Trace verbatim.
 	ArrivalTrace
 	// ArrivalBursty is a Markov-modulated on/off Poisson process: the
@@ -150,8 +147,6 @@ func (k ArrivalKind) String() string {
 	switch k {
 	case ArrivalPoisson:
 		return "poisson"
-	case ArrivalUniform:
-		return "uniform"
 	case ArrivalTrace:
 		return "trace"
 	case ArrivalBursty:
@@ -165,7 +160,7 @@ func (k ArrivalKind) String() string {
 // Workload describes the request traffic offered to the cluster.
 type Workload struct {
 	Arrival    ArrivalKind
-	RatePerSec float64 // ArrivalPoisson / ArrivalUniform
+	RatePerSec float64 // mean arrival rate (every kind but ArrivalTrace)
 	Requests   int     // number of requests to generate
 
 	Prompt LengthDist
@@ -348,8 +343,6 @@ func (w Workload) generateInto(seed int64, buf []Request) []Request {
 // one interarrival before each request's length samples.
 func (w Workload) arrivalStepper(rng *rand.Rand) func(units.Seconds) units.Seconds {
 	switch w.Arrival {
-	case ArrivalUniform:
-		return func(t units.Seconds) units.Seconds { return t + 1/w.RatePerSec }
 	case ArrivalBursty:
 		// On/off MMPP: requests are emitted only during ON dwell at a
 		// rate elevated by the duty-cycle inverse, so the long-run mean

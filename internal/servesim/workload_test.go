@@ -32,16 +32,6 @@ func TestPoissonArrivalRate(t *testing.T) {
 	}
 }
 
-func TestUniformArrivalSpacing(t *testing.T) {
-	w := Workload{Arrival: ArrivalUniform, RatePerSec: 4, Requests: 9, Prompt: Fixed(8), Output: Fixed(8)}
-	reqs := w.Generate(1)
-	for i, r := range reqs {
-		if want := float64(i+1) / 4; math.Abs(r.Arrival-want) > 1e-12 {
-			t.Errorf("request %d at %v, want %v", i, r.Arrival, want)
-		}
-	}
-}
-
 func TestGenerateDeterministic(t *testing.T) {
 	w := Workload{Arrival: ArrivalPoisson, RatePerSec: 5, Requests: 100, Prompt: LogNormal(256, 0.5), Output: LogNormal(64, 0.5)}
 	a, b := w.Generate(3), w.Generate(3)
