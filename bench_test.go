@@ -12,7 +12,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"dsv3/internal/cluster"
 	"dsv3/internal/experiments"
+	"dsv3/internal/moe"
+	"dsv3/internal/pipeline"
+	"dsv3/internal/servesim"
 	"dsv3/internal/units"
 )
 
@@ -20,7 +24,7 @@ import (
 
 func BenchmarkTable1KVCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if rows := Table1(); len(rows) != 3 {
+		if rows := experiments.Table1(); len(rows) != 3 {
 			b.Fatal("bad row count")
 		}
 	}
@@ -28,7 +32,7 @@ func BenchmarkTable1KVCache(b *testing.B) {
 
 func BenchmarkTable2TrainingCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if rows := Table2(); len(rows) != 4 {
+		if rows := experiments.Table2(); len(rows) != 4 {
 			b.Fatal("bad row count")
 		}
 	}
@@ -36,7 +40,7 @@ func BenchmarkTable2TrainingCost(b *testing.B) {
 
 func BenchmarkTable3TopologyCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := Table3()
+		rows, err := experiments.Table3()
 		if err != nil || len(rows) != 5 {
 			b.Fatal(err)
 		}
@@ -45,7 +49,7 @@ func BenchmarkTable3TopologyCost(b *testing.B) {
 
 func BenchmarkTable4TrainingMetrics(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Table4(); err != nil {
+		if _, _, err := experiments.Table4(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -64,7 +68,7 @@ func BenchmarkTable5Latency(b *testing.B) {
 func BenchmarkFigure5AllToAll(b *testing.B) {
 	sizes := []units.Bytes{512 * units.MiB, 8 * units.GiB}
 	for i := 0; i < b.N; i++ {
-		if _, err := Figure5([]int{32, 64}, sizes); err != nil {
+		if _, err := experiments.Figure5([]int{32, 64}, sizes); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -74,18 +78,18 @@ func BenchmarkFigure5AllToAll(b *testing.B) {
 // heaviest collective sweep in the suite and the main beneficiary of
 // the worker pool + batched water-filling.
 func BenchmarkFigure5Full(b *testing.B) {
-	sizes := DefaultFigure5Sizes()
+	sizes := experiments.DefaultFigure5Sizes()
 	for i := 0; i < b.N; i++ {
-		if _, err := Figure5([]int{32, 64, 128}, sizes); err != nil {
+		if _, err := experiments.Figure5([]int{32, 64, 128}, sizes); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFigure6Latency(b *testing.B) {
-	sizes := DefaultFigure6Sizes()
+	sizes := experiments.DefaultFigure6Sizes()
 	for i := 0; i < b.N; i++ {
-		if _, err := Figure6(sizes); err != nil {
+		if _, err := experiments.Figure6(sizes); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -93,7 +97,7 @@ func BenchmarkFigure6Latency(b *testing.B) {
 
 func BenchmarkFigure7DeepEP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pts, err := Figure7()
+		pts, err := experiments.Figure7()
 		if err != nil || len(pts) != 4 {
 			b.Fatal(err)
 		}
@@ -102,7 +106,7 @@ func BenchmarkFigure7DeepEP(b *testing.B) {
 
 func BenchmarkFigure8Routing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := Figure8(); err != nil {
+		if _, err := experiments.Figure8(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -112,7 +116,7 @@ func BenchmarkFigure8Routing(b *testing.B) {
 
 func BenchmarkInferenceLimits(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := InferenceLimits(); err != nil {
+		if _, err := experiments.InferenceLimits(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -120,7 +124,7 @@ func BenchmarkInferenceLimits(b *testing.B) {
 
 func BenchmarkMTPSpeedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := MTPSpeedup(int64(i)); err != nil {
+		if _, err := experiments.MTPSpeedup(int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -128,7 +132,7 @@ func BenchmarkMTPSpeedup(b *testing.B) {
 
 func BenchmarkLocalDeployment(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if rows := LocalDeployment(); len(rows) != 3 {
+		if rows := experiments.LocalDeployment(); len(rows) != 3 {
 			b.Fatal("bad rows")
 		}
 	}
@@ -136,7 +140,7 @@ func BenchmarkLocalDeployment(b *testing.B) {
 
 func BenchmarkFP8Accuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := FP8Accuracy(); err != nil {
+		if _, err := experiments.FP8Accuracy(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -144,7 +148,7 @@ func BenchmarkFP8Accuracy(b *testing.B) {
 
 func BenchmarkAccumulationAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := AccumulationAblation(int64(i)); err != nil {
+		if _, err := experiments.AccumulationAblation(int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -169,7 +173,7 @@ func BenchmarkLogFMTCodec(b *testing.B) {
 
 func BenchmarkLogFMTAccuracySweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := LogFMTAccuracy(int64(i)); err != nil {
+		if _, err := experiments.LogFMTAccuracy(int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -177,7 +181,7 @@ func BenchmarkLogFMTAccuracySweep(b *testing.B) {
 
 func BenchmarkNodeLimitedRouting(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := NodeLimitedRouting(int64(i)); err != nil {
+		if _, err := experiments.NodeLimitedRouting(int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -185,7 +189,7 @@ func BenchmarkNodeLimitedRouting(b *testing.B) {
 
 func BenchmarkPlaneFailure(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := PlaneFailure([]int{0, 2}); err != nil {
+		if _, err := experiments.PlaneFailure([]int{0, 2}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -226,7 +230,7 @@ func BenchmarkE4M3Quantize(b *testing.B) {
 }
 
 func BenchmarkFlowSimAllToAll32(b *testing.B) {
-	c, err := CachedCluster(H800Config(4, MPFT))
+	c, err := cluster.Cached(H800Config(4, MPFT))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -240,13 +244,14 @@ func BenchmarkFlowSimAllToAll32(b *testing.B) {
 }
 
 // BenchmarkGateRoute measures the routing hot path the DeepEP traffic
-// generator runs per token: an allocation-free MoERouter with reusable
+// generator runs per token: an allocation-free moe.Router with reusable
 // scratch (0 allocs/op).
 func BenchmarkGateRoute(b *testing.B) {
 	g := V3Gate()
-	router := NewMoERouter(g)
+	router := moe.NewRouter(g)
 	rng := rand.New(rand.NewSource(4))
-	scores := g.RandomScores(rng)
+	scores := make([]float64, g.Experts)
+	g.RandomScoresInto(scores, rng)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -408,7 +413,7 @@ func BenchmarkServeEngineHazard(b *testing.B) {
 		DetectThreshold:  1.25,
 		QuarantineRepair: 4,
 	}
-	cfg.Resilience.Hedge = ServeHedgePolicy{Delay: 4, TrackP95: true}
+	cfg.Resilience.Hedge = servesim.HedgePolicy{Delay: 4, TrackP95: true}
 	cfg.Resilience.MaxRetries = 3
 	w := ServeWorkload{
 		Arrival:    ArrivalPoisson,
@@ -441,8 +446,8 @@ func BenchmarkServeEngineHazard(b *testing.B) {
 // on a warm pooled engine. Its allocs/op is pinned in
 // scripts/alloc_gate.sh alongside the small engine's.
 func BenchmarkServeFleet(b *testing.B) {
-	cfg := ServeFleetConfig1000(79)
-	w := ServeFleetWorkload(11000)
+	cfg := experiments.FleetConfig(79)
+	w := experiments.FleetWorkload(11000)
 	w.Requests = 50_000
 	eng := NewServeEngine()
 	if _, err := eng.Run(cfg, w); err != nil { // warm the pools
@@ -485,9 +490,9 @@ func BenchmarkCapacityPlanner(b *testing.B) {
 }
 
 func BenchmarkPipelineSimulate(b *testing.B) {
-	costs := PipelineCosts{F: 0.08, B: 0.14, W: 0.034}
+	costs := pipeline.Costs{F: 0.08, B: 0.14, W: 0.034}
 	for i := 0; i < b.N; i++ {
-		if _, err := SimulatePipeline(0, 16, 60, costs); err != nil {
+		if _, err := pipeline.Simulate(pipeline.OneFOneB, 16, 60, costs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -143,7 +143,7 @@ func main() {
 	}
 	cfg.KV.ChunkTokens = *chunkTokens
 	cfg.KV.PrefixCache = *prefixCache
-	if *mtpAccept > 0 {
+	if *mtpAccept != 0 {
 		spec := dsv3.MTPV3()
 		spec.Acceptance = *mtpAccept
 		cfg.MTP = &spec

@@ -18,9 +18,9 @@
 //
 //	exp, _ := dsv3.FindExperiment("table1")    // KV cache comparison
 //	res, _ := exp.Run(dsv3.RunOptions{})
-//	fmt.Println(res.Text())                     // or EmitJSON / EmitCSV
-//	rows, _ := dsv3.Figure7()                   // DeepEP bandwidth sweep
-//	m, _ := dsv3.TrainingConfig().Run()         // Table 4 metrics
+//	fmt.Println(res.Text())
+//	dsv3.EmitJSON(os.Stdout, res)               // typed tables as JSON
+//	dsv3.EmitCSV(os.Stdout, res)                // ... or as CSV
 //
 // The cmd/dsv3bench binary prints every experiment; the examples/
 // directory walks through the main APIs.
@@ -38,15 +38,12 @@ import (
 	"dsv3/internal/model"
 	"dsv3/internal/moe"
 	"dsv3/internal/mtp"
-	"dsv3/internal/netsim"
 	"dsv3/internal/obs"
 	"dsv3/internal/parallel"
-	"dsv3/internal/pipeline"
 	"dsv3/internal/quant"
 	"dsv3/internal/results"
 	"dsv3/internal/servesim"
 	"dsv3/internal/topology"
-	"dsv3/internal/trainsim"
 )
 
 // Structured experiment results. Every catalogue runner produces a
@@ -96,17 +93,13 @@ var (
 
 // Parallel execution engine. Every sweep-shaped runner fans out over a
 // bounded worker pool; per-task RNG streams derive from DeriveSeed, so
-// results are bit-identical for any worker count. SetParallelWorkers(1)
-// forces serial execution (the parity baseline).
+// results are bit-identical for any worker count.
 var (
-	SetParallelWorkers = parallel.SetWorkers
-	ParallelWorkers    = parallel.Workers
-	DeriveSeed         = parallel.DeriveSeed
-	// NewSeededRand / TaskRand are the sanctioned seeded-RNG
-	// constructors: explicit deterministic streams, never the global
-	// source (a guard test rejects bare rand.NewSource elsewhere).
+	DeriveSeed = parallel.DeriveSeed
+	// NewSeededRand is the sanctioned seeded-RNG constructor: an
+	// explicit deterministic stream, never the global source (a guard
+	// test rejects bare rand.NewSource elsewhere).
 	NewSeededRand = parallel.NewRand
-	TaskRand      = parallel.TaskRand
 )
 
 // Model configurations (Table 1 / Table 2 subjects).
@@ -119,19 +112,7 @@ var (
 	LLaMA405B  = model.LLaMA405B
 )
 
-// Numerics (§3).
-type (
-	// Format is a bit-exact minifloat format (E4M3, E5M2, BF16, ...).
-	Format = quant.Format
-	// Matrix is the dense matrix carrier used by the GEMM paths.
-	Matrix = quant.Matrix
-	// LogFMTCodec is the §3.2 logarithmic communication format.
-	LogFMTCodec = logfmt.Codec
-	// FP8GEMMConfig selects quantization granularity and accumulation.
-	FP8GEMMConfig = gemm.FP8Config
-)
-
-// Format instances and numerics constructors.
+// Numerics (§3): format instances, LogFMT and the GEMM paths.
 var (
 	E4M3             = quant.E4M3
 	E5M2             = quant.E5M2
@@ -145,10 +126,7 @@ var (
 )
 
 // Topologies and cost model (Table 3, §5.1).
-type (
-	TopologyCounts = topology.Counts
-	CostModel      = topology.CostModel
-)
+type TopologyCounts = topology.Counts
 
 var (
 	FT3Counts        = topology.FT3Counts
@@ -157,56 +135,24 @@ var (
 	DefaultCostModel = topology.DefaultCostModel
 )
 
-// Network simulation (§5).
-type RoutingPolicy = netsim.Policy
-
-const PolicyECMP = netsim.PolicyECMP
-
 // Cluster model (§4.1) and collectives (Figures 5, 6, 8).
-type (
-	Cluster        = cluster.Cluster
-	ClusterConfig  = cluster.Config
-	FabricKind     = cluster.FabricKind
-	CollectiveOpts = collective.Options
-)
-
 const MPFT = cluster.MPFT
 
 var (
-	H800Config   = cluster.H800Config
-	BuildCluster = cluster.Build
-	// CachedCluster returns a shared immutable cluster, memoized by
-	// configuration — the builder the experiment suite uses so repeated
-	// sweeps share one graph.
-	CachedCluster         = cluster.Cached
+	H800Config            = cluster.H800Config
+	BuildCluster          = cluster.Build
 	AllToAll              = collective.AllToAll
 	DefaultCollectiveOpts = collective.DefaultOptions
 )
 
 // MoE routing (§4.3) and DeepEP (Figure 7).
-type (
-	Gate = moe.Gate
-	// MoERouter is the allocation-free router used by the routing hot
-	// paths: reusable scratch lives in the Router value.
-	MoERouter    = moe.Router
-	DeepEPConfig = deepep.Config
-	DeepEPResult = deepep.Result
-)
-
 var (
 	V3Gate         = moe.V3Gate
-	NewMoERouter   = moe.NewRouter
 	DeepEPV3Config = deepep.V3Config
 	DeepEPDispatch = deepep.Dispatch
 )
 
 // Inference analyses (§2.1.2, §2.3.2, §2.3.3).
-type (
-	EPInferenceConfig = inference.EPConfig
-	MTPConfig         = mtp.Config
-	DecodeAccelerator = mla.Accelerator
-)
-
 var (
 	V3EPInference       = inference.V3EPConfig
 	MTPV3               = mtp.V3Config
@@ -248,28 +194,18 @@ type (
 	// silent data corruption on decode steps with Freivalds verification
 	// and quarantine, EWMA gray-failure draining, and hedged requests
 	// (speculative duplicates racing the straggling original).
-	ServeHazardPlan  = servesim.HazardPlan
-	ServeHedgePolicy = servesim.HedgePolicy
+	ServeHazardPlan = servesim.HazardPlan
 )
 
 const (
 	ArrivalPoisson = servesim.ArrivalPoisson
 	ArrivalTrace   = servesim.ArrivalTrace
 	ArrivalBursty  = servesim.ArrivalBursty
-	ArrivalDiurnal = servesim.ArrivalDiurnal
 
-	DistFixed     = servesim.DistFixed
-	DistUniform   = servesim.DistUniform
-	DistLogNormal = servesim.DistLogNormal
-
-	RouteLeastKV       = servesim.RouteLeastKV
-	RouteRoundRobin    = servesim.RouteRoundRobin
-	RoutePowerOfTwo    = servesim.RoutePowerOfTwo
-	RouteShortestQueue = servesim.RouteShortestQueue
+	DistUniform = servesim.DistUniform
 
 	FaultCrash   = servesim.FaultCrash
 	FaultRecover = servesim.FaultRecover
-	FaultDrain   = servesim.FaultDrain
 	FaultDegrade = servesim.FaultDegrade
 )
 
@@ -294,45 +230,6 @@ var (
 	// "p95:0.3" tracked with a floor) — the format behind dsv3serve's
 	// -hedge flag.
 	ParseServeHedgePolicy = servesim.ParseHedgePolicy
-)
-
-// Training (Table 4).
-type (
-	PipelineCosts  = pipeline.Costs
-	PipelineResult = pipeline.Result
-)
-
-var (
-	TrainingConfig   = trainsim.V3Config
-	SimulatePipeline = pipeline.Simulate
-)
-
-// Experiment data runners: the typed rows behind the catalogue's
-// tables. To regenerate a table or figure as text, JSON or CSV, run its
-// catalogue entry (FindExperiment) instead.
-var (
-	Table1               = experiments.Table1
-	Table2               = experiments.Table2
-	Table3               = experiments.Table3
-	Table4               = experiments.Table4
-	Figure5              = experiments.Figure5
-	Figure6              = experiments.Figure6
-	Figure7              = experiments.Figure7
-	Figure8              = experiments.Figure8
-	InferenceLimits      = experiments.InferenceLimits
-	MTPSpeedup           = experiments.MTPSpeedup
-	LocalDeployment      = experiments.LocalDeployment
-	FP8Accuracy          = experiments.FP8Accuracy
-	AccumulationAblation = experiments.AccumulationAblation
-	LogFMTAccuracy       = experiments.LogFMTAccuracy
-	NodeLimitedRouting   = experiments.NodeLimitedRouting
-	PlaneFailure         = experiments.PlaneFailure
-	DefaultFigure5Sizes  = experiments.DefaultFigure5Sizes
-	DefaultFigure6Sizes  = experiments.DefaultFigure6Sizes
-	// ServeFleetConfig1000 / ServeFleetWorkload are the deployment and
-	// Poisson workload of the serve-fleet entry (1000 instances).
-	ServeFleetConfig1000 = experiments.FleetConfig
-	ServeFleetWorkload   = experiments.FleetWorkload
 )
 
 // Observability: deterministic request-lifecycle tracing and sampled

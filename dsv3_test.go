@@ -4,12 +4,18 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"math"
 	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"dsv3/internal/experiments"
+	"dsv3/internal/netsim"
+	"dsv3/internal/trainsim"
 )
 
 // The facade must expose a coherent, working API: this exercises the
@@ -30,25 +36,86 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil || res.AlgBW <= 0 {
 		t.Fatalf("facade collective broken: %v", err)
 	}
-	if rows := Table1(); len(rows) != 3 {
+	if rows := experiments.Table1(); len(rows) != 3 {
 		t.Error("facade experiment runner broken")
 	}
 	g := V3Gate()
 	if err := g.Validate(); err != nil {
 		t.Error("facade gate broken")
 	}
-	if PolicyECMP.String() != "ECMP" {
+	if netsim.PolicyECMP.String() != "ECMP" {
 		t.Error("facade policy broken")
 	}
 }
 
 func TestFacadeTrainingConfig(t *testing.T) {
-	m, err := TrainingConfig().Run()
+	m, err := trainsim.V3Config().Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(m.TimePerStep-19.926) > 0.2 {
 		t.Errorf("Table 4 step time via facade = %v", m.TimePerStep)
+	}
+}
+
+// Every name the facade declares must have a caller outside this
+// package: a non-test Go file under examples/ or cmd/, or README.md's
+// library snippets, must reference it as dsv3.<Name>.
+func TestFacadeNamesHaveCallers(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "dsv3.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var declared []string
+	for _, d := range f.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			switch spec := spec.(type) {
+			case *ast.TypeSpec:
+				declared = append(declared, spec.Name.Name)
+			case *ast.ValueSpec:
+				for _, n := range spec.Names {
+					declared = append(declared, n.Name)
+				}
+			}
+		}
+	}
+	if len(declared) == 0 {
+		t.Fatal("dsv3.go declares no names")
+	}
+
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := []string{string(readme)}
+	for _, dir := range []string{"examples", "cmd"} {
+		err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+				return err
+			}
+			src, err := os.ReadFile(p)
+			sources = append(sources, string(src))
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	used := map[string]bool{}
+	ref := regexp.MustCompile(`\bdsv3\.([A-Za-z_][A-Za-z0-9_]*)`)
+	for _, src := range sources {
+		for _, m := range ref.FindAllStringSubmatch(src, -1) {
+			used[m[1]] = true
+		}
+	}
+	for _, name := range declared {
+		if !used[name] {
+			t.Errorf("facade name %s has no caller in examples/, cmd/ or README.md", name)
+		}
 	}
 }
 

@@ -220,18 +220,6 @@ func TestIBBeatsRoCE(t *testing.T) {
 	}
 }
 
-func TestIBGDASaving(t *testing.T) {
-	p := DefaultLatencyParams()
-	with := p.EndToEnd(IB, true)
-	proxy := p.EndToEndWithProxy(IB, true)
-	if math.Abs((proxy-with)-CPUProxyOverhead) > 1e-15 {
-		t.Error("proxy overhead accounting wrong")
-	}
-	if CPUProxyOverhead <= 0 {
-		t.Error("IBGDA must save something")
-	}
-}
-
 func TestFabricKindString(t *testing.T) {
 	if MPFT.String() != "MPFT" || MRFT.String() != "MRFT" {
 		t.Error("fabric names wrong")

@@ -80,15 +80,3 @@ func (p LatencyParams) EndToEnd(layer LinkLayer, sameLeaf bool) units.Seconds {
 		return p.HostOverheadNVLink + 2*p.NVLinkHop
 	}
 }
-
-// CPUProxyOverhead is the extra control-plane latency of the
-// traditional CPU-proxy send path that IBGDA eliminates (§5.2.3): the
-// GPU signals a CPU thread, which fills the work request and rings the
-// NIC doorbell.
-const CPUProxyOverhead = 1.5 * units.Microsecond
-
-// EndToEndWithProxy returns the latency including the CPU proxy hop;
-// comparing against EndToEnd shows the IBGDA saving.
-func (p LatencyParams) EndToEndWithProxy(layer LinkLayer, sameLeaf bool) units.Seconds {
-	return p.EndToEnd(layer, sameLeaf) + CPUProxyOverhead
-}

@@ -174,12 +174,6 @@ type RingResult struct {
 // neighbour connection, hashed once): ECMP keeps whatever the hash
 // picked for all stages, which is exactly how DP traffic "lacks
 // randomness" and congests (§5.2.2).
-func RingCollective(router *netsim.Router, groups [][]int, perRankBytes units.Bytes, policy netsim.Policy, opts Options) (RingResult, error) {
-	return NewScratch().RingCollective(router, groups, perRankBytes, policy, opts)
-}
-
-// RingCollective is the scratch-reusing form of the package-level
-// RingCollective.
 func (s *Scratch) RingCollective(router *netsim.Router, groups [][]int, perRankBytes units.Bytes, policy netsim.Policy, opts Options) (RingResult, error) {
 	g := router.Graph()
 	flows := s.flows[:0]

@@ -152,11 +152,11 @@ func TestRingCollectivePolicies(t *testing.T) {
 	opts.PerFlowOverheadBytes = 0
 
 	size := units.Bytes(256 * units.MiB)
-	ecmp, err := RingCollective(router, groups, size, netsim.PolicyECMP, opts)
+	ecmp, err := NewScratch().RingCollective(router, groups, size, netsim.PolicyECMP, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar, err := RingCollective(router, groups, size, netsim.PolicyAdaptive, opts)
+	ar, err := NewScratch().RingCollective(router, groups, size, netsim.PolicyAdaptive, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +172,8 @@ func TestRingCollectiveStaticNearAR(t *testing.T) {
 	opts := DefaultOptions()
 	opts.PerFlowOverheadBytes = 0
 	size := units.Bytes(256 * units.MiB)
-	ar, _ := RingCollective(router, groups, size, netsim.PolicyAdaptive, opts)
-	static, _ := RingCollective(router, groups, size, netsim.PolicyStatic, opts)
+	ar, _ := NewScratch().RingCollective(router, groups, size, netsim.PolicyAdaptive, opts)
+	static, _ := NewScratch().RingCollective(router, groups, size, netsim.PolicyStatic, opts)
 	if static.MeanBusBW < 0.5*ar.MeanBusBW {
 		t.Errorf("static routing (%v) should be in AR's neighbourhood (%v)", static.MeanBusBW, ar.MeanBusBW)
 	}
@@ -181,7 +181,7 @@ func TestRingCollectiveStaticNearAR(t *testing.T) {
 
 func TestRingCollectiveRejectsTinyGroup(t *testing.T) {
 	router, eps := buildRoCEFabric(2, 2, 2)
-	if _, err := RingCollective(router, [][]int{{eps[0]}}, 1*units.MiB, netsim.PolicyAdaptive, DefaultOptions()); err == nil {
+	if _, err := NewScratch().RingCollective(router, [][]int{{eps[0]}}, 1*units.MiB, netsim.PolicyAdaptive, DefaultOptions()); err == nil {
 		t.Error("1-member ring must be rejected")
 	}
 }
@@ -193,8 +193,8 @@ func TestRingBusBWScalesWithTP(t *testing.T) {
 	opts := DefaultOptions()
 	opts.PerFlowOverheadBytes = 0
 	size := units.Bytes(256 * units.MiB)
-	bw8, _ := RingCollective(router, makeGroups(eps, 8), size, netsim.PolicyAdaptive, opts)
-	bw2, _ := RingCollective(router, makeGroups(eps, 2), size, netsim.PolicyAdaptive, opts)
+	bw8, _ := NewScratch().RingCollective(router, makeGroups(eps, 8), size, netsim.PolicyAdaptive, opts)
+	bw2, _ := NewScratch().RingCollective(router, makeGroups(eps, 2), size, netsim.PolicyAdaptive, opts)
 	if bw8.MeanBusBW <= bw2.MeanBusBW {
 		t.Errorf("TP8 aggregate (%v) should exceed TP2 (%v)", bw8.MeanBusBW, bw2.MeanBusBW)
 	}
@@ -207,8 +207,8 @@ func TestECMPWorseWithMoreConcurrency(t *testing.T) {
 	opts.PerFlowOverheadBytes = 0
 	size := units.Bytes(256 * units.MiB)
 	all := makeGroups(eps, 8)
-	few, _ := RingCollective(router, all[:1], size, netsim.PolicyECMP, opts)
-	many, _ := RingCollective(router, all, size, netsim.PolicyECMP, opts)
+	few, _ := NewScratch().RingCollective(router, all[:1], size, netsim.PolicyECMP, opts)
+	many, _ := NewScratch().RingCollective(router, all, size, netsim.PolicyECMP, opts)
 	if many.MeanBusBW > few.MeanBusBW*1.001 {
 		t.Errorf("concurrency should not improve ECMP: %v vs %v", many.MeanBusBW, few.MeanBusBW)
 	}

@@ -71,7 +71,7 @@ func TestScratchRingCollectiveMatchesFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		freshRouter := netsim.NewRouter(ft.Build())
-		want, err := RingCollective(freshRouter, groups, 64*units.MiB, pol, opts)
+		want, err := NewScratch().RingCollective(freshRouter, groups, 64*units.MiB, pol, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

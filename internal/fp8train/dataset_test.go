@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// Train runs one configuration on its own dataset and returns the loss
+// trajectory: the independent reference that Compare must reproduce.
+func Train(cfg Config, prec Precision) (Result, error) {
+	if err := cfg.validate(); err != nil {
+		return Result{}, err
+	}
+	return trainArm(cfg, prec, genDataset(cfg)), nil
+}
+
 // TestCompareMatchesIndependentTrains pins the shared-dataset hoist:
 // Compare (one dataset, slab-reusing arms) must reproduce each
 // independent Train bit for bit.

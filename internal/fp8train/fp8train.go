@@ -225,14 +225,6 @@ func genDataset(cfg Config) *dataset {
 	return ds
 }
 
-// Train runs one configuration and returns the loss trajectory.
-func Train(cfg Config, prec Precision) (Result, error) {
-	if err := cfg.validate(); err != nil {
-		return Result{}, err
-	}
-	return trainArm(cfg, prec, genDataset(cfg)), nil
-}
-
 func (cfg Config) validate() error {
 	if cfg.In <= 0 || cfg.Hidden <= 0 || cfg.Out <= 0 || cfg.Batch <= 0 || cfg.Steps <= 0 {
 		return fmt.Errorf("fp8train: non-positive dimensions %+v", cfg)

@@ -153,23 +153,3 @@ func (c EPConfig) Analyze(bw units.BytesPerSecond) (Analysis, error) {
 	a.TPS = 1 / a.TPOT
 	return a, nil
 }
-
-// SweepPoint is one bandwidth point of the interconnect sweep.
-type SweepPoint struct {
-	Bandwidth units.BytesPerSecond
-	Analysis  Analysis
-}
-
-// Sweep analyzes a set of interconnect bandwidths (e.g. 50 GB/s IB,
-// 400 GB/s NVLink-class, 900 GB/s NVL72-class).
-func (c EPConfig) Sweep(bws []units.BytesPerSecond) ([]SweepPoint, error) {
-	out := make([]SweepPoint, 0, len(bws))
-	for _, bw := range bws {
-		a, err := c.Analyze(bw)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, SweepPoint{Bandwidth: bw, Analysis: a})
-	}
-	return out, nil
-}

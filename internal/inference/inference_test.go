@@ -56,17 +56,21 @@ func TestCommBytes(t *testing.T) {
 
 func TestSweepMonotone(t *testing.T) {
 	cfg := V3EPConfig()
-	pts, err := cfg.Sweep([]units.BytesPerSecond{40 * units.GB, 50 * units.GB, 400 * units.GB, 900 * units.GB})
-	if err != nil {
-		t.Fatal(err)
+	var pts []Analysis
+	for _, bw := range []units.BytesPerSecond{40 * units.GB, 50 * units.GB, 400 * units.GB, 900 * units.GB} {
+		a, err := cfg.Analyze(bw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pts = append(pts, a)
 	}
 	for i := 1; i < len(pts); i++ {
-		if pts[i].Analysis.TPS <= pts[i-1].Analysis.TPS {
+		if pts[i].TPS <= pts[i-1].TPS {
 			t.Errorf("TPS must rise with bandwidth: %+v", pts)
 		}
 	}
 	// 18x bandwidth => exactly 18x TPS in the latency-free model.
-	ratio := pts[3].Analysis.TPS / pts[1].Analysis.TPS
+	ratio := pts[3].TPS / pts[1].TPS
 	if math.Abs(ratio-18) > 1e-9 {
 		t.Errorf("TPS ratio = %v, want 18", ratio)
 	}
@@ -100,8 +104,8 @@ func TestValidation(t *testing.T) {
 	if _, err := V3EPConfig().Analyze(0); err == nil {
 		t.Error("zero bandwidth must fail")
 	}
-	if _, err := V3EPConfig().Sweep([]units.BytesPerSecond{-1}); err == nil {
-		t.Error("negative bandwidth must fail in sweep")
+	if _, err := V3EPConfig().Analyze(-1); err == nil {
+		t.Error("negative bandwidth must fail")
 	}
 	nan, inf := math.NaN(), math.Inf(1)
 	for _, bw := range []units.BytesPerSecond{nan, inf} {

@@ -137,20 +137,3 @@ func (e Encoded) Decode() []float64 {
 
 // Roundtrip is a convenience helper: encode then decode a tile.
 func (c Codec) Roundtrip(tile []float64) []float64 { return c.Encode(tile).Decode() }
-
-// TileWidth is the tile size used by the paper's implementation.
-const TileWidth = 128
-
-// RoundtripTensor quantizes xs tile-by-tile (1×TileWidth), the way the
-// combine-stage compression would run over a token's hidden vector.
-func (c Codec) RoundtripTensor(xs []float64) []float64 {
-	out := make([]float64, 0, len(xs))
-	for start := 0; start < len(xs); start += TileWidth {
-		end := start + TileWidth
-		if end > len(xs) {
-			end = len(xs)
-		}
-		out = append(out, c.Roundtrip(xs[start:end])...)
-	}
-	return out
-}

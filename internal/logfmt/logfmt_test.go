@@ -274,14 +274,20 @@ func TestNewPanicsOnBadWidth(t *testing.T) {
 	}
 }
 
+// The combine-stage compression runs over a token's hidden vector one
+// 1×128 tile at a time.
 func TestRoundtripTensorTiling(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	xs := gaussTile(rng, 7168) // one DeepSeek-V3 hidden vector: 56 tiles
-	out := New(8).RoundtripTensor(xs)
-	if len(out) != len(xs) {
-		t.Fatalf("length changed: %d vs %d", len(out), len(xs))
+	c := New(8)
+	var out []float64
+	for start := 0; start < len(xs); start += 128 {
+		out = append(out, c.Roundtrip(xs[start:start+128])...)
 	}
-	rel, _ := stats.RMSRelativeError(out, xs)
+	rel, err := stats.RMSRelativeError(out, xs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rel > 0.05 {
 		t.Errorf("tensor roundtrip error too high: %v", rel)
 	}

@@ -32,10 +32,6 @@ func H800() Accelerator {
 	return Accelerator{Name: "H800", PeakFLOPS: 990e12, MemBandwidth: 3.35e12}
 }
 
-// Ridge returns the accelerator's ridge intensity (FLOP/byte): work
-// below it is memory-bound.
-func (a Accelerator) Ridge() float64 { return a.PeakFLOPS / a.MemBandwidth }
-
 // DecodeCost is the per-decoded-token attention cost at a given context
 // length (all layers, batch size 1 unless scaled).
 type DecodeCost struct {

@@ -223,24 +223,6 @@ func Dense70B() *Config {
 	}
 }
 
-// Dense7B returns the ~7B dense model the paper used to validate LogFMT
-// (§3.2: "dense language models with around 7 billion parameters").
-func Dense7B() *Config {
-	return &Config{
-		Name:   "Dense-7B proxy (MHA)",
-		Hidden: 4096,
-		Layers: 32,
-		Vocab:  32000,
-		Attention: Attention{
-			Kind:          MHA,
-			NumQueryHeads: 32,
-			NumKVHeads:    32,
-			HeadDim:       128,
-		},
-		DenseInter: 11008,
-	}
-}
-
 // ParamCounts is the parameter inventory of a Config, in parameters
 // (multiply by bytes/param for memory).
 type ParamCounts struct {

@@ -1,17 +1,15 @@
 // Package moe implements the DeepSeekMoE router: sigmoid expert
 // affinities, the group-limited ("node-limited") top-k selection of
-// §4.3, expert placement across an EP group, and the aux-loss-free
-// bias-based load balancing used by DeepSeek-V3. The routing statistics
-// this package produces (how many distinct nodes a token touches) drive
-// the DeepEP communication model and the §4.3 traffic-deduplication
-// experiment.
+// §4.3 with an optional per-expert selection bias, and expert placement
+// across an EP group. The routing statistics this package produces (how
+// many distinct nodes a token touches) drive the DeepEP communication
+// model and the §4.3 traffic-deduplication experiment.
 package moe
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"dsv3/internal/parallel"
 )
@@ -48,23 +46,6 @@ func (g Gate) Validate() error {
 	return nil
 }
 
-// GroupOf returns the group index of an expert.
-func (g Gate) GroupOf(expert int) int { return expert / (g.Experts / g.Groups) }
-
-// Route selects the top-k experts for one token given its per-expert
-// affinity scores (higher is better; V3 uses sigmoid affinities).
-// bias, if non-nil, is added to scores for *selection only* — the
-// aux-loss-free balancing mechanism. The group limit is applied first:
-// groups are ranked by the sum of their top-2 biased scores, the best
-// GroupTopK groups survive, then the global top-k is taken inside them.
-//
-// Route allocates its result and a scratch Router per call; hot loops
-// should hold a Router and call its Route method instead.
-func (g Gate) Route(scores, bias []float64) []int {
-	r := NewRouter(g)
-	return append([]int(nil), r.Route(scores, bias)...)
-}
-
 // Router carries the reusable scratch of the routing computation so the
 // per-token hot path (DeepEP traffic generation, Monte-Carlo routing
 // statistics) runs without allocating. A Router is NOT safe for
@@ -79,7 +60,7 @@ type Router struct {
 }
 
 // NewRouter allocates a Router for the gate. The gate should be valid;
-// Route panics on malformed inputs exactly like Gate.Route.
+// Route panics on malformed inputs.
 func NewRouter(g Gate) *Router {
 	r := &Router{g: g, topScore: make([]float64, 0, g.TopK), out: make([]int, 0, g.TopK)}
 	if g.Groups > 0 {
@@ -90,9 +71,15 @@ func NewRouter(g Gate) *Router {
 	return r
 }
 
-// Route selects the token's experts exactly like Gate.Route but without
-// allocating: the returned slice (ascending expert IDs) aliases the
-// Router's internal buffer and is valid until the next call.
+// Route selects the top-k experts for one token given its per-expert
+// affinity scores (higher is better; V3 uses sigmoid affinities).
+// bias, if non-nil, is added to scores for *selection only* — the
+// aux-loss-free balancing mechanism. The group limit is applied first:
+// groups are ranked by the sum of their top-2 biased scores, the best
+// GroupTopK groups survive, then the global top-k is taken inside them.
+//
+// Route does not allocate: the returned slice (ascending expert IDs)
+// aliases the Router's internal buffer and is valid until the next call.
 func (r *Router) Route(scores, bias []float64) []int {
 	g := r.g
 	if len(scores) != g.Experts {
@@ -208,13 +195,6 @@ func sortSmall(xs []int) {
 	}
 }
 
-// RandomScores draws i.i.d. sigmoid-like affinities in (0,1).
-func (g Gate) RandomScores(rng *rand.Rand) []float64 {
-	s := make([]float64, g.Experts)
-	g.RandomScoresInto(s, rng)
-	return s
-}
-
 // RandomScoresInto fills dst with i.i.d. affinities in (0,1), drawing
 // exactly Experts variates; dst must have length Experts.
 func (g Gate) RandomScoresInto(dst []float64, rng *rand.Rand) {
@@ -251,45 +231,6 @@ func (p Placement) PerGPU() int { return p.Experts / (p.Nodes * p.GPUsPerNode) }
 func (p Placement) GPUOf(expert int) (node, gpu int) {
 	g := expert / p.PerGPU()
 	return g / p.GPUsPerNode, g % p.GPUsPerNode
-}
-
-// NodeOf returns the node hosting an expert.
-func (p Placement) NodeOf(expert int) int {
-	n, _ := p.GPUOf(expert)
-	return n
-}
-
-// TokenDispatch summarizes where one token's experts live.
-type TokenDispatch struct {
-	Experts []int
-	// Nodes is the deduplicated set of target nodes.
-	Nodes []int
-	// GPUsByNode maps a target node to the deduplicated GPU indices the
-	// token must reach there (for NVLink forwarding fan-out).
-	GPUsByNode map[int][]int
-}
-
-// Dispatch computes the dedup structure of a routed token.
-func (p Placement) Dispatch(experts []int) TokenDispatch {
-	td := TokenDispatch{Experts: experts, GPUsByNode: make(map[int][]int)}
-	seenNode := map[int]bool{}
-	seenGPU := map[[2]int]bool{}
-	for _, e := range experts {
-		n, g := p.GPUOf(e)
-		if !seenNode[n] {
-			seenNode[n] = true
-			td.Nodes = append(td.Nodes, n)
-		}
-		if !seenGPU[[2]int{n, g}] {
-			seenGPU[[2]int{n, g}] = true
-			td.GPUsByNode[n] = append(td.GPUsByNode[n], g)
-		}
-	}
-	sort.Ints(td.Nodes)
-	for _, gpus := range td.GPUsByNode {
-		sort.Ints(gpus)
-	}
-	return td
 }
 
 // Dispatcher computes the dedup structure of routed tokens without
@@ -481,58 +422,4 @@ func (a *statsAccumulator) finish(tokens int) RoutingStats {
 		MeanGPUFanout:   float64(a.fanout) / n,
 		ExpertLoad:      a.load,
 	}
-}
-
-// LoadBalancer implements DeepSeek-V3's aux-loss-free load balancing:
-// a per-expert bias adjusted by a fixed step in the direction that
-// evens out expert load. The bias only affects selection, never the
-// gate weights.
-type LoadBalancer struct {
-	Bias []float64
-	Step float64
-}
-
-// NewLoadBalancer creates a balancer for n experts.
-func NewLoadBalancer(n int, step float64) *LoadBalancer {
-	return &LoadBalancer{Bias: make([]float64, n), Step: step}
-}
-
-// Update nudges biases after observing a batch of expert loads:
-// overloaded experts get pushed down, underloaded ones up.
-func (lb *LoadBalancer) Update(load []int) {
-	if len(load) != len(lb.Bias) {
-		panic("moe: load/bias length mismatch")
-	}
-	total := 0
-	for _, c := range load {
-		total += c
-	}
-	mean := float64(total) / float64(len(load))
-	for e, c := range load {
-		switch {
-		case float64(c) > mean:
-			lb.Bias[e] -= lb.Step
-		case float64(c) < mean:
-			lb.Bias[e] += lb.Step
-		}
-	}
-}
-
-// LoadImbalance returns max/mean expert load, 1.0 being perfect.
-func LoadImbalance(load []int) float64 {
-	if len(load) == 0 {
-		return 0
-	}
-	total, max := 0, 0
-	for _, c := range load {
-		total += c
-		if c > max {
-			max = c
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	mean := float64(total) / float64(len(load))
-	return float64(max) / mean
 }

@@ -6,6 +6,16 @@ import (
 	"testing/quick"
 )
 
+// randomScores draws one token's affinities through RandomScoresInto.
+func randomScores(g Gate, rng *rand.Rand) []float64 {
+	s := make([]float64, g.Experts)
+	g.RandomScoresInto(s, rng)
+	return s
+}
+
+// groupOf returns the group index of an expert.
+func groupOf(g Gate, expert int) int { return expert / (g.Experts / g.Groups) }
+
 func TestV3GateValidates(t *testing.T) {
 	if err := V3Gate().Validate(); err != nil {
 		t.Fatal(err)
@@ -30,7 +40,7 @@ func TestRouteReturnsTopKDistinct(t *testing.T) {
 	g := V3Gate()
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 100; trial++ {
-		experts := g.Route(g.RandomScores(rng), nil)
+		experts := NewRouter(g).Route(randomScores(g, rng), nil)
 		if len(experts) != g.TopK {
 			t.Fatalf("got %d experts, want %d", len(experts), g.TopK)
 		}
@@ -51,10 +61,10 @@ func TestRouteRespectsGroupLimit(t *testing.T) {
 	g := V3Gate()
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
-		experts := g.Route(g.RandomScores(rng), nil)
+		experts := NewRouter(g).Route(randomScores(g, rng), nil)
 		groups := map[int]bool{}
 		for _, e := range experts {
-			groups[g.GroupOf(e)] = true
+			groups[groupOf(g, e)] = true
 		}
 		if len(groups) > g.GroupTopK {
 			t.Fatalf("token touched %d groups, limit %d", len(groups), g.GroupTopK)
@@ -65,7 +75,7 @@ func TestRouteRespectsGroupLimit(t *testing.T) {
 func TestRoutePicksHighestScores(t *testing.T) {
 	g := Gate{Experts: 8, TopK: 2, Groups: 2, GroupTopK: 2}
 	scores := []float64{0.1, 0.9, 0.2, 0.3, 0.8, 0.1, 0.1, 0.1}
-	experts := g.Route(scores, nil)
+	experts := NewRouter(g).Route(scores, nil)
 	if len(experts) != 2 || experts[0] != 1 || experts[1] != 4 {
 		t.Errorf("Route = %v, want [1 4]", experts)
 	}
@@ -79,7 +89,7 @@ func TestRouteGroupLimitExcludesBestExpert(t *testing.T) {
 	// g1's: selection must stay within the winning group.
 	g := Gate{Experts: 8, TopK: 2, Groups: 4, GroupTopK: 1}
 	scores := []float64{0.7, 0.7, 0.9, 0.0, 0.1, 0.1, 0.1, 0.1}
-	experts := g.Route(scores, nil)
+	experts := NewRouter(g).Route(scores, nil)
 	// g0 sum = 1.4 > g1 sum = 0.9: both picks come from group 0.
 	if experts[0] != 0 || experts[1] != 1 {
 		t.Errorf("Route = %v, want [0 1] (group-limited)", experts)
@@ -94,7 +104,7 @@ func TestRouteSingleExpertGroups(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	experts := g.Route([]float64{0.1, 0.9, 0.5, 0.7}, nil)
+	experts := NewRouter(g).Route([]float64{0.1, 0.9, 0.5, 0.7}, nil)
 	// Groups tie at -Inf, so groups 0 and 1 survive; top-2 inside them
 	// is experts 0 and 1.
 	if len(experts) != 2 || experts[0] != 0 || experts[1] != 1 {
@@ -105,9 +115,10 @@ func TestRouteSingleExpertGroups(t *testing.T) {
 func TestRouteDeterministic(t *testing.T) {
 	g := V3Gate()
 	rng := rand.New(rand.NewSource(43))
-	scores := g.RandomScores(rng)
-	a := g.Route(scores, nil)
-	b := g.Route(scores, nil)
+	scores := randomScores(g, rng)
+	r := NewRouter(g)
+	a := append([]int(nil), r.Route(scores, nil)...)
+	b := r.Route(scores, nil)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("routing must be deterministic")
@@ -119,10 +130,11 @@ func TestRouteBiasChangesSelection(t *testing.T) {
 	g := Gate{Experts: 4, TopK: 1, Groups: 1, GroupTopK: 1}
 	scores := []float64{0.5, 0.4, 0.3, 0.2}
 	bias := []float64{0, 0.2, 0, 0}
-	if e := g.Route(scores, nil); e[0] != 0 {
+	r := NewRouter(g)
+	if e := r.Route(scores, nil); e[0] != 0 {
 		t.Errorf("unbiased pick = %v, want 0", e)
 	}
-	if e := g.Route(scores, bias); e[0] != 1 {
+	if e := r.Route(scores, bias); e[0] != 1 {
 		t.Errorf("biased pick = %v, want 1", e)
 	}
 }
@@ -135,7 +147,10 @@ func TestPlacement(t *testing.T) {
 	if p.PerGPU() != 4 {
 		t.Errorf("experts per GPU = %d, want 4", p.PerGPU())
 	}
-	if p.NodeOf(0) != 0 || p.NodeOf(255) != 7 {
+	if n, _ := p.GPUOf(0); n != 0 {
+		t.Error("node mapping endpoints wrong")
+	}
+	if n, _ := p.GPUOf(255); n != 7 {
 		t.Error("node mapping endpoints wrong")
 	}
 	n, g := p.GPUOf(5)
@@ -152,16 +167,22 @@ func TestPlacementValidateRejects(t *testing.T) {
 
 func TestDispatchDedup(t *testing.T) {
 	p := Placement{Experts: 16, Nodes: 2, GPUsPerNode: 2} // 4 per GPU
-	td := p.Dispatch([]int{0, 1, 4, 8})
+	d := NewDispatcher(p)
+	// A stale earlier token must not leak into the next one's targets.
+	d.Dispatch([]int{12, 15})
+	d.Dispatch([]int{0, 1, 4, 8})
 	// experts 0,1 -> (0,0); 4 -> (0,1); 8 -> (1,0)
-	if len(td.Nodes) != 2 {
-		t.Fatalf("nodes = %v, want 2 distinct", td.Nodes)
+	if got := d.Nodes(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("nodes = %v, want [0 1]", got)
 	}
-	if got := td.GPUsByNode[0]; len(got) != 2 {
-		t.Errorf("node 0 GPUs = %v, want [0 1]", got)
+	if !d.HasGPU(0, 0) || !d.HasGPU(0, 1) {
+		t.Error("node 0 GPUs should be [0 1]")
 	}
-	if got := td.GPUsByNode[1]; len(got) != 1 || got[0] != 0 {
-		t.Errorf("node 1 GPUs = %v, want [0]", got)
+	if !d.HasGPU(1, 0) || d.HasGPU(1, 1) {
+		t.Error("node 1 GPUs should be [0]")
+	}
+	if d.GPUFanout() != 3 {
+		t.Errorf("GPU fanout = %d, want 3", d.GPUFanout())
 	}
 }
 
@@ -206,59 +227,6 @@ func TestCollectStatsLoadSums(t *testing.T) {
 	}
 }
 
-func TestLoadBalancerConvergesUnderSkew(t *testing.T) {
-	// Skewed affinities (some experts systematically hotter) must be
-	// flattened by the bias updates — the aux-loss-free mechanism.
-	g := Gate{Experts: 32, TopK: 4, Groups: 4, GroupTopK: 4}
-	rng := rand.New(rand.NewSource(46))
-	hot := make([]float64, g.Experts)
-	for e := range hot {
-		if e%8 == 0 {
-			hot[e] = 0.3 // systematically advantaged experts
-		}
-	}
-	score := func() []float64 {
-		s := g.RandomScores(rng)
-		for e := range s {
-			s[e] += hot[e]
-		}
-		return s
-	}
-	lb := NewLoadBalancer(g.Experts, 0.01)
-	var before, after float64
-	for round := 0; round < 60; round++ {
-		load := make([]int, g.Experts)
-		for tok := 0; tok < 200; tok++ {
-			for _, e := range g.Route(score(), lb.Bias) {
-				load[e]++
-			}
-		}
-		if round == 0 {
-			before = LoadImbalance(load)
-		}
-		after = LoadImbalance(load)
-		lb.Update(load)
-	}
-	if before < 2 {
-		t.Fatalf("skew not severe enough to test: imbalance %v", before)
-	}
-	if after > before*0.6 {
-		t.Errorf("balancer should cut imbalance: before %v, after %v", before, after)
-	}
-}
-
-func TestLoadImbalanceEdgeCases(t *testing.T) {
-	if LoadImbalance(nil) != 0 {
-		t.Error("empty load should be 0")
-	}
-	if LoadImbalance([]int{0, 0}) != 0 {
-		t.Error("zero load should be 0")
-	}
-	if LoadImbalance([]int{2, 2}) != 1 {
-		t.Error("uniform load should be exactly 1")
-	}
-}
-
 // Property: routing never violates the group cap, for random gate shapes.
 func TestRouteGroupCapProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
@@ -272,10 +240,10 @@ func TestRouteGroupCapProperty(t *testing.T) {
 		if err := g.Validate(); err != nil {
 			return false
 		}
-		experts := g.Route(g.RandomScores(r), nil)
+		experts := NewRouter(g).Route(randomScores(g, r), nil)
 		seen := map[int]bool{}
 		for _, e := range experts {
-			seen[g.GroupOf(e)] = true
+			seen[groupOf(g, e)] = true
 		}
 		return len(seen) <= gtk && len(experts) == topk
 	}

@@ -10,6 +10,8 @@ package mtp
 import (
 	"fmt"
 	"math/rand"
+
+	"dsv3/internal/units"
 )
 
 // Config describes an MTP inference setup.
@@ -36,9 +38,12 @@ func V3Config() Config {
 	return Config{Modules: 1, Acceptance: 0.85, DraftCost: 1.0 / 61, VerifyOverhead: 0.03}
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. The negated comparisons reject
+// NaN, which every ordered comparison lets through.
 func (c Config) Validate() error {
-	if c.Modules < 0 || c.Acceptance < 0 || c.Acceptance > 1 {
+	if c.Modules < 0 || !(c.Acceptance >= 0 && c.Acceptance <= 1) ||
+		!(c.DraftCost >= 0) || !units.Finite(c.DraftCost) ||
+		!(c.VerifyOverhead >= 0) || !units.Finite(c.VerifyOverhead) {
 		return fmt.Errorf("mtp: bad config %+v", c)
 	}
 	return nil

@@ -91,6 +91,20 @@ func TestValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("acceptance > 1 must fail")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []Config{
+		{Modules: 1, Acceptance: nan},
+		{Modules: 1, Acceptance: 0.8, DraftCost: nan},
+		{Modules: 1, Acceptance: 0.8, DraftCost: -0.1},
+		{Modules: 1, Acceptance: 0.8, DraftCost: inf},
+		{Modules: 1, Acceptance: 0.8, VerifyOverhead: nan},
+		{Modules: 1, Acceptance: 0.8, VerifyOverhead: -0.1},
+		{Modules: 1, Acceptance: 0.8, VerifyOverhead: inf},
+	} {
+		if err := bad.Validate(); err == nil {
+			t.Errorf("%+v must fail", bad)
+		}
+	}
 	rng := rand.New(rand.NewSource(1))
 	if _, err := Simulate(V3Config(), 0, rng); err == nil {
 		t.Error("zero tokens must fail")

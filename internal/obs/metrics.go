@@ -61,9 +61,6 @@ func NewRegistry(interval units.Seconds) *Registry {
 	return &Registry{interval: interval, next: interval}
 }
 
-// Interval returns the sampling cadence.
-func (r *Registry) Interval() units.Seconds { return r.interval }
-
 // Reset drops the metric definitions and samples for a new run,
 // keeping the buffers. The producer re-registers its metrics after
 // Reset; the first sample lands at one interval.

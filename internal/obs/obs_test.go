@@ -215,7 +215,7 @@ func TestNames(t *testing.T) {
 	if ComputePrefill.String() != "prefill" || ComputeDecodeStep.String() != "decode-step" {
 		t.Error("compute kind names")
 	}
-	if NewRegistry(0).Interval() != DefaultMetricsInterval {
+	if NewRegistry(0).interval != DefaultMetricsInterval {
 		t.Error("default interval")
 	}
 }

@@ -56,12 +56,6 @@ func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 		func(i int, _ struct{}) (T, error) { return fn(i) })
 }
 
-// Run is Map for tasks without a result value.
-func Run(n int, fn func(i int) error) error {
-	_, err := Map(n, func(i int) (struct{}, error) { return struct{}{}, fn(i) })
-	return err
-}
-
 // MapScratch is Map with per-worker scratch state: each worker
 // goroutine calls newScratch once and hands the same value to every
 // task it runs, so tasks can reuse allocation-heavy buffers (flow

@@ -69,16 +69,6 @@ func TestMapAllTasksRunDespiteError(t *testing.T) {
 	}
 }
 
-func TestRun(t *testing.T) {
-	var sum atomic.Int64
-	if err := Run(10, func(i int) error { sum.Add(int64(i)); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 45 {
-		t.Fatalf("sum = %d", sum.Load())
-	}
-}
-
 func TestSetWorkersClamps(t *testing.T) {
 	prev := SetWorkers(-3)
 	if got := Workers(); got != 1 {
@@ -134,19 +124,19 @@ func TestDeriveSeedSpreads(t *testing.T) {
 func TestPoolRaceStress(t *testing.T) {
 	prev := SetWorkers(8)
 	defer SetWorkers(prev)
-	err := Run(8, func(outer int) error {
+	_, err := Map(8, func(outer int) (struct{}, error) {
 		out, err := Map(200, func(i int) (int64, error) {
 			return int64(outer*1000 + i), nil
 		})
 		if err != nil {
-			return err
+			return struct{}{}, err
 		}
 		for i, v := range out {
 			if v != int64(outer*1000+i) {
-				return fmt.Errorf("outer %d index %d: got %d", outer, i, v)
+				return struct{}{}, fmt.Errorf("outer %d index %d: got %d", outer, i, v)
 			}
 		}
-		return nil
+		return struct{}{}, nil
 	})
 	if err != nil {
 		t.Fatal(err)

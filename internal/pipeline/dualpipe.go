@@ -54,20 +54,3 @@ func AnalyticDualPipe(stages, microbatches int, c Costs) (Result, error) {
 	}
 	return res, nil
 }
-
-// IdealDualPipeMakespan returns the overhead-free DualPipe step time:
-// per-stage work plus the published bubble term
-// (PP/2-1)·(F&B + B - 3W) with F&B = F+B. This is the bound to compare
-// against the ideal 1F1B event simulation; AnalyticDualPipe, in
-// contrast, reproduces the *measured* production timeline, which
-// carries straggler/launch overheads on top of the ideal schedule.
-func IdealDualPipeMakespan(stages, microbatches int, c Costs) units.Seconds {
-	m := float64(microbatches)
-	p := float64(stages)
-	work := m * (c.F + c.B + c.W)
-	bubble := (p/2 - 1) * (c.F + 2*c.B - 3*c.W)
-	if bubble < 0 {
-		bubble = 0
-	}
-	return work + bubble
-}

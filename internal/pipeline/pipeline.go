@@ -298,16 +298,3 @@ func Simulate(sched Schedule, stages, microbatches int, c Costs) (Result, error)
 	}
 	return res, nil
 }
-
-// BubbleFraction returns the idle share of the pipeline: mean stage
-// idle time over the makespan.
-func (r Result) BubbleFraction() float64 {
-	if r.Makespan == 0 {
-		return 0
-	}
-	var idle float64
-	for _, b := range r.StageBusy {
-		idle += r.Makespan - b
-	}
-	return idle / (r.Makespan * float64(len(r.StageBusy)))
-}

@@ -247,39 +247,3 @@ func (a Accumulator) DotProductScratch(x, y, scratch []float64) float64 {
 	}
 	return acc
 }
-
-// PromotedDotProduct computes the same dot product using the two-level
-// accumulation strategy DeepGEMM uses on Hopper: the tensor-core (FP22)
-// accumulator runs for promoteEvery elements, then the partial result is
-// promoted into an FP32 accumulator and the register is cleared. With
-// promoteEvery = 128 this matches DeepSeek-V3's fine-grained recipe, and
-// neatly composes with the 1×128 tile scales: scale[i] multiplies each
-// promoted partial (dequantization on CUDA cores, §3.1.1's "large
-// dequantization overhead").
-//
-// scales must have one entry per promoteEvery-sized chunk (the last chunk
-// may be short); pass nil for unit scales.
-func (a Accumulator) PromotedDotProduct(x, y []float64, promoteEvery int, scales []float64) float64 {
-	if len(x) != len(y) {
-		panic("quant: PromotedDotProduct length mismatch")
-	}
-	if promoteEvery <= 0 {
-		promoteEvery = len(x)
-	}
-	var total float32 // the CUDA-core FP32 accumulator
-	chunk := 0
-	for start := 0; start < len(x); start += promoteEvery {
-		end := start + promoteEvery
-		if end > len(x) {
-			end = len(x)
-		}
-		partial := a.DotProduct(x[start:end], y[start:end])
-		scale := 1.0
-		if scales != nil {
-			scale = scales[chunk]
-		}
-		total += float32(partial * scale)
-		chunk++
-	}
-	return float64(total)
-}

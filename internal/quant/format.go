@@ -153,6 +153,3 @@ func (f Format) QuantizeSlice(dst, src []float64) {
 		dst[i] = f.Quantize(x)
 	}
 }
-
-// Representable reports whether x is exactly representable in the format.
-func (f Format) Representable(x float64) bool { return f.Quantize(x) == x }

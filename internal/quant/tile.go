@@ -35,27 +35,6 @@ func QuantizeTile(f Format, tile []float64) ScaledTile {
 	return out
 }
 
-// QuantizeRowTiles quantizes a length-n row into ceil(n/TileWidth) tiles.
-// The final tile may be short. This mirrors the 1×128 activation layout.
-func QuantizeRowTiles(f Format, row []float64) []ScaledTile {
-	var tiles []ScaledTile
-	for start := 0; start < len(row); start += TileWidth {
-		end := start + TileWidth
-		if end > len(row) {
-			end = len(row)
-		}
-		tiles = append(tiles, QuantizeTile(f, row[start:end]))
-	}
-	return tiles
-}
-
-// QuantizePerTensor quantizes with a single scale for the whole tensor —
-// the coarse baseline the paper's fine-grained scheme improves on. Used
-// by the quantization-granularity ablation.
-func QuantizePerTensor(f Format, xs []float64) ScaledTile {
-	return QuantizeTile(f, xs)
-}
-
 // QuantizeTileCodes quantizes one tile into raw format codes — the
 // unscaled values the tensor cores consume — writing them into codes
 // (same length as tile; may alias it) and returning the tile scale.
@@ -114,22 +93,16 @@ func nanMaxScale(f Format, tile []float64) float64 {
 	return 1
 }
 
-// QuantizeBlockCodes quantizes m per blockRows×blockCols block into raw
-// format codes, writing them into codes (same shape as m) and returning
-// one scale per block in block-row-major order. It is the raw-code
-// counterpart of QuantizeBlockwise, sized for reuse in GEMM inner loops
-// where the scale is applied once per promoted partial rather than per
-// element.
-func QuantizeBlockCodes(f Format, m *Matrix, blockRows, blockCols int, codes *Matrix) []float64 {
-	return QuantizeBlockCodesScratch(f, m, blockRows, blockCols, codes, nil)
-}
-
-// QuantizeBlockCodesScratch is QuantizeBlockCodes with a caller-provided
-// scale buffer: scales are appended to scratch[:0] (reallocating only if
-// its capacity is short), so repeated GEMM calls reuse one buffer.
+// QuantizeBlockCodesScratch quantizes m per blockRows×blockCols block
+// (128×128 for DeepSeek-V3 weights) into raw format codes, writing them
+// into codes (same shape as m) and returning one scale per block in
+// block-row-major order: dequantized value = code × scale. The scale is
+// applied once per promoted partial in GEMM inner loops rather than per
+// element. Scales are appended to scratch[:0] (reallocating only if its
+// capacity is short), so repeated GEMM calls reuse one buffer.
 func QuantizeBlockCodesScratch(f Format, m *Matrix, blockRows, blockCols int, codes *Matrix, scratch []float64) []float64 {
 	if codes.Rows != m.Rows || codes.Cols != m.Cols {
-		panic("quant: QuantizeBlockCodes shape mismatch")
+		panic("quant: QuantizeBlockCodesScratch shape mismatch")
 	}
 	blocksPerRow := (m.Cols + blockCols - 1) / blockCols
 	blocksPerCol := (m.Rows + blockRows - 1) / blockRows
@@ -204,42 +177,4 @@ func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
-}
-
-// QuantizeBlockwise quantizes a matrix with per-block scales over
-// blockRows×blockCols blocks (128×128 for DeepSeek-V3 weights). The
-// returned matrix holds dequantized values; scales holds one scale per
-// block in block-row-major order.
-func QuantizeBlockwise(f Format, m *Matrix, blockRows, blockCols int) (*Matrix, []float64) {
-	out := NewMatrix(m.Rows, m.Cols)
-	var scales []float64
-	for br := 0; br < m.Rows; br += blockRows {
-		rEnd := br + blockRows
-		if rEnd > m.Rows {
-			rEnd = m.Rows
-		}
-		for bc := 0; bc < m.Cols; bc += blockCols {
-			cEnd := bc + blockCols
-			if cEnd > m.Cols {
-				cEnd = m.Cols
-			}
-			maxAbs := 0.0
-			for r := br; r < rEnd; r++ {
-				for c := bc; c < cEnd; c++ {
-					maxAbs = math.Max(maxAbs, math.Abs(m.At(r, c)))
-				}
-			}
-			scale := 1.0
-			if maxAbs > 0 {
-				scale = maxAbs / f.MaxFinite
-			}
-			scales = append(scales, scale)
-			for r := br; r < rEnd; r++ {
-				for c := bc; c < cEnd; c++ {
-					out.Set(r, c, f.Quantize(m.At(r, c)/scale)*scale)
-				}
-			}
-		}
-	}
-	return out, scales
 }

@@ -6,12 +6,41 @@ import (
 	"testing"
 )
 
+// QuantizePerTensor quantizes with a single scale for the whole tensor —
+// the coarse baseline the paper's fine-grained scheme improves on.
+func QuantizePerTensor(f Format, xs []float64) ScaledTile {
+	return QuantizeTile(f, xs)
+}
+
 func gaussianTile(rng *rand.Rand, n int, sigma float64) []float64 {
 	xs := make([]float64, n)
 	for i := range xs {
 		xs[i] = rng.NormFloat64() * sigma
 	}
 	return xs
+}
+
+// rowTiles quantizes a row as 1×TileWidth tiles; the last may be short.
+func rowTiles(f Format, row []float64) []ScaledTile {
+	var tiles []ScaledTile
+	for start := 0; start < len(row); start += TileWidth {
+		tiles = append(tiles, QuantizeTile(f, row[start:min(start+TileWidth, len(row))]))
+	}
+	return tiles
+}
+
+// blockwise quantizes m per 128×128 block through
+// QuantizeBlockCodesScratch and dequantizes each element as code × scale.
+func blockwise(f Format, m *Matrix) (*Matrix, []float64) {
+	q := NewMatrix(m.Rows, m.Cols)
+	scales := QuantizeBlockCodesScratch(f, m, 128, 128, q, nil)
+	blocksPerRow := (m.Cols + 127) / 128
+	for r := 0; r < m.Rows; r++ {
+		for c := 0; c < m.Cols; c++ {
+			q.Set(r, c, q.At(r, c)*scales[(r/128)*blocksPerRow+c/128])
+		}
+	}
+	return q, scales
 }
 
 func TestQuantizeTileScaleMapsMaxToFormatMax(t *testing.T) {
@@ -69,7 +98,7 @@ func TestQuantizeTileZero(t *testing.T) {
 func TestQuantizeRowTiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	row := gaussianTile(rng, 300, 1) // 3 tiles: 128 + 128 + 44
-	tiles := QuantizeRowTiles(E4M3, row)
+	tiles := rowTiles(E4M3, row)
 	if len(tiles) != 3 {
 		t.Fatalf("expected 3 tiles, got %d", len(tiles))
 	}
@@ -82,7 +111,7 @@ func TestQuantizeRowTiles(t *testing.T) {
 	for i := 0; i < 128; i++ {
 		row2[i] *= 1000
 	}
-	tiles2 := QuantizeRowTiles(E4M3, row2)
+	tiles2 := rowTiles(E4M3, row2)
 	if tiles2[1].Scale != tiles[1].Scale {
 		t.Error("tile scales are not independent across tiles")
 	}
@@ -114,7 +143,7 @@ func TestFineGrainedBeatsPerTensorWithOutlier(t *testing.T) {
 		return sum / float64(len(got))
 	}
 	var fineVals []float64
-	for _, tile := range QuantizeRowTiles(E4M3, row) {
+	for _, tile := range rowTiles(E4M3, row) {
 		fineVals = append(fineVals, tile.Values...)
 	}
 	coarse := QuantizePerTensor(E4M3, row)
@@ -146,7 +175,7 @@ func TestQuantizeBlockwiseShapes(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = rng.NormFloat64()
 	}
-	q, scales := QuantizeBlockwise(E4M3, m, 128, 128)
+	q, scales := blockwise(E4M3, m)
 	if q.Rows != 256 || q.Cols != 200 {
 		t.Fatal("blockwise output shape wrong")
 	}
@@ -167,7 +196,7 @@ func TestQuantizeBlockwiseBlockIndependence(t *testing.T) {
 		m.Data[i] = 1
 	}
 	m.Set(0, 0, 1000) // outlier in block (0,0)
-	q, scales := QuantizeBlockwise(E4M3, m, 128, 128)
+	q, scales := blockwise(E4M3, m)
 	if len(scales) != 4 {
 		t.Fatalf("expected 4 scales, got %d", len(scales))
 	}

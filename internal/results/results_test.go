@@ -2,10 +2,74 @@ package results
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
 )
+
+// DecodeJSON parses a document written by EmitJSON back into a Result.
+// Cell texts are not part of the JSON schema, so decoded cells carry
+// values only — re-encoding a decoded result reproduces the input
+// bytes (the round-trip property the emitter tests assert).
+func DecodeJSON(r io.Reader) (*Result, error) {
+	var doc jsonResult
+	dec := json.NewDecoder(r)
+	dec.UseNumber()
+	if err := dec.Decode(&doc); err != nil {
+		return nil, fmt.Errorf("results: decode: %w", err)
+	}
+	if doc.SchemaVersion != SchemaVersion {
+		return nil, fmt.Errorf("results: schema version %d, want %d", doc.SchemaVersion, SchemaVersion)
+	}
+	out := &Result{
+		Experiment: doc.Experiment,
+		Desc:       doc.Description,
+		Meta: Meta{
+			Seed:     doc.Seed,
+			Quick:    doc.Quick,
+			WallTime: time.Duration(math.Round(doc.WallMS * float64(time.Millisecond))),
+		},
+	}
+	for _, jt := range doc.Tables {
+		t := NewTable(jt.Title)
+		for _, c := range jt.Columns {
+			t.Columns = append(t.Columns, Column{Name: c.Name, Unit: c.Unit})
+		}
+		for _, row := range jt.Rows {
+			cells := make([]Cell, len(row))
+			for i, v := range row {
+				cells[i] = Cell{Value: normalizeJSONValue(v)}
+			}
+			t.Rows = append(t.Rows, cells)
+		}
+		out.Tables = append(out.Tables, t)
+	}
+	return out, nil
+}
+
+// normalizeJSONValue maps decoded JSON values onto the cell value
+// types the builders produce: json.Number becomes int when the text
+// has no fraction or exponent, float64 otherwise.
+func normalizeJSONValue(v any) any {
+	n, ok := v.(json.Number)
+	if !ok {
+		return v
+	}
+	if !bytes.ContainsAny([]byte(n.String()), ".eE") {
+		if i, err := n.Int64(); err == nil {
+			return int(i)
+		}
+	}
+	f, err := n.Float64()
+	if err != nil {
+		return n.String()
+	}
+	return f
+}
 
 func sampleResult() *Result {
 	t := NewTable("Sample: speeds",

@@ -79,9 +79,9 @@ type Report struct {
 	// admitted requests.
 	SLOHealthy float64
 	SLOFaulted float64
-	// DroppedSamples counts non-finite latency samples excluded from
-	// the TTFT/TPOT/E2E summaries (stats.Histogram.Dropped; 0 in any
-	// healthy run).
+	// DroppedSamples counts non-finite TTFT, TPOT and E2E latency
+	// samples (0 in any healthy run). They are still included in the
+	// summaries, so a non-zero count flags summaries that are NaN or Inf.
 	DroppedSamples int
 	// Makespan is the completion time of the last request.
 	Makespan units.Seconds
@@ -199,19 +199,25 @@ func (e *Engine) report() *Report {
 	e2e := e.e2e[:0]
 	goodDone := e.goodDone[:0]
 	var lastArrival, lastDone units.Seconds
-	meetsSLO := 0
+	meetsSLO, nonFinite := 0, 0
 	healthyGood, healthyTot, faultedGood, faultedTot := 0, 0, 0, 0
 	for _, req := range e.completed {
 		t := req.firstToken - req.Arrival
 		ttft = append(ttft, t)
 		e2e = append(e2e, req.done-req.Arrival)
-		e.latHist.Add(t)
-		e.latHist.Add(req.done - req.Arrival)
+		if !units.Finite(t) {
+			nonFinite++
+		}
+		if !units.Finite(req.done - req.Arrival) {
+			nonFinite++
+		}
 		perTok := -1.0
 		if req.OutputTokens > 1 {
 			perTok = (req.done - req.firstToken) / float64(req.OutputTokens-1)
 			tpot = append(tpot, perTok)
-			e.latHist.Add(perTok)
+			if !units.Finite(perTok) {
+				nonFinite++
+			}
 		}
 		good := t <= e.cfg.SLO.TTFT && (perTok < 0 || perTok <= e.cfg.SLO.TPOT) && !req.corrupt
 		if good {
@@ -276,7 +282,7 @@ func (e *Engine) report() *Report {
 	}
 	e.goodDone = goodDone[:0]
 	e.ttft, e.tpot, e.e2e = ttft[:0], tpot[:0], e2e[:0]
-	r.DroppedSamples = e.latHist.Dropped
+	r.DroppedSamples = nonFinite
 	r.TTFT = stats.SummarizeSorting(ttft)
 	r.TPOT = stats.SummarizeSorting(tpot)
 	r.E2E = stats.SummarizeSorting(e2e)

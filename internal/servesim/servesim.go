@@ -22,7 +22,6 @@ import (
 
 	"dsv3/internal/obs"
 	"dsv3/internal/parallel"
-	"dsv3/internal/stats"
 	"dsv3/internal/units"
 )
 
@@ -380,8 +379,7 @@ type Engine struct {
 	nextSample units.Seconds
 	sampleStep units.Seconds
 
-	latHist         stats.Histogram // latency-sample tally (surfaces Dropped)
-	ttft, tpot, e2e []float64       // report percentile scratch
+	ttft, tpot, e2e []float64 // report percentile scratch
 }
 
 // faultSpan is one interval during which at least one instance was
@@ -442,7 +440,6 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 	e.incidents = e.incidents[:0]
 	e.spans = e.spans[:0]
 	e.goodDone = e.goodDone[:0]
-	e.latHist = stats.Histogram{}
 	e.preempts, e.steps, e.stepBatch, e.stepTokens = 0, 0, 0, 0
 	e.peakOcc = 0
 	e.samples = e.samples[:0]

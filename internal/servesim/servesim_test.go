@@ -330,6 +330,28 @@ func TestPreemptionUnderKVPressure(t *testing.T) {
 }
 
 // Too-small pools must be rejected up front rather than livelocking.
+// TestReportCountsNonFiniteSamples: a NaN or ±Inf TTFT, TPOT or E2E
+// sample is counted in DroppedSamples; finite ones are not.
+func TestReportCountsNonFiniteSamples(t *testing.T) {
+	w := Workload{Arrival: ArrivalPoisson, RatePerSec: 4, Requests: 10, Prompt: Fixed(64), Output: Fixed(16)}
+	e := NewEngine()
+	rep, err := e.Run(V3ServeConfig(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.DroppedSamples != 0 {
+		t.Fatalf("healthy run dropped %d samples", rep.DroppedSamples)
+	}
+	// Each poisoned request yields two non-finite samples: NaN TTFT and
+	// TPOT; +Inf E2E and TPOT; -Inf TTFT and +Inf TPOT.
+	e.completed[0].firstToken = math.NaN()
+	e.completed[1].done = math.Inf(1)
+	e.completed[2].firstToken = math.Inf(-1)
+	if got := e.report().DroppedSamples; got != 6 {
+		t.Errorf("DroppedSamples = %d, want 6", got)
+	}
+}
+
 func TestValidateRejectsImpossibleKV(t *testing.T) {
 	cfg := V3ServeConfig()
 	cfg.KV.HBM.CapacityBytes = 1 << 20

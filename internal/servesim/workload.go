@@ -67,9 +67,6 @@ type LengthDist struct {
 	Max   int
 }
 
-// Fixed returns a degenerate distribution.
-func Fixed(n int) LengthDist { return LengthDist{Kind: DistFixed, Mean: n, Min: n, Max: n} }
-
 // LogNormal returns a heavy-tailed distribution with median mean,
 // clamped to [mean/4, 4*mean].
 func LogNormal(mean int, sigma float64) LengthDist {

@@ -10,6 +10,9 @@ import (
 	"dsv3/internal/units"
 )
 
+// Fixed returns a degenerate distribution.
+func Fixed(n int) LengthDist { return LengthDist{Kind: DistFixed, Mean: n, Min: n, Max: n} }
+
 func testRNG() *rand.Rand { return rand.New(rand.NewSource(1)) }
 
 func TestPoissonArrivalRate(t *testing.T) {

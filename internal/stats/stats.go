@@ -1,9 +1,9 @@
 // Package stats provides the small statistics toolkit shared by the
-// experiments: summaries, error metrics (relative error, RMS, SNR) and
-// histograms. The quantization studies in the paper (§3.1, §3.2) are
-// phrased in terms of relative accuracy loss and signal-to-noise ratios;
-// this package defines those measurements once so every experiment uses
-// the same definitions.
+// experiments: summaries and error metrics (relative error, normwise
+// relative error, SNR). The quantization studies in the paper (§3.1,
+// §3.2) are phrased in terms of relative accuracy loss and
+// signal-to-noise ratios; this package defines those measurements once
+// so every experiment uses the same definitions.
 package stats
 
 import (
@@ -26,19 +26,12 @@ type Summary struct {
 	P99    float64
 }
 
-// Summarize computes a Summary over xs. It returns a zero Summary for an
-// empty sample; xs is left untouched (the quantile sort happens on a
-// copy).
-func Summarize(xs []float64) Summary {
-	return SummarizeSorting(append([]float64(nil), xs...))
-}
-
-// SummarizeSorting is Summarize without the defensive copy: the
-// order-sensitive moments (sum, variance) are computed over xs as
-// given, then xs itself is sorted in place for the quantile fields.
-// The result is bit-identical to Summarize; the caller's slice is
-// reordered. Report builders that own their sample scratch use this to
-// keep percentile assembly allocation-free.
+// SummarizeSorting computes a Summary over xs, or a zero Summary for
+// an empty sample. The order-sensitive moments (sum, variance) are
+// computed over xs as given, then xs itself is sorted in place for the
+// quantile fields, so the caller's slice is reordered. Report builders
+// that own their sample scratch use this to keep percentile assembly
+// allocation-free; pass a copy to keep the input order.
 func SummarizeSorting(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
@@ -73,18 +66,6 @@ func SummarizeSorting(xs []float64) Summary {
 // ErrMismatchedLengths is returned when two samples that must align do not.
 var ErrMismatchedLengths = errors.New("stats: mismatched sample lengths")
 
-// RMS returns the root mean square of xs.
-func RMS(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var ss float64
-	for _, x := range xs {
-		ss += x * x
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}
-
 // RelativeError returns |got-want| / |want|. When want is zero it returns
 // |got| so that exact zeros compare as zero error.
 func RelativeError(got, want float64) float64 {
@@ -92,19 +73,6 @@ func RelativeError(got, want float64) float64 {
 		return math.Abs(got)
 	}
 	return math.Abs(got-want) / math.Abs(want)
-}
-
-// MaxRelativeError returns the largest elementwise relative error between
-// got and want.
-func MaxRelativeError(got, want []float64) (float64, error) {
-	if len(got) != len(want) {
-		return 0, ErrMismatchedLengths
-	}
-	var m float64
-	for i := range got {
-		m = math.Max(m, RelativeError(got[i], want[i]))
-	}
-	return m, nil
 }
 
 // RMSRelativeError returns ||got-want||_2 / ||want||_2, the normwise
@@ -156,18 +124,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean of strictly positive xs.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
-}
-
 // Percentile returns the p-th percentile (0..100) of xs using linear
 // interpolation between closest ranks.
 func Percentile(xs []float64, p float64) float64 {
@@ -177,23 +133,6 @@ func Percentile(xs []float64, p float64) float64 {
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
 	return percentileSorted(sorted, p)
-}
-
-// Percentiles returns the requested percentiles of xs, sorting the
-// sample once — the bulk form of Percentile for reporters that need
-// quantiles beyond Summary's P50/P95/P99 fields. An empty sample
-// yields all zeros.
-func Percentiles(xs []float64, ps ...float64) []float64 {
-	out := make([]float64, len(ps))
-	if len(xs) == 0 {
-		return out
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	for i, p := range ps {
-		out[i] = percentileSorted(sorted, p)
-	}
-	return out
 }
 
 // percentileSorted is Percentile over an already-sorted non-empty
@@ -214,52 +153,3 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// Histogram is a fixed-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi  float64
-	Counts  []int
-	Under   int // finite samples below Lo
-	Over    int // finite samples >= Hi
-	Dropped int // non-finite samples (NaN, ±Inf)
-	samples int
-}
-
-// NewHistogram creates a histogram with bins equal-width bins over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		return &Histogram{Lo: lo, Hi: hi}
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one sample. Non-finite samples have no position on the
-// axis (a NaN in particular passes both range guards, and int(NaN) is
-// a huge negative index); they are tallied in Dropped instead of
-// Under/Over or any bin.
-func (h *Histogram) Add(x float64) {
-	h.samples++
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		h.Dropped++
-		return
-	}
-	if x < h.Lo {
-		h.Under++
-		return
-	}
-	if x >= h.Hi || len(h.Counts) == 0 {
-		h.Over++
-		return
-	}
-	idx := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	if idx < 0 { // defensive clamp: unreachable while the x < Lo guard precedes it
-		idx = 0
-	}
-	h.Counts[idx]++
-}
-
-// Total returns the number of samples recorded, including out-of-range ones.
-func (h *Histogram) Total() int { return h.samples }

@@ -7,8 +7,13 @@ import (
 	"testing/quick"
 )
 
+// summarize is SummarizeSorting on a copy, leaving xs in its order.
+func summarize(xs []float64) Summary {
+	return SummarizeSorting(append([]float64(nil), xs...))
+}
+
 func TestSummarizeBasic(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4})
+	s := summarize([]float64{1, 2, 3, 4})
 	if s.N != 4 || s.Mean != 2.5 || s.Min != 1 || s.Max != 4 {
 		t.Fatalf("unexpected summary: %+v", s)
 	}
@@ -22,13 +27,13 @@ func TestSummarizeBasic(t *testing.T) {
 }
 
 func TestSummarizeEmpty(t *testing.T) {
-	if s := Summarize(nil); s.N != 0 {
+	if s := summarize(nil); s.N != 0 {
 		t.Errorf("empty summary should have N=0, got %+v", s)
 	}
 }
 
 func TestSummarizeOddMedian(t *testing.T) {
-	s := Summarize([]float64{5, 1, 3})
+	s := summarize([]float64{5, 1, 3})
 	if s.Median != 3 {
 		t.Errorf("median = %v, want 3", s.Median)
 	}
@@ -43,28 +48,6 @@ func TestRelativeError(t *testing.T) {
 	}
 	if got := RelativeError(0, 0); got != 0 {
 		t.Errorf("RelativeError(0,0) = %v, want 0", got)
-	}
-}
-
-func TestRMS(t *testing.T) {
-	if got := RMS([]float64{3, 4}); math.Abs(got-math.Sqrt(12.5)) > 1e-12 {
-		t.Errorf("RMS = %v", got)
-	}
-	if got := RMS(nil); got != 0 {
-		t.Errorf("RMS(nil) = %v", got)
-	}
-}
-
-func TestMaxRelativeError(t *testing.T) {
-	got, err := MaxRelativeError([]float64{1, 2.2}, []float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-0.1) > 1e-9 {
-		t.Errorf("MaxRelativeError = %v, want 0.1", got)
-	}
-	if _, err := MaxRelativeError([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("expected length-mismatch error")
 	}
 }
 
@@ -118,69 +101,17 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("GeoMean = %v, want 2", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Add(float64(i) + 0.5)
-	}
-	h.Add(-1)
-	h.Add(11)
-	if h.Total() != 12 || h.Under != 1 || h.Over != 1 {
-		t.Fatalf("histogram bookkeeping wrong: %+v", h)
-	}
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Errorf("bin %d = %d, want 1", i, c)
+// An unsorted even-length sample interpolates between the middle ranks;
+// an empty one yields zero.
+func TestPercentiles(t *testing.T) {
+	xs := []float64{4, 1, 3, 2}
+	for _, c := range []struct{ p, want float64 }{{0, 1}, {50, 2.5}, {100, 4}} {
+		if got := Percentile(xs, c.p); got != c.want {
+			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
 		}
 	}
-}
-
-// A NaN passes both range guards (NaN < Lo and NaN >= Hi are both
-// false) and int(NaN) is a huge negative index; before the Dropped
-// counter this panicked on Counts[idx]. Non-finite samples must land
-// in Dropped, not in a bin or the Under/Over tallies.
-func TestHistogramNonFinite(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	h.Add(math.NaN())
-	h.Add(math.Inf(1))
-	h.Add(math.Inf(-1))
-	h.Add(0.5)
-	if h.Dropped != 3 {
-		t.Errorf("Dropped = %d, want 3", h.Dropped)
-	}
-	if h.Under != 0 || h.Over != 0 {
-		t.Errorf("non-finite samples leaked into Under/Over: %+v", h)
-	}
-	if h.Total() != 4 {
-		t.Errorf("Total = %d, want 4", h.Total())
-	}
-	if h.Counts[0] != 1 {
-		t.Errorf("finite sample not recorded: %+v", h.Counts)
-	}
-}
-
-// The low-side index is clamped: a sample at exactly Lo (or rounding
-// slightly below bin zero) lands in bin 0, never at a negative index.
-func TestHistogramLowEdge(t *testing.T) {
-	h := NewHistogram(-1e18, 1e18, 7)
-	h.Add(-1e18)
-	h.Add(math.Nextafter(-1e18, 0))
-	if h.Counts[0] != 2 || h.Under != 0 {
-		t.Errorf("low-edge samples not clamped into bin 0: %+v", h)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	h := NewHistogram(5, 5, 0)
-	h.Add(5)
-	if h.Total() != 1 || h.Over != 1 {
-		t.Errorf("degenerate histogram should route to Over: %+v", h)
+	if got := Percentile(nil, 99); got != 0 {
+		t.Errorf("empty Percentile = %v, want 0", got)
 	}
 }
 
@@ -195,7 +126,7 @@ func TestSummaryProperties(t *testing.T) {
 			xs[i] = rng.NormFloat64() * 10
 		}
 		shift := float64(shiftRaw)
-		s := Summarize(xs)
+		s := summarize(xs)
 		if s.Mean < s.Min-1e-9 || s.Mean > s.Max+1e-9 {
 			return false
 		}
@@ -203,7 +134,7 @@ func TestSummaryProperties(t *testing.T) {
 		for i := range xs {
 			shifted[i] = xs[i] + shift
 		}
-		s2 := Summarize(shifted)
+		s2 := summarize(shifted)
 		return math.Abs(s2.Mean-(s.Mean+shift)) < 1e-6 && math.Abs(s2.Std-s.Std) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -242,7 +173,7 @@ func TestSummaryPercentileFields(t *testing.T) {
 	for i := range xs {
 		xs[i] = float64(100 - i) // 0..100, reversed to exercise sorting
 	}
-	s := Summarize(xs)
+	s := summarize(xs)
 	if s.P50 != 50 || s.P95 != 95 || s.P99 != 99 {
 		t.Errorf("percentile fields = %v/%v/%v, want 50/95/99", s.P50, s.P95, s.P99)
 	}
@@ -257,33 +188,10 @@ func TestSummaryPercentilesMatchPercentile(t *testing.T) {
 	for i := range xs {
 		xs[i] = rng.NormFloat64()
 	}
-	s := Summarize(xs)
+	s := summarize(xs)
 	for _, c := range []struct{ p, got float64 }{{50, s.P50}, {95, s.P95}, {99, s.P99}} {
 		if want := Percentile(xs, c.p); c.got != want {
 			t.Errorf("Summary p%.0f = %v, want Percentile's %v", c.p, c.got, want)
 		}
-	}
-}
-
-func TestPercentiles(t *testing.T) {
-	xs := []float64{4, 1, 3, 2}
-	got := Percentiles(xs, 0, 50, 100)
-	want := []float64{1, 2.5, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Percentiles[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// One sort, same answers as repeated Percentile calls.
-	for _, p := range []float64{10, 25, 75, 90, 99} {
-		if a, b := Percentiles(xs, p)[0], Percentile(xs, p); a != b {
-			t.Errorf("Percentiles(%v) = %v, Percentile = %v", p, a, b)
-		}
-	}
-	if out := Percentiles(nil, 50, 99); out[0] != 0 || out[1] != 0 {
-		t.Errorf("empty Percentiles = %v, want zeros", out)
-	}
-	if out := Percentiles(xs); len(out) != 0 {
-		t.Errorf("no-ps Percentiles = %v, want empty", out)
 	}
 }

@@ -17,29 +17,6 @@ type FabricParams struct {
 	SwitchHopLat    units.Seconds
 }
 
-// IB400G returns fabric parameters for the paper's 400G NDR InfiniBand:
-// 50 GB/s line rate and sub-microsecond hops (calibrated so the Table 5
-// CPU-side latencies reproduce: see internal/cluster).
-func IB400G() FabricParams {
-	return FabricParams{
-		EndpointLinkCap: 50 * units.GB,
-		SwitchLinkCap:   50 * units.GB,
-		EndpointLinkLat: 0.2 * units.Microsecond,
-		SwitchHopLat:    0.45 * units.Microsecond,
-	}
-}
-
-// RoCE400G returns parameters for 400G RoCE Ethernet: same line rate,
-// higher per-hop latency (Table 5: Ethernet switches add ~1 µs/hop).
-func RoCE400G() FabricParams {
-	return FabricParams{
-		EndpointLinkCap: 50 * units.GB,
-		SwitchLinkCap:   50 * units.GB,
-		EndpointLinkLat: 0.3 * units.Microsecond,
-		SwitchHopLat:    1.0 * units.Microsecond,
-	}
-}
-
 // FatTree2 describes a two-layer (leaf-spine) fat-tree build.
 type FatTree2 struct {
 	Leaves           int
@@ -69,7 +46,3 @@ func (ft FatTree2) Build() *Graph {
 	}
 	return g
 }
-
-// LeafOf returns the leaf index an endpoint (by position in
-// g.Endpoints()) belongs to.
-func (ft FatTree2) LeafOf(endpointIdx int) int { return endpointIdx / ft.EndpointsPerLeaf }

@@ -1,8 +1,9 @@
 // Package topology builds the network fabrics discussed in §5 of the
 // paper — two- and three-layer fat-trees, the Multi-Plane Fat-Tree
-// (MPFT) deployed for DeepSeek-V3, the single-plane Multi-Rail Fat-Tree
-// (MRFT) it is compared against, and the Slim Fly and Dragonfly
-// topologies from the cost comparison in Table 3.
+// (MPFT) deployed for DeepSeek-V3 and the single-plane Multi-Rail
+// Fat-Tree (MRFT) it is compared against. The Slim Fly and Dragonfly
+// columns of Table 3's cost comparison enter as closed-form switch and
+// link counts (cost.go).
 //
 // Graphs are directed: a physical cable is two Link records, one per
 // direction, so full-duplex contention is modelled naturally by the

@@ -1,12 +1,28 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+
+	"dsv3/internal/units"
+)
+
+// IB400G returns fabric parameters for the paper's 400G NDR InfiniBand:
+// 50 GB/s line rate and sub-microsecond hops (calibrated so the Table 5
+// CPU-side latencies reproduce: see internal/cluster).
+func IB400G() FabricParams {
+	return FabricParams{
+		EndpointLinkCap: 50 * units.GB,
+		SwitchLinkCap:   50 * units.GB,
+		EndpointLinkLat: 0.2 * units.Microsecond,
+		SwitchHopLat:    0.45 * units.Microsecond,
+	}
+}
 
 // SlimFly builds the McKay–Miller–Širáň (MMS) graph underlying the Slim
 // Fly topology referenced by Table 3. The construction here supports
 // prime q with q ≡ 1 (mod 4), which covers the small instances the
-// tests and simulations use (q = 5, 13, 17, 29); the closed-form
-// SlimFlyCounts handles arbitrary valid q for the cost table.
+// tests build (q = 5); the closed-form SlimFlyCounts, which the cost
+// model uses, handles arbitrary valid q and is checked against it.
 //
 // Vertices are (0, x, y) "row" routers and (1, m, c) "column" routers,
 // x, y, m, c ∈ F_q:

@@ -139,29 +139,3 @@ func (c Config) Run() (Metrics, error) {
 	m.MFUNonCausal = m.TFLOPSNonCausal / H800PeakBF16
 	return m, nil
 }
-
-// RunOneFOneB runs the same configuration under the classic 1F1B
-// schedule via the event simulator — the baseline DualPipe improves on.
-func (c Config) RunOneFOneB() (Metrics, error) {
-	costs, err := c.Costs()
-	if err != nil {
-		return Metrics{}, err
-	}
-	sched, err := pipeline.Simulate(pipeline.OneFOneB, c.PPStages, c.Microbatches, costs)
-	if err != nil {
-		return Metrics{}, err
-	}
-	m := Metrics{
-		TokensPerStep: float64(c.SeqsPerStep) * float64(c.SeqLen),
-		Phases:        sched.Phases,
-		OptimizerTime: c.OptimizerTime,
-	}
-	m.TimePerStep = sched.Makespan + c.OptimizerTime
-	m.TokensPerDay = m.TokensPerStep / m.TimePerStep * 86400
-	perGPU := m.TokensPerStep / (float64(c.GPUs) * m.TimePerStep)
-	m.TFLOPSCausal = perGPU * c.Model.TrainingFLOPsPerToken(c.SeqLen, true)
-	m.TFLOPSNonCausal = perGPU * c.Model.TrainingFLOPsPerToken(c.SeqLen, false)
-	m.MFUCausal = m.TFLOPSCausal / H800PeakBF16
-	m.MFUNonCausal = m.TFLOPSNonCausal / H800PeakBF16
-	return m, nil
-}

@@ -81,18 +81,23 @@ func TestDualPipeBubbleBeats1F1B(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ofb, err := cfg.RunOneFOneB()
+	costs, err := cfg.Costs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ofb, err := pipeline.Simulate(pipeline.OneFOneB, cfg.PPStages, cfg.Microbatches, costs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dp.Phases.Bubble >= ofb.Phases.Bubble {
 		t.Errorf("DualPipe bubble (%v) must beat 1F1B's (%v)", dp.Phases.Bubble, ofb.Phases.Bubble)
 	}
-	// Ideal-vs-ideal, DualPipe wins the makespan too.
-	costs, _ := cfg.Costs()
-	ideal := pipeline.IdealDualPipeMakespan(cfg.PPStages, cfg.Microbatches, costs)
-	if ideal+float64(cfg.OptimizerTime) >= ofb.TimePerStep {
-		t.Errorf("ideal DualPipe (%v) must beat ideal 1F1B (%v)", ideal, ofb.TimePerStep)
+	// Ideal-vs-ideal, DualPipe wins the makespan too: the overhead-free
+	// DualPipe bound is per-stage work plus (PP/2-1)·(F&B + B - 3W).
+	m, p := float64(cfg.Microbatches), float64(cfg.PPStages)
+	ideal := m*(costs.F+costs.B+costs.W) + math.Max(0, (p/2-1)*(costs.F+2*costs.B-3*costs.W))
+	if ideal >= ofb.Makespan {
+		t.Errorf("ideal DualPipe (%v) must beat ideal 1F1B (%v)", ideal, ofb.Makespan)
 	}
 }
 

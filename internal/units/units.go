@@ -46,13 +46,6 @@ type Seconds = float64
 // comparison with NaN is false, so a sign check alone lets NaN through.
 func Finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
-// GbpsToBytes converts a line rate in gigabits per second to bytes per
-// second (decimal): 400 Gbps -> 50e9 B/s.
-func GbpsToBytes(gbps float64) BytesPerSecond { return gbps * 1e9 / 8 }
-
-// BytesToGB converts bytes to decimal gigabytes.
-func BytesToGB(b Bytes) float64 { return b / GB }
-
 // FormatBytes renders a size with a binary-prefix unit, matching the axis
 // labels used in the paper's figures (128MiB, 1GiB, ...).
 func FormatBytes(b Bytes) string {
