@@ -73,6 +73,9 @@ func Catalogue() []Runner {
 			return []*results.Table{t}, nil
 		})
 	}
+	serve := func(name, desc string, seed int64, study func(quick bool) serveStudy) Runner {
+		return one(name, desc, seed, func(o Options) (*results.Table, error) { return study(o.Quick).run(seed) })
+	}
 	return []Runner{
 		one("table1", "KV cache per token (MLA vs GQA)", 0,
 			func(Options) (*results.Table, error) { return Table1Result(), nil }),
@@ -150,30 +153,19 @@ func Catalogue() []Runner {
 			func(Options) (*results.Table, error) { return BandwidthContentionResult() }),
 		one("sdc", "§6.1.2 checksum-based SDC detection", SeedSDC,
 			func(Options) (*results.Table, error) { return SDCDetectionResult(SeedSDC) }),
-		one("serve", "serving simulator: Poisson load sweep", SeedServe,
-			func(o Options) (*results.Table, error) { return ServeLoadSweepResult(SeedServe, o.Quick) }),
-		one("serve-disagg", "serving: disaggregation vs colocation ratios", SeedServeDisagg,
-			func(o Options) (*results.Table, error) { return DisaggRatioStudyResult(SeedServeDisagg, o.Quick) }),
-		one("serve-spec", "serving: MTP speculative decoding under load", SeedServeSpec,
-			func(o Options) (*results.Table, error) { return SpeculativeServingResult(SeedServeSpec, o.Quick) }),
-		one("serve-router", "serving: router policy shoot-out at fixed load", SeedServeRouter,
-			func(o Options) (*results.Table, error) { return RouterShootoutResult(SeedServeRouter, o.Quick) }),
-		one("serve-capacity", "serving: SLO capacity knee vs fleet shape and router", SeedServeCapacity,
-			func(o Options) (*results.Table, error) { return CapacityStudyResult(SeedServeCapacity, o.Quick) }),
-		one("serve-failure", "serving: kill-an-instance incident replay per router", SeedServeFailure,
-			func(o Options) (*results.Table, error) { return FailureStudyResult(SeedServeFailure, o.Quick) }),
-		one("serve-shed", "serving: admission shedding under diurnal overload", SeedServeShed,
-			func(o Options) (*results.Table, error) { return ShedStudyResult(SeedServeShed, o.Quick) }),
-		one("serve-kvtier", "serving: tiered KV offload + prefix cache capacity frontier", SeedServeKVTier,
-			func(o Options) (*results.Table, error) { return KVTierStudyResult(SeedServeKVTier, o.Quick) }),
+		serve("serve", "serving simulator: Poisson load sweep", SeedServe, serveLoadStudy),
+		serve("serve-disagg", "serving: disaggregation vs colocation ratios", SeedServeDisagg, disaggStudy),
+		serve("serve-spec", "serving: MTP speculative decoding under load", SeedServeSpec, specStudy),
+		serve("serve-router", "serving: router policy shoot-out at fixed load", SeedServeRouter, routerStudy),
+		serve("serve-capacity", "serving: SLO capacity knee vs fleet shape and router", SeedServeCapacity, capacityStudy),
+		serve("serve-failure", "serving: kill-an-instance incident replay per router", SeedServeFailure, failureStudy),
+		serve("serve-shed", "serving: admission shedding under diurnal overload", SeedServeShed, shedStudy),
+		serve("serve-kvtier", "serving: tiered KV offload + prefix cache capacity frontier", SeedServeKVTier, kvTierStudy),
 		many("serve-trace", "serving: deterministic lifecycle trace of the tiered+faulted run", SeedServeTrace,
 			func(o Options) ([]*results.Table, error) { return TraceStudyResult(SeedServeTrace, o.Quick) }),
-		one("serve-fleet", "serving: 1000-instance fleet under 1M requests", SeedServeFleet,
-			func(o Options) (*results.Table, error) { return FleetStudyResult(SeedServeFleet, o.Quick) }),
-		one("serve-hazard", "serving: plane degradation + SDC per router, detection off vs on", SeedServeHazard,
-			func(o Options) (*results.Table, error) { return HazardStudyResult(SeedServeHazard, o.Quick) }),
-		one("serve-hedge", "serving: hedged requests vs a permanent gray straggler", SeedServeHedge,
-			func(o Options) (*results.Table, error) { return HedgeStudyResult(SeedServeHedge, o.Quick) }),
+		serve("serve-fleet", "serving: 1000-instance fleet under 1M requests", SeedServeFleet, fleetStudy),
+		serve("serve-hazard", "serving: plane degradation + SDC per router, detection off vs on", SeedServeHazard, hazardStudy),
+		serve("serve-hedge", "serving: hedged requests vs a permanent gray straggler", SeedServeHedge, hedgeStudy),
 	}
 }
 

@@ -11,15 +11,14 @@ import (
 // tiered-KV fleet from the serve-kvtier study (HBM starved enough to
 // offload, DRAM+flash below, prefix cache on) plus the serve-failure
 // incident (decode instance 1 crashes at t=6 s, repaired at t=14 s)
-// and the default retry policy. One traced run therefore exercises
-// every span kind the tracer knows: queue, prefill, transfer, reload,
-// decode, backoff, offload/preemption marks, crash/recover incidents
-// and prefix hits.
+// and three retries per orphaned request. One traced run therefore
+// exercises every span kind the tracer knows: queue, prefill, transfer,
+// reload, decode, backoff, offload/preemption marks, crash/recover
+// incidents and prefix hits.
 func traceStudyConfig(seed int64) servesim.Config {
 	cfg := servesim.V3ServeConfig()
 	cfg.Seed = seed
-	cfg.KV.HBM.CapacityBytes = 2 * units.GB / 25
-	cfg.SLO = servesim.SLO{TTFT: 0.4, TPOT: 50 * units.Millisecond}
+	kvTierBase(&cfg)
 	cfg.KV.ChunkTokens = 256
 	cfg.KV.Tiers = kvTierHierarchy()
 	cfg.KV.PrefixCache = true

@@ -1,9 +1,13 @@
 #!/usr/bin/env bash
 # Allocation-regression smoke: run the allocation-sensitive benchmarks
-# once (-benchtime=1x -benchmem) and fail if any reports more
-# allocs/op than its pinned budget. ns/op at 1x is meaningless noise —
-# only the allocation counts are checked, and those are deterministic,
-# so this gate is cheap enough for every CI run.
+# three times each (-benchtime=1x -count=3 -benchmem) and fail if the
+# lowest allocs/op a benchmark reports exceeds its pinned budget. ns/op
+# at 1x is meaningless noise — only the allocation counts are checked.
+# Those are a process-wide MemStats delta, so a stray allocation from
+# another goroutine (the runtime, the test framework) can be charged to
+# one run; it only ever adds, so the minimum never reads below the true
+# count, while a real regression shows in every run. The gate is cheap
+# enough for every CI run.
 #
 # The budgets below, and why each holds, are documented in DESIGN.md's
 # "Pinned allocation budgets" table; TestAllocBudgetsMatchDesign fails
@@ -24,16 +28,16 @@ BenchmarkEventQueue/heap/n=1000000 0
 "
 
 pattern="$(awk 'NF && $1 !~ /\// { printf "%s%s", sep, $1; sep = "|" }' <<<"$budgets")"
-out="$(go test -run=NONE -bench="^(${pattern})\$" -benchmem -benchtime=1x .
-       go test -run=NONE -bench='^BenchmarkEventQueue$' -benchmem -benchtime=1x ./internal/servesim)"
+out="$(go test -run=NONE -bench="^(${pattern})\$" -benchmem -benchtime=1x -count=3 .
+       go test -run=NONE -bench='^BenchmarkEventQueue$' -benchmem -benchtime=1x -count=3 ./internal/servesim)"
 echo "$out"
 
 status=0
 while read -r name budget; do
   [ -z "$name" ] && continue
   allocs="$(awk -v n="$name" '$1 ~ "^"n"(-[0-9]+)?$" {
-    for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1)
-  }' <<<"$out")"
+    for (i = 2; i <= NF; i++) if ($i == "allocs/op" && (min == "" || $(i-1) < min)) min = $(i-1)
+  } END { print min }' <<<"$out")"
   if [ -z "$allocs" ]; then
     echo "FAIL: $name did not run (pattern or -benchmem problem)" >&2
     status=1
