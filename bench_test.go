@@ -262,8 +262,8 @@ func BenchmarkGateRoute(b *testing.B) {
 }
 
 // BenchmarkServeEngine measures the steady-state cost of one serving
-// simulation on a reused engine — the unit of work every RateSweep arm
-// and CapacityPlanner probe repeats. The engine's pools (event heap,
+// simulation on a reused engine — the unit of work every
+// CapacityPlanner probe repeats. The engine's pools (event heap,
 // request arena, per-instance queues, report scratch) are warm after
 // the first run, so allocs/op here is the true marginal footprint.
 func BenchmarkServeEngine(b *testing.B) {

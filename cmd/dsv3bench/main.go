@@ -144,16 +144,7 @@ func writeFiles(dir string, format results.Format, res []*results.Result) error 
 	}
 	for _, r := range res {
 		var buf bytes.Buffer
-		var err error
-		switch format {
-		case results.FormatJSON:
-			err = results.EmitJSON(&buf, r)
-		case results.FormatCSV:
-			err = results.EmitCSV(&buf, r)
-		default:
-			_, err = buf.WriteString(r.Text())
-		}
-		if err != nil {
+		if err := results.Emit(&buf, format, r); err != nil {
 			return fmt.Errorf("%s: %w", r.Experiment, err)
 		}
 		path := filepath.Join(dir, r.Experiment+"."+format.Ext())

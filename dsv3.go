@@ -55,18 +55,10 @@ import (
 type (
 	// ExperimentResult is one experiment's structured output.
 	ExperimentResult = results.Result
-	// ExperimentTable is one typed table of a result.
-	ExperimentTable = results.Table
-	// ExperimentColumn describes one typed, unit-annotated column.
-	ExperimentColumn = results.Column
-	// ExperimentCell is one typed cell (display text plus raw value).
-	ExperimentCell = results.Cell
 	// ExperimentRunner is one catalogue entry (name, description, runner).
 	ExperimentRunner = experiments.Runner
 	// RunOptions configures a catalogue runner invocation.
 	RunOptions = experiments.Options
-	// ResultFormat selects an emitter (text, JSON or CSV).
-	ResultFormat = results.Format
 )
 
 // Catalogue access and emitters.
@@ -82,13 +74,6 @@ var (
 	// EmitJSON / EmitCSV serialize a result.
 	EmitJSON = results.EmitJSON
 	EmitCSV  = results.EmitCSV
-	// Builders for constructing results outside the catalogue (used by
-	// cmd/dsv3serve and custom tooling).
-	NewExperimentResult = results.New
-	NewExperimentTable  = results.NewTable
-	StrCell             = results.Str
-	IntCell             = results.Int
-	FloatCell           = results.Float
 )
 
 // Parallel execution engine. Every sweep-shaped runner fans out over a
@@ -173,15 +158,10 @@ type (
 	ServeWorkload   = servesim.Workload
 	ServeReport     = servesim.Report
 	ServeLengthDist = servesim.LengthDist
-	ServeSweepPoint = servesim.SweepPoint
 	// ServeKVTierConfig is one spill tier below HBM (DRAM, flash) in
 	// ServeConfig.KV.Tiers; tiers absorb KV pressure and hold the prefix
 	// cache.
 	ServeKVTierConfig = servesim.KVTierConfig
-	// ServeCapacityResult is a capacity search's outcome: the max
-	// sustainable arrival rate meeting a target SLO attainment — the
-	// per-fleet goodput knee (see DefaultServeCapacityPlanner).
-	ServeCapacityResult = servesim.CapacityResult
 	// Fault injection and graceful degradation (ServeConfig.Resilience
 	// .Faults / .MaxRetries / .Admission): one seeded incident timeline —
 	// crash, recover, drain, and plane degrade/heal events — plus
@@ -206,13 +186,11 @@ const (
 
 	FaultCrash   = servesim.FaultCrash
 	FaultRecover = servesim.FaultRecover
-	FaultDegrade = servesim.FaultDegrade
 )
 
 var (
 	RunServe                    = servesim.Run
 	NewServeEngine              = servesim.NewEngine
-	ServeRateSweep              = servesim.RateSweep
 	V3ServeConfig               = servesim.V3ServeConfig
 	ParseServeTrace             = servesim.ParseTrace
 	LogNormalLength             = servesim.LogNormal

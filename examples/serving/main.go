@@ -25,19 +25,20 @@ func main() {
 		Output:   dsv3.LogNormalLength(512, 0.5),
 	}
 
-	// Sweep the arrival rate toward saturation. The sweep fans out over
-	// the deterministic worker pool; rerunning this program reproduces
-	// every number exactly.
-	rates := []float64{2, 4, 6, 8}
-	pts, err := dsv3.ServeRateSweep(cfg, workload, rates)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Sweep the arrival rate toward saturation. Each point runs its own
+	// traffic, seeded DeriveSeed(cfg.Seed, i), so rerunning this program
+	// reproduces every number exactly.
 	fmt.Println("Poisson load sweep (2 prefill + 4 decode instances):")
-	for _, p := range pts {
-		r := p.Report
+	for i, rate := range []float64{2, 4, 6, 8} {
+		pc, pw := cfg, workload
+		pc.Seed = dsv3.DeriveSeed(cfg.Seed, i)
+		pw.RatePerSec = rate
+		r, err := dsv3.RunServe(pc, pw)
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  %4.0f req/s  TTFT p99 %6.0fms  TPOT p99 %5.2fms  goodput %5.2f req/s  SLO %5.1f%%\n",
-			p.RatePerSec, r.TTFT.P99*1e3, r.TPOT.P99*1e3, r.GoodputRPS, r.SLOAttainment*100)
+			rate, r.TTFT.P99*1e3, r.TPOT.P99*1e3, r.GoodputRPS, r.SLOAttainment*100)
 	}
 	fmt.Println()
 

@@ -22,6 +22,7 @@ type serveStudy struct {
 	arms     []serveArm
 	planner  *servesim.CapacityPlanner // set to search each arm's knee
 	cols     []serveCol
+	eng      *servesim.Engine // runs a single-arm study without a planner on this engine, observers attached
 }
 
 // serveArm is one row of a study: the cells that describe it and the
@@ -51,7 +52,21 @@ type serveCol struct {
 
 // run executes every arm and tabulates the points.
 func (s serveStudy) run(seed int64) (*results.Table, error) {
-	pts, err := parallel.Map(len(s.arms), func(i int) (servePoint, error) {
+	pts, err := s.points(seed)
+	if err != nil {
+		return nil, err
+	}
+	return tabulate(s.title, pts, s.cols, nil, nil), nil
+}
+
+// points executes every arm. Each worker runs its arms on one reused
+// engine, or on s.eng when set (a single-arm study without a planner).
+func (s serveStudy) points(seed int64) ([]servePoint, error) {
+	newEng := servesim.NewEngine
+	if s.eng != nil {
+		newEng = func() *servesim.Engine { return s.eng }
+	}
+	return parallel.MapScratch(len(s.arms), newEng, func(i int, eng *servesim.Engine) (servePoint, error) {
 		cfg, w := servesim.V3ServeConfig(), s.workload
 		cfg.Seed = seed
 		if s.base != nil {
@@ -65,32 +80,34 @@ func (s serveStudy) run(seed int64) (*results.Table, error) {
 				p.rep = p.knee.Report
 			}
 		} else {
-			p.rep, err = servesim.Run(cfg, w)
+			p.rep, err = eng.Run(cfg, w)
 		}
-		if err != nil {
-			return servePoint{}, fmt.Errorf("arm %d: %w", i, err)
-		}
-		return p, nil
+		return p, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return s.table(pts), nil
 }
 
-// table renders one row per point.
-func (s serveStudy) table(pts []servePoint) *results.Table {
-	cols := make([]results.Column, len(s.cols))
-	for i, c := range s.cols {
-		cols[i] = c.Column
+// tabulate renders one table. Each point yields one row per record
+// that rows passes on (one row when rows is nil): the cells of cols for
+// the point, then the record's own cells under extra.
+func tabulate(title string, pts []servePoint, cols []serveCol, extra []results.Column, rows func(servePoint, func(...results.Cell))) *results.Table {
+	header := make([]results.Column, 0, len(cols)+len(extra))
+	for _, c := range cols {
+		header = append(header, c.Column)
 	}
-	t := results.NewTable(s.title, cols...)
+	t := results.NewTable(title, append(header, extra...)...)
 	for _, p := range pts {
-		row := make([]results.Cell, len(s.cols))
-		for i, c := range s.cols {
-			row[i] = c.cell(p)
+		row := func(record ...results.Cell) {
+			cells := make([]results.Cell, 0, len(cols)+len(record))
+			for _, c := range cols {
+				cells = append(cells, c.cell(p))
+			}
+			t.Row(append(cells, record...)...)
 		}
-		t.Row(row...)
+		if rows == nil {
+			row()
+		} else {
+			rows(p, row)
+		}
 	}
 	return t
 }
@@ -126,8 +143,31 @@ var (
 	colKVPeak    = reportCol(results.CU("KV peak", "%"), "%.1f%%", func(r *servesim.Report) float64 { return r.PeakKVOccupancy * 100 })
 	colPreempt   = countCol(results.C("Preempt"), func(r *servesim.Report) int { return r.Preemptions })
 	colFailed    = countCol(results.C("Failed"), func(r *servesim.Report) int { return r.Failed })
-	colKnee      = serveCol{results.CU("Knee", "req/s"), func(p servePoint) results.Cell { return results.Float("%.2f", p.knee.MaxRate) }}
 	colSLOAtKnee = serveCol{results.CU("SLO@knee", "%"), func(p servePoint) results.Cell { return results.Float("%.1f%%", p.knee.Attainment*100) }}
+	colProbes    = serveCol{results.C("Probes"), func(p servePoint) results.Cell { return results.Int(len(p.knee.Probes)) }}
+	// A search that never broke the SLO stopped at the planner's rate
+	// ceiling: its knee is a lower bound, not a measurement.
+	colKnee = serveCol{results.CU("Knee", "req/s"), func(p servePoint) results.Cell {
+		if p.knee.Saturated {
+			return results.Str(fmt.Sprintf(">=%.2f (search ceiling)", p.knee.MaxRate))
+		}
+		return results.Float("%.2f", p.knee.MaxRate)
+	}}
+
+	colCompleted   = countCol(results.C("Completed"), func(r *servesim.Report) int { return r.Completed })
+	colShed        = countCol(results.C("Shed"), func(r *servesim.Report) int { return r.Shed })
+	colAffected    = countCol(results.C("Affected"), func(r *servesim.Report) int { return r.AffectedRequests })
+	colRetryAmp    = reportCol(results.C("Retry amp"), "%.3f", func(r *servesim.Report) float64 { return r.RetryAmplification })
+	colKVLost      = countCol(results.CU("KV lost", "tok"), func(r *servesim.Report) int { return r.KVTokensLost })
+	colSLOHealthy  = reportCol(results.CU("SLO healthy", "%"), "%.1f%%", func(r *servesim.Report) float64 { return r.SLOHealthy * 100 })
+	colOffloads    = countCol(results.C("Offloads"), func(r *servesim.Report) int { return r.KVOffloads })
+	colSDCSteps    = countCol(results.C("SDC steps"), func(r *servesim.Report) int { return r.CorruptSteps })
+	colCaught      = countCol(results.C("Caught"), func(r *servesim.Report) int { return r.SDCDetected })
+	colCorruptResp = countCol(results.C("Corrupt resp"), func(r *servesim.Report) int { return r.CorruptResponses })
+	colGrayDrains  = countCol(results.C("Gray drains"), func(r *servesim.Report) int { return r.GrayDrained })
+	colHedges      = countCol(results.C("Hedges"), func(r *servesim.Report) int { return r.Hedges })
+	colWins        = countCol(results.C("Wins"), func(r *servesim.Report) int { return r.HedgeWins })
+	colWasted      = countCol(results.CU("Wasted", "tok"), func(r *servesim.Report) int { return r.HedgeWastedTokens })
 )
 
 // rateArms sweeps the arrival rate, one arm per rate.
@@ -315,8 +355,7 @@ func capacityStudy(quick bool) serveStudy {
 		base:     func(c *servesim.Config) { c.KV.HBM.CapacityBytes = 2 * units.GB / 5 },
 		arms:     arms,
 		planner:  capacityPlanner(quick),
-		cols: []serveCol{label(0, results.C("Fleet")), label(1, results.C("Router")), colKnee, colSLOAtKnee, colGoodput, colTTFT99, colTPOT99, colPreempt,
-			serveCol{results.C("Probes"), func(p servePoint) results.Cell { return results.Int(len(p.knee.Probes)) }}},
+		cols:     []serveCol{label(0, results.C("Fleet")), label(1, results.C("Router")), colKnee, colSLOAtKnee, colGoodput, colTTFT99, colTPOT99, colPreempt, colProbes},
 	}
 }
 
@@ -351,18 +390,14 @@ func failureStudy(quick bool) serveStudy {
 			c.Resilience.MaxRetries = 3
 		},
 		arms: routerArms(),
-		cols: []serveCol{label(0, results.C("Router")),
-			countCol(results.C("Affected"), func(r *servesim.Report) int { return r.AffectedRequests }), colFailed,
-			reportCol(results.C("Retry amp"), "%.3f", func(r *servesim.Report) float64 { return r.RetryAmplification }),
-			countCol(results.CU("KV lost", "tok"), func(r *servesim.Report) int { return r.KVTokensLost }),
+		cols: []serveCol{label(0, results.C("Router")), colAffected, colFailed, colRetryAmp, colKVLost,
 			serveCol{results.CU("Recovery", "s"), func(p servePoint) results.Cell {
 				if len(p.rep.Incidents) == 0 {
 					return results.NA()
 				}
 				return results.Float("%.2f", p.rep.Incidents[0].Recovery)
 			}},
-			reportCol(results.CU("SLO healthy", "%"), "%.1f%%", func(r *servesim.Report) float64 { return r.SLOHealthy * 100 }),
-			colSLOFault, colGoodput, colTTFT99},
+			colSLOHealthy, colSLOFault, colGoodput, colTTFT99},
 	}
 }
 
@@ -395,8 +430,7 @@ func shedStudy(quick bool) serveStudy {
 		workload: w,
 		base:     func(c *servesim.Config) { c.KV.HBM.CapacityBytes = 2 * units.GB / 5 },
 		arms:     arms,
-		cols: []serveCol{label(0, results.C("Admission")),
-			countCol(results.C("Shed"), func(r *servesim.Report) int { return r.Shed }),
+		cols: []serveCol{label(0, results.C("Admission")), colShed,
 			reportCol(results.CU("Shed", "%"), "%.1f%%", func(r *servesim.Report) float64 {
 				if r.Requests == 0 {
 					return 0
@@ -485,7 +519,7 @@ func kvTierStudy(quick bool) serveStudy {
 				return results.NA()
 			}},
 			reportCol(results.CU("Reload stall", "s"), "%.2f", func(r *servesim.Report) float64 { return r.ReloadStall }),
-			countCol(results.C("Offloads"), func(r *servesim.Report) int { return r.KVOffloads }), colPreempt,
+			colOffloads, colPreempt,
 			serveCol{results.CU("HBM out", "GB"), func(p servePoint) results.Cell {
 				if len(p.rep.KVTierMoves) == 0 {
 					return results.NA()
@@ -538,8 +572,7 @@ func fleetStudy(quick bool) serveStudy {
 		workload: FleetWorkload(0),
 		base:     func(c *servesim.Config) { *c = FleetConfig(c.Seed) },
 		arms:     rateArms(rates...),
-		cols: []serveCol{colRate, countCol(results.C("Completed"), func(r *servesim.Report) int { return r.Completed }),
-			colTTFT50, colTTFT99, colTPOT50, colTPOT99,
+		cols: []serveCol{colRate, colCompleted, colTTFT50, colTTFT99, colTPOT50, colTPOT99,
 			reportCol(results.CU("Goodput", "req/s"), "%.1f", func(r *servesim.Report) float64 { return r.GoodputRPS }),
 			colSLO, colBatch, colKVPeak},
 	}
@@ -592,10 +625,7 @@ func hazardStudy(quick bool) serveStudy {
 		},
 		arms: arms,
 		cols: []serveCol{label(0, results.C("Router")), label(1, results.C("Detect")),
-			countCol(results.C("SDC steps"), func(r *servesim.Report) int { return r.CorruptSteps }),
-			countCol(results.C("Caught"), func(r *servesim.Report) int { return r.SDCDetected }),
-			countCol(results.C("Corrupt resp"), func(r *servesim.Report) int { return r.CorruptResponses }),
-			countCol(results.C("Gray drains"), func(r *servesim.Report) int { return r.GrayDrained }), colFailed,
+			colSDCSteps, colCaught, colCorruptResp, colGrayDrains, colFailed,
 			serveCol{results.CU("Recovery", "s"), func(p servePoint) results.Cell {
 				var sum float64
 				var n int
@@ -650,10 +680,6 @@ func hedgeStudy(quick bool) serveStudy {
 		cols: []serveCol{label(0, results.C("Policy")),
 			reportCol(results.CU("E2E p50", "s"), "%.2f", func(r *servesim.Report) float64 { return r.E2E.P50 }),
 			reportCol(results.CU("E2E p95", "s"), "%.2f", func(r *servesim.Report) float64 { return r.E2E.P95 }),
-			colE2E99, colGoodput,
-			countCol(results.C("Hedges"), func(r *servesim.Report) int { return r.Hedges }),
-			countCol(results.C("Wins"), func(r *servesim.Report) int { return r.HedgeWins }),
-			countCol(results.CU("Wasted", "tok"), func(r *servesim.Report) int { return r.HedgeWastedTokens }),
-			colSLO},
+			colE2E99, colGoodput, colHedges, colWins, colWasted, colSLO},
 	}
 }

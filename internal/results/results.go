@@ -10,6 +10,7 @@ package results
 
 import (
 	"fmt"
+	"io"
 	"time"
 )
 
@@ -139,5 +140,18 @@ func (f Format) Ext() string {
 		return "csv"
 	default:
 		return "txt"
+	}
+}
+
+// Emit writes r to w in format: fixed-width text, JSON or CSV.
+func Emit(w io.Writer, format Format, r *Result) error {
+	switch format {
+	case FormatJSON:
+		return EmitJSON(w, r)
+	case FormatCSV:
+		return EmitCSV(w, r)
+	default:
+		_, err := io.WriteString(w, r.Text())
+		return err
 	}
 }

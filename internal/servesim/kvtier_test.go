@@ -216,22 +216,27 @@ func TestTieredWorkerCountDeterminism(t *testing.T) {
 	cfg := tieredConfig()
 	w := sessionWorkload(1, 90)
 	rates := []float64{1.5, 2.5, 3.5}
-	sweep := func(workers int) []SweepPoint {
+	sweep := func(workers int) []*Report {
 		prev := parallel.SetWorkers(workers)
 		defer parallel.SetWorkers(prev)
-		pts, err := RateSweep(cfg, w, rates)
+		reps, err := parallel.Map(len(rates), func(i int) (*Report, error) {
+			pc, pw := cfg, w
+			pc.Seed = parallel.DeriveSeed(cfg.Seed, i)
+			pw.RatePerSec = rates[i]
+			return Run(pc, pw)
+		})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return pts
+		return reps
 	}
 	serial := sweep(1)
 	par := sweep(8)
 	for i := range serial {
-		if !reflect.DeepEqual(serial[i].Report, par[i].Report) {
+		if !reflect.DeepEqual(serial[i], par[i]) {
 			t.Errorf("rate %.1f: tiered report differs between worker counts", rates[i])
 		}
-		if serial[i].Report.KVOffloads == 0 && serial[i].Report.PrefixHits == 0 {
+		if serial[i].KVOffloads == 0 && serial[i].PrefixHits == 0 {
 			t.Errorf("rate %.1f: hierarchy idle, determinism check vacuous", rates[i])
 		}
 	}

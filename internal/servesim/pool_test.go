@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
-
-	"dsv3/internal/parallel"
 )
 
 // poolWorkload is a small but non-trivial workload: heavy-tailed
@@ -90,32 +88,6 @@ func TestEngineReuseNoBleed(t *testing.T) {
 	}
 	if a, b := reportJSON(t, first), reportJSON(t, second); string(a) != string(b) {
 		t.Fatalf("consecutive runs on one engine diverged:\n%s\n%s", a, b)
-	}
-}
-
-// TestRateSweepPooledParity pins that the per-worker engine pooling in
-// RateSweep cannot change results: the sweep must equal point-by-point
-// fresh runs with the same derived seeds.
-func TestRateSweepPooledParity(t *testing.T) {
-	cfg := V3ServeConfig()
-	w := poolWorkload(1, 80)
-	rates := []float64{2, 6, 10, 14}
-	pts, err := RateSweep(cfg, w, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rate := range rates {
-		pc := cfg
-		pc.Seed = parallel.DeriveSeed(cfg.Seed, i)
-		pw := w
-		pw.RatePerSec = rate
-		want, err := Run(pc, pw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(pts[i].Report, want) {
-			t.Fatalf("sweep point %d differs from fresh run", i)
-		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sort"
 
-	"dsv3/internal/parallel"
 	"dsv3/internal/stats"
 	"dsv3/internal/units"
 )
@@ -346,29 +345,4 @@ func (e *Engine) resolveRecovery(incidents []Incident, goodDone []float64, makes
 		}
 		incidents[i].Recovery = rec
 	}
-}
-
-// SweepPoint is one arrival rate of a load sweep.
-type SweepPoint struct {
-	RatePerSec float64
-	Report     *Report
-}
-
-// RateSweep simulates the workload at each arrival rate, fanning the
-// independent runs out over the deterministic worker pool with one
-// reusable Engine per worker. Each point runs with a seed derived from
-// (cfg.Seed, index), so the sweep is byte-identical for any worker
-// count (and for pooled vs fresh engines).
-func RateSweep(cfg Config, w Workload, rates []float64) ([]SweepPoint, error) {
-	return parallel.MapScratch(len(rates), NewEngine, func(i int, eng *Engine) (SweepPoint, error) {
-		pc := cfg
-		pc.Seed = parallel.DeriveSeed(cfg.Seed, i)
-		pw := w
-		pw.RatePerSec = rates[i]
-		rep, err := eng.Run(pc, pw)
-		if err != nil {
-			return SweepPoint{}, err
-		}
-		return SweepPoint{RatePerSec: rates[i], Report: rep}, nil
-	})
 }

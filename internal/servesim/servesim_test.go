@@ -9,7 +9,6 @@ import (
 	"dsv3/internal/inference"
 	"dsv3/internal/mla"
 	"dsv3/internal/mtp"
-	"dsv3/internal/parallel"
 	"dsv3/internal/units"
 )
 
@@ -58,30 +57,6 @@ func TestSeedChangesOutcome(t *testing.T) {
 	b := mustRun(t, cfg, w)
 	if a.TTFT.Mean == b.TTFT.Mean && a.E2E.Mean == b.E2E.Mean {
 		t.Error("different seeds produced identical latency distributions")
-	}
-}
-
-// The rate sweep must be byte-identical for any worker count: each
-// point's engine derives its own seed and shares nothing.
-func TestRateSweepWorkerParity(t *testing.T) {
-	cfg := V3ServeConfig()
-	w := testWorkload(0, 100)
-	rates := []float64{2, 5, 8}
-	run := func(workers int) string {
-		prev := parallel.SetWorkers(workers)
-		defer parallel.SetWorkers(prev)
-		pts, err := RateSweep(cfg, w, rates)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.Marshal(pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
-	}
-	if serial, par := run(1), run(8); serial != par {
-		t.Error("rate sweep differs between serial and parallel execution")
 	}
 }
 
