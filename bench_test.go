@@ -1,11 +1,11 @@
-// Benchmarks regenerating every table and figure in the paper's
-// evaluation, plus the in-text analyses and the numerics kernels they
-// rest on. Run with:
+// Benchmarks of the numerics kernels the paper's tables and figures
+// rest on and of the serving engine. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// Each benchmark executes the same runner the tests and cmd/dsv3bench
-// use; the reported wall time is the cost of regenerating that artifact.
+// The per-experiment benchmarks (BenchmarkTable1KVCache ...
+// BenchmarkPlaneFailure) live beside their runners in
+// internal/experiments.
 package dsv3
 
 import (
@@ -20,139 +20,7 @@ import (
 	"dsv3/internal/units"
 )
 
-// --- Tables ---
-
-func BenchmarkTable1KVCache(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Table1(); len(rows) != 3 {
-			b.Fatal("bad row count")
-		}
-	}
-}
-
-func BenchmarkTable2TrainingCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Table2(); len(rows) != 4 {
-			b.Fatal("bad row count")
-		}
-	}
-}
-
-func BenchmarkTable3TopologyCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table3()
-		if err != nil || len(rows) != 5 {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable4TrainingMetrics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.Table4(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable5Latency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if s := experiments.Table5Result().Text(); len(s) == 0 {
-			b.Fatal("empty render")
-		}
-	}
-}
-
-// --- Figures ---
-
-func BenchmarkFigure5AllToAll(b *testing.B) {
-	sizes := []units.Bytes{512 * units.MiB, 8 * units.GiB}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure5([]int{32, 64}, sizes); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure5Full regenerates the complete Figure 5 grid — the
-// heaviest collective sweep in the suite and the main beneficiary of
-// the worker pool + batched water-filling.
-func BenchmarkFigure5Full(b *testing.B) {
-	sizes := experiments.DefaultFigure5Sizes()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure5([]int{32, 64, 128}, sizes); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure6Latency(b *testing.B) {
-	sizes := experiments.DefaultFigure6Sizes()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure6(sizes); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure7DeepEP(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts, err := experiments.Figure7()
-		if err != nil || len(pts) != 4 {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure8Routing(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure8(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- In-text analyses ---
-
-func BenchmarkInferenceLimits(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.InferenceLimits(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMTPSpeedup(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.MTPSpeedup(int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkLocalDeployment(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.LocalDeployment(); len(rows) != 3 {
-			b.Fatal("bad rows")
-		}
-	}
-}
-
-func BenchmarkFP8Accuracy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.FP8Accuracy(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAccumulationAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AccumulationAblation(int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// --- Kernel-level numerics benches ---
 
 func BenchmarkLogFMTCodec(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
@@ -170,32 +38,6 @@ func BenchmarkLogFMTCodec(b *testing.B) {
 	}
 	b.SetBytes(128)
 }
-
-func BenchmarkLogFMTAccuracySweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.LogFMTAccuracy(int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkNodeLimitedRouting(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.NodeLimitedRouting(int64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPlaneFailure(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.PlaneFailure([]int{0, 2}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Kernel-level numerics benches ---
 
 func BenchmarkFP8GEMM(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))

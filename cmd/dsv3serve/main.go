@@ -140,20 +140,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// A flag the chosen mode ignores is an error, not a silent no-op: a
-	// replay takes its traffic from the trace, and a capacity search
-	// picks its own rates.
-	mode, ignored := "", ""
-	switch {
-	case *tracePath != "":
-		mode, ignored = "-trace", "rate requests prompt output burst turns think"
-	case *findCapacity:
-		mode, ignored = "-find-capacity", "rate"
+	// A flag that has no effect is an error, not a silent no-op: a
+	// replay takes its traffic from the trace, a capacity search picks
+	// its own rates, and the other flags below act only beside the one
+	// their condition names. The first rule that matches a set flag
+	// gives the message.
+	rules := []struct {
+		flags string // space-separated flag names
+		hit   bool
+		cond  string
+	}{
+		{"rate requests prompt output burst turns think", *tracePath != "", "with -trace"},
+		{"rate", *findCapacity, "with -find-capacity"},
+		{"target", !*findCapacity, "without -find-capacity"},
+		{"metrics-interval", *traceOut == "" && *metricsOut == "", "without -trace-out or -metrics-out"},
+		{"stride", !*colocate, "without -colocate"},
+		{"router", *colocate, "with -colocate"},
+		{"chunk-tokens", *kvTiers == "", "without -kv-tiers"},
+		{"think", *turns <= 1, fmt.Sprintf("with -turns %d", *turns)},
+		{"mttr", *mtbf == 0, "without -mtbf"},
 	}
 	var unused error
 	fs.Visit(func(f *flag.Flag) {
-		if unused == nil && slices.Contains(strings.Fields(ignored), f.Name) {
-			unused = fmt.Errorf("dsv3serve: -%s has no effect with %s", f.Name, mode)
+		for _, r := range rules {
+			if unused == nil && r.hit && slices.Contains(strings.Fields(r.flags), f.Name) {
+				unused = fmt.Errorf("dsv3serve: -%s has no effect %s", f.Name, r.cond)
+			}
 		}
 	})
 	if unused != nil {

@@ -85,6 +85,13 @@ func TestIgnoredFlagsRejected(t *testing.T) {
 		{append(trace, "-turns", "3"), "-turns"},
 		{append(trace, "-think", "2"), "-think"},
 		{[]string{"-find-capacity", "-rate", "4"}, "-rate"},
+		{[]string{"-target", "0.5"}, "-target"},
+		{[]string{"-metrics-interval", "NaN"}, "-metrics-interval"},
+		{[]string{"-stride", "99"}, "-stride"},
+		{[]string{"-chunk-tokens", "128"}, "-chunk-tokens"},
+		{[]string{"-turns", "1", "-think", "3"}, "-think"},
+		{[]string{"-mttr", "5"}, "-mttr"},
+		{[]string{"-colocate", "-router", "p2c"}, "-router"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(c.args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), c.flag+" has no effect") {

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"dsv3/internal/experiments"
 	"dsv3/internal/netsim"
 	"dsv3/internal/trainsim"
 )
@@ -36,8 +35,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil || res.AlgBW <= 0 {
 		t.Fatalf("facade collective broken: %v", err)
 	}
-	if rows := experiments.Table1(); len(rows) != 3 {
-		t.Error("facade experiment runner broken")
+	if r, ok := FindExperiment("table1"); !ok {
+		t.Error("facade experiment lookup broken")
+	} else if res, err := r.Run(RunOptions{}); err != nil || len(res.Tables[0].Rows) != 3 {
+		t.Errorf("facade experiment runner broken: %v", err)
 	}
 	g := V3Gate()
 	if err := g.Validate(); err != nil {

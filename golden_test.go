@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -23,10 +24,10 @@ func TestGoldenCorpus(t *testing.T) {
 	}
 	seen := make(map[string]bool)
 	for _, e := range Experiments() {
-		res, err := e.Run(RunOptions{Quick: true})
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
-		}
+		// The experiment runs inside the first of its file subtests that
+		// the -run filter keeps, so `-run 'TestGoldenCorpus/<name>'`
+		// runs that experiment alone.
+		run := sync.OnceValues(func() (*ExperimentResult, error) { return e.Run(RunOptions{Quick: true}) })
 		emitters := []struct {
 			ext  string
 			emit func(*ExperimentResult) (string, error)
@@ -47,6 +48,10 @@ func TestGoldenCorpus(t *testing.T) {
 			name := e.Name + "." + em.ext
 			seen[name] = true
 			t.Run(name, func(t *testing.T) {
+				res, err := run()
+				if err != nil {
+					t.Fatalf("%s: %v", e.Name, err)
+				}
 				got, err := em.emit(res)
 				if err != nil {
 					t.Fatal(err)

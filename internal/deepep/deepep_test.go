@@ -5,6 +5,7 @@ import (
 
 	"dsv3/internal/cluster"
 	"dsv3/internal/moe"
+	"dsv3/internal/parallel"
 	"dsv3/internal/units"
 )
 
@@ -154,5 +155,30 @@ func TestDispatchDeterministicPerSeed(t *testing.T) {
 	b, _ := Dispatch(c, testConfig(), 7)
 	if a.Time != b.Time || a.CountedBytesPerGPU != b.CountedBytesPerGPU {
 		t.Error("same seed must reproduce identical results")
+	}
+}
+
+// The worker count must never leak into a sweep's numbers: the
+// Figure 7 sweep (the experiments catalogue's input) gives the same
+// EPSweepPoints, every field of them, at 1 and 8 workers.
+func TestFigure7NumericParity(t *testing.T) {
+	cfg := V3Config()
+	cfg.DeterministicTraffic = true
+	cfg.SampleTokens = 512
+	run := func(workers int) []EPSweepPoint {
+		prev := parallel.SetWorkers(workers)
+		defer parallel.SetWorkers(prev)
+		pts, err := Sweep(cfg, []int{16, 32, 64, 128}, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
+	}
+	serial := run(1)
+	par := run(8)
+	for i := range serial {
+		if serial[i] != par[i] {
+			t.Errorf("EP%d: serial %+v != parallel %+v", serial[i].Ranks, serial[i], par[i])
+		}
 	}
 }

@@ -6,30 +6,7 @@ import (
 	"strings"
 
 	"dsv3/internal/results"
-)
-
-// Base seeds for the randomized runners. They are part of the
-// experiment definition — the golden corpus (testdata/golden) pins the
-// outputs they produce.
-const (
-	SeedFigure7       = 7
-	SeedMTP           = 7
-	SeedAccum         = 13
-	SeedLogFMT        = 17
-	SeedNodeLimited   = 19
-	SeedSDC           = 29
-	SeedServe         = 41
-	SeedServeDisagg   = 43
-	SeedServeSpec     = 47
-	SeedServeRouter   = 53
-	SeedServeCapacity = 59
-	SeedServeFailure  = 61
-	SeedServeShed     = 67
-	SeedServeKVTier   = 71
-	SeedServeTrace    = 73
-	SeedServeFleet    = 79
-	SeedServeHazard   = 83
-	SeedServeHedge    = 89
+	"dsv3/internal/units"
 )
 
 // Options configure one catalogue runner invocation.
@@ -53,9 +30,9 @@ type Runner struct {
 // single source of truth shared by cmd/dsv3bench, the golden-corpus
 // tests, and the facade.
 func Catalogue() []Runner {
-	many := func(name, desc string, seed int64, f func(Options) ([]*results.Table, error)) Runner {
+	many := func(name, desc string, seed int64, f func(o Options, seed int64) ([]*results.Table, error)) Runner {
 		return Runner{Name: name, Desc: desc, Seed: seed, Run: func(o Options) (*results.Result, error) {
-			tables, err := f(o)
+			tables, err := f(o, seed)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", name, err)
 			}
@@ -65,7 +42,7 @@ func Catalogue() []Runner {
 		}}
 	}
 	one := func(name, desc string, seed int64, f func(Options) (*results.Table, error)) Runner {
-		return many(name, desc, seed, func(o Options) ([]*results.Table, error) {
+		return many(name, desc, seed, func(o Options, _ int64) ([]*results.Table, error) {
 			t, err := f(o)
 			if err != nil {
 				return nil, err
@@ -73,110 +50,73 @@ func Catalogue() []Runner {
 			return []*results.Table{t}, nil
 		})
 	}
+	seeded := func(name, desc string, seed int64, f func(seed int64) (*results.Table, error)) Runner {
+		return one(name, desc, seed, func(Options) (*results.Table, error) { return f(seed) })
+	}
 	serve := func(name, desc string, seed int64, study func(quick bool) serveStudy) Runner {
 		return one(name, desc, seed, func(o Options) (*results.Table, error) { return study(o.Quick).run(seed) })
 	}
 	return []Runner{
 		one("table1", "KV cache per token (MLA vs GQA)", 0,
-			func(Options) (*results.Table, error) { return Table1Result(), nil }),
+			func(Options) (*results.Table, error) { return table1(), nil }),
 		one("table2", "training GFLOPs per token (MoE vs dense)", 0,
-			func(Options) (*results.Table, error) { return Table2Result(), nil }),
+			func(Options) (*results.Table, error) { return table2(), nil }),
 		one("table3", "network topology cost comparison", 0,
-			func(Options) (*results.Table, error) { return Table3Result() }),
+			func(Options) (*results.Table, error) { return table3() }),
 		one("table4", "training metrics MPFT vs MRFT", 0,
-			func(Options) (*results.Table, error) { return Table4Result() }),
+			func(Options) (*results.Table, error) { return table4() }),
 		one("table5", "link-layer 64B latency", 0,
-			func(Options) (*results.Table, error) { return Table5Result(), nil }),
+			func(Options) (*results.Table, error) { return table5(), nil }),
 		one("figure5", "NCCL all-to-all bandwidth MPFT vs MRFT", 0,
 			func(o Options) (*results.Table, error) {
-				gpus := []int{32, 64, 128}
-				sizes := DefaultFigure5Sizes()
 				if o.Quick {
-					gpus = []int{32}
-					sizes = sizes[:2]
+					return figure5([]int{32}, []units.Bytes{128 * units.MiB, 512 * units.MiB})
 				}
-				pts, err := Figure5(gpus, sizes)
-				if err != nil {
-					return nil, err
-				}
-				return Figure5Result(pts), nil
+				// A representative subset of the paper's 128 MiB - 16 GiB x-axis.
+				return figure5([]int{32, 64, 128},
+					[]units.Bytes{128 * units.MiB, 512 * units.MiB, 2 * units.GiB, 8 * units.GiB, 16 * units.GiB})
 			}),
 		one("figure6", "all-to-all latency parity on 16 GPUs", 0,
 			func(Options) (*results.Table, error) {
-				pts, err := Figure6(DefaultFigure6Sizes())
-				if err != nil {
-					return nil, err
-				}
-				return Figure6Result(pts), nil
+				// Spans the paper's 64 B - 16 GiB log axis.
+				return figure6([]units.Bytes{64, 4 * units.KiB, 256 * units.KiB, 16 * units.MiB, 1 * units.GiB, 16 * units.GiB})
 			}),
-		one("figure7", "DeepEP dispatch/combine bandwidth", SeedFigure7,
-			func(Options) (*results.Table, error) {
-				pts, err := Figure7()
-				if err != nil {
-					return nil, err
-				}
-				return Figure7Result(pts), nil
-			}),
+		seeded("figure7", "DeepEP dispatch/combine bandwidth", 7, figure7),
 		one("figure8", "RoCE routing policies (ECMP/AR/static)", 0,
-			func(Options) (*results.Table, error) {
-				pts, err := Figure8()
-				if err != nil {
-					return nil, err
-				}
-				return Figure8Result(pts), nil
-			}),
+			func(Options) (*results.Table, error) { return figure8() }),
 		one("inference", "§2.3.2 EP inference speed limits", 0,
-			func(Options) (*results.Table, error) { return InferenceLimitsResult() }),
-		many("mtp", "§2.3.3 MTP speculative decoding speedup", SeedMTP,
-			func(Options) ([]*results.Table, error) { return MTPResultTables(SeedMTP) }),
+			func(Options) (*results.Table, error) { return inferenceLimits() }),
+		many("mtp", "§2.3.3 MTP speculative decoding speedup", 7,
+			func(_ Options, seed int64) ([]*results.Table, error) { return mtpSpeedup(seed) }),
 		one("local", "§2.2.2 local deployment rooflines", 0,
-			func(Options) (*results.Table, error) { return LocalDeploymentResult(), nil }),
+			func(Options) (*results.Table, error) { return localDeployment(), nil }),
 		one("fp8", "§2.4 FP8 vs BF16 toy-training accuracy", 0,
-			func(Options) (*results.Table, error) { return FP8AccuracyResultTable() }),
-		one("accum", "§3.1.1 accumulation precision ablation", SeedAccum,
-			func(Options) (*results.Table, error) { return AccumulationAblationResult(SeedAccum) }),
-		one("logfmt", "§3.2 LogFMT vs FP8/BF16 accuracy", SeedLogFMT,
-			func(Options) (*results.Table, error) { return LogFMTAccuracyResult(SeedLogFMT) }),
-		one("nodelimit", "§4.3 node-limited routing dedup", SeedNodeLimited,
-			func(Options) (*results.Table, error) { return NodeLimitedRoutingResult(SeedNodeLimited) }),
+			func(Options) (*results.Table, error) { return fp8Accuracy() }),
+		seeded("accum", "§3.1.1 accumulation precision ablation", 13, accumulationAblation),
+		seeded("logfmt", "§3.2 LogFMT vs FP8/BF16 accuracy", 17, logFMTAccuracy),
+		seeded("nodelimit", "§4.3 node-limited routing dedup", 19, nodeLimitedRouting),
 		one("planefail", "§5.1.1 multi-plane failure robustness", 0,
-			func(Options) (*results.Table, error) {
-				rows, err := PlaneFailure([]int{0, 1, 2, 4})
-				if err != nil {
-					return nil, err
-				}
-				return PlaneFailureResult(rows), nil
-			}),
+			func(Options) (*results.Table, error) { return planeFailure([]int{0, 1, 2, 4}) }),
 		one("overlap", "§2.3.1 dual micro-batch overlap ablation", 0,
-			func(Options) (*results.Table, error) { return OverlapAblationResult() }),
+			func(Options) (*results.Table, error) { return overlapAblation() }),
 		one("contention", "§4.5 PCIe bandwidth contention", 0,
-			func(Options) (*results.Table, error) { return BandwidthContentionResult() }),
-		one("sdc", "§6.1.2 checksum-based SDC detection", SeedSDC,
-			func(Options) (*results.Table, error) { return SDCDetectionResult(SeedSDC) }),
-		serve("serve", "serving simulator: Poisson load sweep", SeedServe, serveLoadStudy),
-		serve("serve-disagg", "serving: disaggregation vs colocation ratios", SeedServeDisagg, disaggStudy),
-		serve("serve-spec", "serving: MTP speculative decoding under load", SeedServeSpec, specStudy),
-		serve("serve-router", "serving: router policy shoot-out at fixed load", SeedServeRouter, routerStudy),
-		serve("serve-capacity", "serving: SLO capacity knee vs fleet shape and router", SeedServeCapacity, capacityStudy),
-		serve("serve-failure", "serving: kill-an-instance incident replay per router", SeedServeFailure, failureStudy),
-		serve("serve-shed", "serving: admission shedding under diurnal overload", SeedServeShed, shedStudy),
-		serve("serve-kvtier", "serving: tiered KV offload + prefix cache capacity frontier", SeedServeKVTier, kvTierStudy),
-		many("serve-trace", "serving: deterministic lifecycle trace of the tiered+faulted run", SeedServeTrace,
-			func(o Options) ([]*results.Table, error) { return TraceStudyResult(SeedServeTrace, o.Quick) }),
-		serve("serve-fleet", "serving: 1000-instance fleet under 1M requests", SeedServeFleet, fleetStudy),
-		serve("serve-hazard", "serving: plane degradation + SDC per router, detection off vs on", SeedServeHazard, hazardStudy),
-		serve("serve-hedge", "serving: hedged requests vs a permanent gray straggler", SeedServeHedge, hedgeStudy),
+			func(Options) (*results.Table, error) { return bandwidthContention() }),
+		seeded("sdc", "§6.1.2 checksum-based SDC detection", 29,
+			func(seed int64) (*results.Table, error) { return sdcDetection(seed), nil }),
+		serve("serve", "serving simulator: Poisson load sweep", 41, serveLoadStudy),
+		serve("serve-disagg", "serving: disaggregation vs colocation ratios", 43, disaggStudy),
+		serve("serve-spec", "serving: MTP speculative decoding under load", 47, specStudy),
+		serve("serve-router", "serving: router policy shoot-out at fixed load", 53, routerStudy),
+		serve("serve-capacity", "serving: SLO capacity knee vs fleet shape and router", 59, capacityStudy),
+		serve("serve-failure", "serving: kill-an-instance incident replay per router", 61, failureStudy),
+		serve("serve-shed", "serving: admission shedding under diurnal overload", 67, shedStudy),
+		serve("serve-kvtier", "serving: tiered KV offload + prefix cache capacity frontier", 71, kvTierStudy),
+		many("serve-trace", "serving: deterministic lifecycle trace of the tiered+faulted run", 73,
+			func(o Options, seed int64) ([]*results.Table, error) { return traceStudy(seed, o.Quick) }),
+		serve("serve-fleet", "serving: 1000-instance fleet under 1M requests", 79, fleetStudy),
+		serve("serve-hazard", "serving: plane degradation + SDC per router, detection off vs on", 83, hazardStudy),
+		serve("serve-hedge", "serving: hedged requests vs a permanent gray straggler", 89, hedgeStudy),
 	}
-}
-
-// Names returns the catalogue's experiment names in order.
-func Names() []string {
-	cat := Catalogue()
-	names := make([]string, len(cat))
-	for i, r := range cat {
-		names[i] = r.Name
-	}
-	return names
 }
 
 // Find resolves a case-insensitive experiment name.
@@ -192,7 +132,10 @@ func Find(name string) (Runner, bool) {
 // SuggestNames returns the catalogue names sorted alphabetically — the
 // list the CLI prints when -run names an unknown experiment.
 func SuggestNames() []string {
-	names := Names()
+	var names []string
+	for _, r := range Catalogue() {
+		names = append(names, r.Name)
+	}
 	sort.Strings(names)
 	return names
 }

@@ -5,17 +5,94 @@ import (
 	"strings"
 	"testing"
 
-	"dsv3/internal/netsim"
+	"dsv3/internal/results"
 	"dsv3/internal/units"
 )
 
-func TestTable1MatchesPaperExactly(t *testing.T) {
-	for _, r := range Table1() {
-		if math.Abs(r.KVCacheKB-r.PaperKB) > 1e-9 {
-			t.Errorf("%s: %v KB vs paper %v KB", r.Model, r.KVCacheKB, r.PaperKB)
+// The tests read each runner's numbers back from the table it ships,
+// through the typed Value behind every cell.
+
+// catalogueTable returns table i of the named runner's memoized quick
+// Result (see quickResult), the exact table the catalogue emits.
+func catalogueTable(t *testing.T, name string, i int) *results.Table {
+	t.Helper()
+	r, ok := Find(name)
+	if !ok {
+		t.Fatalf("%s missing from the catalogue", name)
+	}
+	return quickResult(t, r, 1).Tables[i]
+}
+
+// colIndex returns the position of the first column named name.
+func colIndex(t *testing.T, tab *results.Table, name string) int {
+	t.Helper()
+	for i, c := range tab.Columns {
+		if c.Name == name {
+			return i
 		}
 	}
-	if s := Table1Result().Text(); !strings.Contains(s, "70.272") {
+	t.Fatalf("%q has no column %q", tab.Title, name)
+	return -1
+}
+
+// asFloat widens a numeric cell value.
+func asFloat(t *testing.T, v any) float64 {
+	t.Helper()
+	switch v := v.(type) {
+	case float64:
+		return v
+	case int:
+		return float64(v)
+	}
+	t.Fatalf("cell value %v (%T) is not numeric", v, v)
+	return 0
+}
+
+// columnAt returns column c's numeric values, one per row.
+func columnAt(t *testing.T, tab *results.Table, c int) []float64 {
+	t.Helper()
+	out := make([]float64, len(tab.Rows))
+	for i, row := range tab.Rows {
+		out[i] = asFloat(t, row[c].Value)
+	}
+	return out
+}
+
+// column returns the named column's numeric values, one per row.
+func column(t *testing.T, tab *results.Table, name string) []float64 {
+	t.Helper()
+	return columnAt(t, tab, colIndex(t, tab, name))
+}
+
+// value returns the typed value in column col of the row whose first
+// cell reads row.
+func value(t *testing.T, tab *results.Table, row, col string) any {
+	t.Helper()
+	c := colIndex(t, tab, col)
+	for _, r := range tab.Rows {
+		if r[0].Text == row {
+			return r[c].Value
+		}
+	}
+	t.Fatalf("%q has no row %q", tab.Title, row)
+	return nil
+}
+
+// num is value for a numeric cell.
+func num(t *testing.T, tab *results.Table, row, col string) float64 {
+	t.Helper()
+	return asFloat(t, value(t, tab, row, col))
+}
+
+func TestTable1MatchesPaperExactly(t *testing.T) {
+	tab := catalogueTable(t, "table1", 0)
+	kb, paper := column(t, tab, "KB/token"), column(t, tab, "paper KB")
+	for i := range kb {
+		if math.Abs(kb[i]-paper[i]) > 1e-9 {
+			t.Errorf("%s: %v KB vs paper %v KB", tab.Rows[i][0].Text, kb[i], paper[i])
+		}
+	}
+	if s := tab.Text(); !strings.Contains(s, "70.272") {
 		t.Error("render missing the V3 KV figure")
 	}
 }
@@ -27,38 +104,32 @@ func TestTable2WithinBands(t *testing.T) {
 		"Qwen-2.5 72B (GQA, dense)":   0.12,
 		"LLaMA-3.1 405B (GQA, dense)": 0.02,
 	}
-	for _, r := range Table2() {
-		tol := tols[r.Model]
+	tab := catalogueTable(t, "table2", 0)
+	for _, row := range tab.Rows {
+		model := row[0].Text
+		tol := tols[model]
 		if tol == 0 {
-			t.Fatalf("missing tolerance for %q", r.Model)
+			t.Fatalf("missing tolerance for %q", model)
 		}
-		if math.Abs(r.GFLOPsPerToken-r.Paper) > tol*r.Paper {
-			t.Errorf("%s: %v GFLOPs vs paper %v (tol %v%%)", r.Model, r.GFLOPsPerToken, r.Paper, tol*100)
+		got, paper := num(t, tab, model, "GFLOPs/token"), num(t, tab, model, "paper")
+		if math.Abs(got-paper) > tol*paper {
+			t.Errorf("%s: %v GFLOPs vs paper %v (tol %v%%)", model, got, paper, tol*100)
 		}
 	}
 }
 
 func TestTable3WithinBands(t *testing.T) {
-	rows, err := Table3()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows {
-		if math.Abs(r.CostMDollar-r.PaperCostM) > 0.015*r.PaperCostM {
-			t.Errorf("%s cost %vM vs paper %vM", r.Name, r.CostMDollar, r.PaperCostM)
+	tab := catalogueTable(t, "table3", 0)
+	for _, col := range tab.Columns[1:] {
+		cost, paper := num(t, tab, "Cost [M$]", col.Name), num(t, tab, "paper [M$]", col.Name)
+		if math.Abs(cost-paper) > 0.015*paper {
+			t.Errorf("%s cost %vM vs paper %vM", col.Name, cost, paper)
 		}
-	}
-	if _, err := Table3Result(); err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestTable4Render(t *testing.T) {
-	tab, err := Table4Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tab.Text()
+	s := catalogueTable(t, "table4", 0).Text()
 	for _, want := range []string{"tokens/day", "MFU", "19.9"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Table 4 render missing %q:\n%s", want, s)
@@ -67,7 +138,7 @@ func TestTable4Render(t *testing.T) {
 }
 
 func TestTable5Render(t *testing.T) {
-	s := Table5Result().Text()
+	s := catalogueTable(t, "table5", 0).Text()
 	for _, want := range []string{"2.80us", "3.70us", "3.60us", "5.60us", "3.33us"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Table 5 render missing %q:\n%s", want, s)
@@ -76,144 +147,136 @@ func TestTable5Render(t *testing.T) {
 }
 
 func TestLocalDeployment(t *testing.T) {
-	rows := LocalDeployment()
-	if len(rows) != 3 {
-		t.Fatalf("expected 3 scenarios, got %d", len(rows))
+	tps := column(t, catalogueTable(t, "local", 0), "TPS")
+	if len(tps) != 3 {
+		t.Fatalf("expected 3 scenarios, got %d", len(tps))
 	}
-	if rows[0].TPS < 15 || rows[0].TPS > 40 {
-		t.Errorf("V2 on AI SoC should be ~20 TPS, got %v", rows[0].TPS)
+	if tps[0] < 15 || tps[0] > 40 {
+		t.Errorf("V2 on AI SoC should be ~20 TPS, got %v", tps[0])
 	}
-	if rows[1].TPS >= 10 {
-		t.Errorf("dense 70B should be single-digit TPS, got %v", rows[1].TPS)
+	if tps[1] >= 10 {
+		t.Errorf("dense 70B should be single-digit TPS, got %v", tps[1])
 	}
 }
 
 func TestFigure5ParityAndShape(t *testing.T) {
-	points, err := Figure5([]int{32}, []units.Bytes{128 * units.MiB, 8 * units.GiB})
+	tab, err := figure5([]int{32}, []units.Bytes{128 * units.MiB, 8 * units.GiB})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range points {
-		diff := math.Abs(p.MPFTAlgBW-p.MRFTAlgBW) / p.MRFTAlgBW
+	mp, mr := column(t, tab, "MPFT GB/s"), column(t, tab, "MRFT GB/s")
+	for i := range mp {
+		diff := math.Abs(mp[i]-mr[i]) / mr[i]
 		if diff > 0.015 {
-			t.Errorf("GPUs=%d size=%v: MPFT/MRFT diff %.2f%% > 1.5%%", p.GPUs, p.Size, diff*100)
+			t.Errorf("GPUs=%s size=%s: MPFT/MRFT diff %.2f%% > 1.5%%", tab.Rows[i][0].Text, tab.Rows[i][1].Text, diff*100)
 		}
 	}
-	if points[0].MPFTAlgBW >= points[1].MPFTAlgBW {
+	if mp[0] >= mp[1] {
 		t.Error("bandwidth should rise with message size")
 	}
-	if points[1].MPFTAlgBW < 45*units.GB {
-		t.Errorf("large-message algbw %v should approach the paper's ~60 GB/s", points[1].MPFTAlgBW/units.GB)
+	if mp[1] < 45 {
+		t.Errorf("large-message algbw %v should approach the paper's ~60 GB/s", mp[1])
 	}
 }
 
 func TestFigure6Parity(t *testing.T) {
-	points, err := Figure6([]units.Bytes{64, 16 * units.MiB, 1 * units.GiB})
+	tab, err := figure6([]units.Bytes{64, 16 * units.MiB, 1 * units.GiB})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range points {
-		if math.Abs(p.DiffPercent) > 1.5 {
-			t.Errorf("size %v: diff %v%% exceeds the paper's band", p.Size, p.DiffPercent)
+	for i, diff := range column(t, tab, "diff%") {
+		if math.Abs(diff) > 1.5 {
+			t.Errorf("size %s: diff %v%% exceeds the paper's band", tab.Rows[i][0].Text, diff)
 		}
 	}
 	// Latency must grow with size (log-log curve of the paper).
-	if points[0].MPFTLatency >= points[2].MPFTLatency {
+	if lat := column(t, tab, "MPFT"); lat[0] >= lat[2] {
 		t.Error("latency should grow with message size")
 	}
 }
 
 func TestFigure7AgainstPaper(t *testing.T) {
-	points, err := Figure7()
-	if err != nil {
-		t.Fatal(err)
+	tab := catalogueTable(t, "figure7", 0)
+	if len(tab.Rows) != 4 {
+		t.Fatalf("expected 4 EP sizes, got %d", len(tab.Rows))
 	}
-	if len(points) != 4 {
-		t.Fatalf("expected 4 EP sizes, got %d", len(points))
-	}
-	for _, p := range points {
-		paper := Figure7Paper[p.Ranks]
-		gotD := p.Dispatch.Bandwidth / units.GB
-		gotC := p.Combine.Bandwidth / units.GB
+	ep, dispatch, combine := column(t, tab, "EP"), column(t, tab, "dispatch GB/s"), column(t, tab, "combine GB/s")
+	// Each measured column has the paper's value right of it.
+	paperD := columnAt(t, tab, colIndex(t, tab, "dispatch GB/s")+1)
+	paperC := columnAt(t, tab, colIndex(t, tab, "combine GB/s")+1)
+	for i := range ep {
 		// Dispatch within 15% of the paper. Combine gets a wider band
 		// (25%): the simulator does not model the SM-based reduction
 		// work the paper's §4.4 attributes to the combine stage, which
 		// costs real DeepEP extra time at large EP.
-		if math.Abs(gotD-paper[0]) > 0.15*paper[0] {
-			t.Errorf("EP%d dispatch %v vs paper %v", p.Ranks, gotD, paper[0])
+		if math.Abs(dispatch[i]-paperD[i]) > 0.15*paperD[i] {
+			t.Errorf("EP%v dispatch %v vs paper %v", ep[i], dispatch[i], paperD[i])
 		}
-		if math.Abs(gotC-paper[1]) > 0.25*paper[1] {
-			t.Errorf("EP%d combine %v vs paper %v", p.Ranks, gotC, paper[1])
+		if math.Abs(combine[i]-paperC[i]) > 0.25*paperC[i] {
+			t.Errorf("EP%v combine %v vs paper %v", ep[i], combine[i], paperC[i])
 		}
 	}
-	if !(points[1].Dispatch.Bandwidth > points[0].Dispatch.Bandwidth &&
-		points[1].Dispatch.Bandwidth > points[2].Dispatch.Bandwidth &&
-		points[2].Dispatch.Bandwidth > points[3].Dispatch.Bandwidth) {
+	if !(dispatch[1] > dispatch[0] && dispatch[1] > dispatch[2] && dispatch[2] > dispatch[3]) {
 		t.Error("Figure 7 shape (peak at EP32, decline to EP128) not reproduced")
 	}
 }
 
 func TestFigure8Ordering(t *testing.T) {
-	points, err := Figure8()
-	if err != nil {
-		t.Fatal(err)
-	}
-	byTP := map[int]map[netsim.Policy]float64{}
-	for _, p := range points {
-		if byTP[p.TP] == nil {
-			byTP[p.TP] = map[netsim.Policy]float64{}
+	tab := catalogueTable(t, "figure8", 0)
+	byTP := map[int]map[string]float64{}
+	for i, bw := range column(t, tab, "GB/s") {
+		tp := tab.Rows[i][0].Value.(int)
+		if byTP[tp] == nil {
+			byTP[tp] = map[string]float64{}
 		}
-		byTP[p.TP][p.Policy] = p.BusBW
+		byTP[tp][tab.Rows[i][1].Text] = bw
 	}
 	for tp, m := range byTP {
-		if m[netsim.PolicyAdaptive] < 1.3*m[netsim.PolicyECMP] {
-			t.Errorf("TP%d: AR (%v) should clearly beat ECMP (%v)", tp, m[netsim.PolicyAdaptive], m[netsim.PolicyECMP])
+		if m["AR"] < 1.3*m["ECMP"] {
+			t.Errorf("TP%d: AR (%v) should clearly beat ECMP (%v)", tp, m["AR"], m["ECMP"])
 		}
-		if m[netsim.PolicyStatic] < 0.5*m[netsim.PolicyAdaptive] {
-			t.Errorf("TP%d: static (%v) should be near AR (%v)", tp, m[netsim.PolicyStatic], m[netsim.PolicyAdaptive])
+		if m["Static"] < 0.5*m["AR"] {
+			t.Errorf("TP%d: static (%v) should be near AR (%v)", tp, m["Static"], m["AR"])
 		}
 	}
 	// Aggregate bandwidth grows with TP under AR.
-	if byTP[8][netsim.PolicyAdaptive] <= byTP[2][netsim.PolicyAdaptive] {
+	if byTP[8]["AR"] <= byTP[2]["AR"] {
 		t.Error("TP8 aggregate should exceed TP2's")
 	}
 }
 
 func TestInferenceLimitsPaperDigits(t *testing.T) {
-	rows, err := InferenceLimits()
-	if err != nil {
-		t.Fatal(err)
+	tab := catalogueTable(t, "inference", 0)
+	ib, nvl := "CX7 400G IB (50 GB/s)", "GB200 NVL72 (900 GB/s)"
+	if comm := num(t, tab, ib, "Comm/step"); math.Abs(comm-120.96*units.Microsecond) > 1e-9 {
+		t.Errorf("IB comm time %v != 120.96us", comm)
 	}
-	if math.Abs(rows[0].CommTime-120.96*units.Microsecond) > 1e-9 {
-		t.Errorf("IB comm time %v != 120.96us", rows[0].CommTime)
+	if tps := num(t, tab, ib, "TPS"); math.Abs(tps-67.8) > 1 {
+		t.Errorf("IB TPS %v != ~67", tps)
 	}
-	if math.Abs(rows[0].TPS-67.8) > 1 {
-		t.Errorf("IB TPS %v != ~67", rows[0].TPS)
-	}
-	if math.Abs(rows[1].TPS-1219.8) > 2 {
-		t.Errorf("NVL72 TPS %v != ~1200", rows[1].TPS)
+	if tps := num(t, tab, nvl, "TPS"); math.Abs(tps-1219.8) > 2 {
+		t.Errorf("NVL72 TPS %v != ~1200", tps)
 	}
 }
 
 func TestMTPSpeedupNear1Point8(t *testing.T) {
-	r, err := MTPSpeedup(11)
+	tables, err := mtpSpeedup(11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(r.Analytic-1.8) > 0.05 || math.Abs(r.Simulated-1.8) > 0.06 {
-		t.Errorf("MTP speedup should be ~1.8x: analytic %v, simulated %v", r.Analytic, r.Simulated)
+	analytic := num(t, tables[0], "analytic speedup", "Value")
+	simulated := num(t, tables[0], "simulated speedup", "Value")
+	if math.Abs(analytic-1.8) > 0.05 || math.Abs(simulated-1.8) > 0.06 {
+		t.Errorf("MTP speedup should be ~1.8x: analytic %v, simulated %v", analytic, simulated)
 	}
 }
 
 func TestAccumulationAblationOrdering(t *testing.T) {
-	rows, err := AccumulationAblation(13)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel := column(t, catalogueTable(t, "accum", 0), "RMS rel error")
 	// raw FP22 > FP25 > FP32; promotion close to FP32.
-	raw, promoted, fp25, fp32 := rows[0].RelError, rows[1].RelError, rows[2].RelError, rows[3].RelError
+	raw, promoted, fp25, fp32 := rel[0], rel[1], rel[2], rel[3]
 	if !(raw > fp25 && fp25 > fp32) {
-		t.Errorf("accumulator sweep not monotone: %v", rows)
+		t.Errorf("accumulator sweep not monotone: %v", rel)
 	}
 	if promoted > raw/2 {
 		t.Errorf("promotion (%v) should cut the raw FP22 error (%v) substantially", promoted, raw)
@@ -221,94 +284,57 @@ func TestAccumulationAblationOrdering(t *testing.T) {
 }
 
 func TestLogFMTOrdering(t *testing.T) {
-	rows, err := LogFMTAccuracy(17)
-	if err != nil {
-		t.Fatal(err)
+	tab := catalogueTable(t, "logfmt", 0)
+	snr := func(format string) float64 { return num(t, tab, format, "Mean SNR (dB)") }
+	if snr("LogFMT-8") <= snr("E4M3 (tile-scaled)") || snr("LogFMT-8") <= snr("E5M2 (tile-scaled)") {
+		t.Errorf("LogFMT-8 must beat both FP8 formats:\n%s", tab.Text())
 	}
-	snr := map[string]float64{}
-	for _, r := range rows {
-		snr[r.Format] = r.SNRdB
-	}
-	if snr["LogFMT-8"] <= snr["E4M3 (tile-scaled)"] || snr["LogFMT-8"] <= snr["E5M2 (tile-scaled)"] {
-		t.Errorf("LogFMT-8 must beat both FP8 formats: %+v", snr)
-	}
-	if snr["LogFMT-10"] <= snr["LogFMT-8"] {
+	if snr("LogFMT-10") <= snr("LogFMT-8") {
 		t.Error("LogFMT-10 must beat LogFMT-8")
 	}
-	if snr["BF16"] <= snr["LogFMT-10"]-8 {
+	if snr("BF16") <= snr("LogFMT-10")-8 {
 		t.Error("BF16 should sit near or above LogFMT-10")
 	}
 }
 
 func TestNodeLimitedRouting(t *testing.T) {
-	rows, err := NodeLimitedRouting(19)
-	if err != nil {
-		t.Fatal(err)
+	tab := catalogueTable(t, "nodelimit", 0)
+	limited, free := "node-limited (4 groups)", "unrestricted top-8"
+	if m := num(t, tab, limited, "max M"); m > 4 {
+		t.Errorf("node-limited max M = %v > 4", m)
 	}
-	limited, free := rows[0], rows[1]
-	if limited.MaxNodes > 4 {
-		t.Errorf("node-limited max M = %d > 4", limited.MaxNodes)
-	}
-	if free.MeanRemoteNodes <= limited.MeanRemoteNodes {
+	if num(t, tab, free, "E[remote]") <= num(t, tab, limited, "E[remote]") {
 		t.Error("unrestricted routing must generate more IB traffic")
 	}
 }
 
 func TestPlaneFailureGraceful(t *testing.T) {
-	rows, err := PlaneFailure([]int{0, 1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
+	tab := catalogueTable(t, "planefail", 0)
+	failed, times, slowdown := column(t, tab, "Failed planes"), column(t, tab, "Time"), column(t, tab, "Slowdown")
+	if slowdown[0] != 1 {
+		t.Errorf("baseline slowdown should be 1, got %v", slowdown[0])
 	}
-	if rows[0].Slowdown != 1 {
-		t.Errorf("baseline slowdown should be 1, got %v", rows[0].Slowdown)
-	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i].Time <= rows[i-1].Time {
-			t.Errorf("failures must monotonically slow the collective: %+v", rows)
+	for i := 1; i < len(times); i++ {
+		if times[i] <= times[i-1] {
+			t.Errorf("failures must monotonically slow the collective: %v", times)
 		}
 	}
 	// Losing half the planes should roughly double the time, not break
 	// connectivity: slowdown in [1.5, 3].
-	last := rows[len(rows)-1]
-	if last.FailedPlanes == 4 && (last.Slowdown < 1.5 || last.Slowdown > 3) {
-		t.Errorf("4-plane failure slowdown %v outside graceful band", last.Slowdown)
+	last := len(times) - 1
+	if failed[last] == 4 && (slowdown[last] < 1.5 || slowdown[last] > 3) {
+		t.Errorf("4-plane failure slowdown %v outside graceful band", slowdown[last])
 	}
 }
 
 func TestFP8AccuracyExperiment(t *testing.T) {
-	r, err := FP8Accuracy()
-	if err != nil {
-		t.Fatal(err)
+	tab := catalogueTable(t, "fp8", 0)
+	fine := num(t, tab, "FP8 fine-grained + promoted", "Gap vs BF16")
+	coarse := num(t, tab, "FP8 per-tensor, no promotion", "Gap vs BF16")
+	if fine > 2 {
+		t.Errorf("fine-grained FP8 gap %v%% too large", fine)
 	}
-	if r.FineGapPct > 2 {
-		t.Errorf("fine-grained FP8 gap %v%% too large", r.FineGapPct)
-	}
-	if r.CoarseGapPct <= r.FineGapPct {
-		t.Errorf("coarse FP8 (%v%%) should be worse than fine (%v%%)", r.CoarseGapPct, r.FineGapPct)
-	}
-}
-
-func TestRenderersProduceOutput(t *testing.T) {
-	if s := LocalDeploymentResult().Text(); len(s) == 0 {
-		t.Error("empty local deployment render")
-	}
-	if tab, err := InferenceLimitsResult(); err != nil || !strings.Contains(tab.Text(), "120.96us") {
-		t.Errorf("inference limits render wrong: %v", err)
-	}
-	tables, err := MTPResultTables(3)
-	if err != nil {
-		t.Fatalf("MTP render wrong: %v", err)
-	}
-	if s := tables[0].Text() + "\n" + tables[1].Text(); !strings.Contains(s, "1.8") {
-		t.Errorf("MTP render wrong:\n%s", s)
-	}
-	if tab, err := NodeLimitedRoutingResult(3); err != nil || len(tab.Text()) == 0 {
-		t.Errorf("node-limited render wrong: %v", err)
-	}
-	if tab, err := LogFMTAccuracyResult(3); err != nil || len(tab.Text()) == 0 {
-		t.Errorf("LogFMT render wrong: %v", err)
-	}
-	if tab, err := AccumulationAblationResult(3); err != nil || len(tab.Text()) == 0 {
-		t.Errorf("accumulation render wrong: %v", err)
+	if coarse <= fine {
+		t.Errorf("coarse FP8 (%v%%) should be worse than fine (%v%%)", coarse, fine)
 	}
 }

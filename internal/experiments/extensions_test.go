@@ -1,46 +1,39 @@
 package experiments
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestBandwidthContention(t *testing.T) {
-	rows, err := BandwidthContention()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := catalogueTable(t, "contention", 0)
+	fair, prio := column(t, tab, "TPOT (fair sharing)"), column(t, tab, "TPOT (EP prioritized)")
 	// TPOT under fair sharing must be monotone in KV pressure; the
 	// prioritized column must stay flat at the baseline.
-	for i := 1; i < len(rows); i++ {
-		if rows[i].TPOTFairSharing < rows[i-1].TPOTFairSharing {
-			t.Errorf("fair-sharing TPOT should not improve with more KV traffic: %+v", rows)
+	for i := 1; i < len(fair); i++ {
+		if fair[i] < fair[i-1] {
+			t.Errorf("fair-sharing TPOT should not improve with more KV traffic: %v", fair)
 		}
-		if rows[i].TPOTPrioritized != rows[0].TPOTPrioritized {
-			t.Errorf("prioritized TPOT must be flat: %+v", rows)
+		if prio[i] != prio[0] {
+			t.Errorf("prioritized TPOT must be flat: %v", prio)
 		}
 	}
-	last := rows[len(rows)-1]
-	if last.TPOTFairSharing < 1.5*last.TPOTPrioritized {
-		t.Errorf("heavy contention should inflate TPOT substantially: %+v", last)
+	last := len(fair) - 1
+	if fair[last] < 1.5*prio[last] {
+		t.Errorf("heavy contention should inflate TPOT substantially: fair %v, prioritized %v", fair[last], prio[last])
 	}
 }
 
 func TestOverlapAblationPeaksAtTwo(t *testing.T) {
-	rows, err := OverlapAblation()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := catalogueTable(t, "overlap", 0)
+	ratios, speedups := column(t, tab, "compute/comm"), column(t, tab, "speedup")
 	var peak float64
-	for _, r := range rows {
-		if r.Speedup < 1 {
-			t.Errorf("overlap must never lose: %+v", r)
+	for i, s := range speedups {
+		if s < 1 {
+			t.Errorf("overlap must never lose: compute/comm %v, speedup %v", ratios[i], s)
 		}
-		if r.Speedup > peak {
-			peak = r.Speedup
+		if s > peak {
+			peak = s
 		}
-		if r.ComputeCommRatio == 2 && r.Speedup < 1.99 {
-			t.Errorf("balance point should reach 2x: %+v", r)
+		if ratios[i] == 2 && s < 1.99 {
+			t.Errorf("balance point should reach 2x: speedup %v", s)
 		}
 	}
 	if peak > 2+1e-9 {
@@ -49,30 +42,12 @@ func TestOverlapAblationPeaksAtTwo(t *testing.T) {
 }
 
 func TestSDCDetectionCatchesEverything(t *testing.T) {
-	r, err := SDCDetection(31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.CleanVerified {
+	tab := sdcDetection(31)
+	if value(t, tab, "clean FP8 GEMM verifies", "Value") != true {
 		t.Error("clean GEMM must verify")
 	}
-	if r.FaultsCaught != r.FaultsInjected {
-		t.Errorf("detected %d of %d injected faults", r.FaultsCaught, r.FaultsInjected)
-	}
-}
-
-func TestExtensionRenderers(t *testing.T) {
-	if tab, err := BandwidthContentionResult(); err != nil || !strings.Contains(tab.Text(), "PCIe") {
-		t.Errorf("contention render: %v", err)
-	}
-	tab, err := OverlapAblationResult()
-	if err != nil {
-		t.Fatalf("overlap render: %v", err)
-	}
-	if s := tab.Text(); !strings.Contains(s, "2.00x") {
-		t.Errorf("overlap render:\n%s", s)
-	}
-	if tab, err := SDCDetectionResult(31); err != nil || !strings.Contains(tab.Text(), "true") {
-		t.Errorf("SDC render: %v", err)
+	caught, injected := num(t, tab, "corruptions detected", "Value"), num(t, tab, "injected corruptions", "Value")
+	if caught != injected {
+		t.Errorf("detected %v of %v injected faults", caught, injected)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"dsv3/internal/deepep"
 	"dsv3/internal/parallel"
 	"dsv3/internal/results"
 	"dsv3/internal/units"
@@ -50,25 +49,25 @@ func TestParallelSerialParity(t *testing.T) {
 		f    func() (string, error)
 	}{
 		{"figure5", func() (string, error) {
-			pts, err := Figure5([]int{16, 32}, []units.Bytes{128 * units.MiB, 1 * units.GiB})
+			tab, err := figure5([]int{16, 32}, []units.Bytes{128 * units.MiB, 1 * units.GiB})
 			if err != nil {
 				return "", err
 			}
-			return Figure5Result(pts).Text(), nil
+			return tab.Text(), nil
 		}},
 		{"figure6", func() (string, error) {
-			pts, err := Figure6([]units.Bytes{64, 16 * units.MiB, 1 * units.GiB})
+			tab, err := figure6([]units.Bytes{64, 16 * units.MiB, 1 * units.GiB})
 			if err != nil {
 				return "", err
 			}
-			return Figure6Result(pts).Text(), nil
+			return tab.Text(), nil
 		}},
 		{"planefail", func() (string, error) {
-			rows, err := PlaneFailure([]int{0, 2})
+			tab, err := planeFailure([]int{0, 2})
 			if err != nil {
 				return "", err
 			}
-			return PlaneFailureResult(rows).Text(), nil
+			return tab.Text(), nil
 		}},
 	}
 	for _, c := range cases {
@@ -173,27 +172,6 @@ func TestCatalogueStructure(t *testing.T) {
 						r.Name, ti, ri, len(row), len(tab.Columns))
 				}
 			}
-		}
-	}
-}
-
-// The worker count must never leak into the structured results either —
-// spot-check the numeric (pre-render) layer on the heaviest runner.
-func TestFigure7NumericParity(t *testing.T) {
-	run := func(workers int) []deepep.EPSweepPoint {
-		prev := parallel.SetWorkers(workers)
-		defer parallel.SetWorkers(prev)
-		pts, err := Figure7()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pts
-	}
-	serial := run(1)
-	par := run(8)
-	for i := range serial {
-		if serial[i] != par[i] {
-			t.Errorf("EP%d: serial %+v != parallel %+v", serial[i].Ranks, serial[i], par[i])
 		}
 	}
 }

@@ -26,8 +26,8 @@ const (
 	// FaultDegrade loses FailedPlanes of the instance's TotalPlanes
 	// network planes (§5.1.1): its EP all-to-all traffic crosses the
 	// survivors at TotalPlanes/(TotalPlanes-FailedPlanes) x the healthy
-	// duration — the serving-layer image of experiments.PlaneFailure.
-	// The instance keeps serving, slower.
+	// duration — the serving-layer image of the planefail experiment
+	// (experiments.planeFailure). The instance keeps serving, slower.
 	FaultDegrade
 	// FaultHeal restores a degraded instance to full bandwidth (and
 	// returns a straggler drained by gray-failure detection to service).

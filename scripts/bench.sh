@@ -24,7 +24,7 @@ date_tag="$(date +%Y-%m-%d)"
 out="BENCH_${date_tag}${label:+_$label}.json"
 
 echo "running microbenchmarks (benchtime=$benchtime)..." >&2
-bench_raw="$(go test -run=NONE -bench=. -benchmem -benchtime="$benchtime" . ./internal/servesim)"
+bench_raw="$(go test -run=NONE -bench=. -benchmem -benchtime="$benchtime" . ./internal/experiments ./internal/servesim)"
 
 echo "timing dsv3bench suite..." >&2
 go build -o /tmp/dsv3bench-snapshot ./cmd/dsv3bench
