@@ -287,9 +287,19 @@ func BenchmarkServeEngineHazard(b *testing.B) {
 // absorbing a scaled-down slice of the serve-fleet experiment's traffic
 // on a warm pooled engine. Its allocs/op is pinned in
 // scripts/alloc_gate.sh alongside the small engine's.
-func BenchmarkServeFleet(b *testing.B) {
+func BenchmarkServeFleet(b *testing.B) { benchServeFleet(b, 1) }
+
+// BenchmarkServeFleetWide is the same run on a 4x fleet (2400 prefill +
+// 1600 decode) at 4x the rate, so each instance sees the same traffic:
+// per-event bookkeeping that scaled with the fleet would show here as
+// ns/op growing faster than the request count.
+func BenchmarkServeFleetWide(b *testing.B) { benchServeFleet(b, 4) }
+
+func benchServeFleet(b *testing.B, scale int) {
 	cfg := experiments.FleetConfig(79)
-	w := experiments.FleetWorkload(11000)
+	cfg.Fleet.PrefillInstances *= scale
+	cfg.Fleet.DecodeInstances *= scale
+	w := experiments.FleetWorkload(11000 * float64(scale))
 	w.Requests = 50_000
 	eng := NewServeEngine()
 	if _, err := eng.Run(cfg, w); err != nil { // warm the pools

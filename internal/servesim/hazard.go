@@ -326,6 +326,7 @@ func (e *Engine) noteStepEWMA(inst int) {
 	// Fleet median over warmed-up, servable instances. Fewer than two
 	// eligible peers means no basis for comparison.
 	med := hz.medScratch[:0]
+	e.work.scans += len(e.decodes)
 	for i := range e.decodes {
 		if hz.ewmaSteps[i] >= detectMinSteps && e.decodes[i].health.servable() {
 			med = append(med, hz.ewma[i])
@@ -341,7 +342,7 @@ func (e *Engine) noteStepEWMA(inst int) {
 		return
 	}
 	e.trIncident(false, inst, "gray-drain")
-	e.setHealth(&d.unitState, healthDraining)
+	e.setHealth(false, inst, healthDraining)
 	hz.grayDrained[inst] = true
 	hz.grayDrains++
 	e.incidents = append(e.incidents, Incident{At: e.now, Instance: inst, Kind: "gray-drain"})

@@ -49,6 +49,10 @@ func (k KVConfig) TotalPages(perToken units.Bytes) int {
 type kvPool struct {
 	total int
 	used  int
+	// fleet is the engine's fleet-wide used-page counter (Engine.kvUsed),
+	// moved with every page this pool allocates or releases, so fleet
+	// occupancy is read without a scan over the pools.
+	fleet *int
 }
 
 // tryAlloc claims n pages, reporting whether they were available.
@@ -57,12 +61,14 @@ func (p *kvPool) tryAlloc(n int) bool {
 		return false
 	}
 	p.used += n
+	*p.fleet += n
 	return true
 }
 
 // release returns n pages to the pool.
 func (p *kvPool) release(n int) {
 	p.used -= n
+	*p.fleet -= n
 	if p.used < 0 {
 		panic("servesim: kv pool released more pages than allocated")
 	}

@@ -2,6 +2,7 @@ package servesim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"dsv3/internal/parallel"
@@ -94,11 +95,25 @@ type Router interface {
 	Pick(loads []InstanceLoad) int
 }
 
+// picker is a built-in Router as the engine drives it: pick is the
+// policy's one selection routine, over a candidate view, and Pick is
+// that routine over a view of the given slice. The engine hands it
+// index-backed views instead, so a pick reads only the candidates the
+// policy needs.
+type picker interface {
+	Router
+	pick(v *candView) int
+}
+
 // NewRouter builds a fresh router for the policy. seed feeds the
 // policies that randomize (power-of-two choices); deterministic
 // policies ignore it.
 func NewRouter(policy RouterPolicy, seed int64) Router {
-	switch policy {
+	return newPicker(policy, seed)
+}
+
+func newPicker(p RouterPolicy, seed int64) picker {
+	switch p {
 	case RouteRoundRobin:
 		return &roundRobinRouter{last: -1}
 	case RoutePowerOfTwo:
@@ -110,16 +125,145 @@ func NewRouter(policy RouterPolicy, seed int64) Router {
 	}
 }
 
+// candView is a router's candidate set: len() candidates, at(k) the
+// k-th in ascending Instance order. Pick backs it with a load slice;
+// the engine backs it with one of its indexes (set) and computes each
+// load on demand from decodes, or leaves it zero for prefill units
+// (decodes nil), which hold no load. skip, when non-negative, is the
+// set position left out of the view: the hedge twin's instance.
+type candView struct {
+	loads   []InstanceLoad
+	set     *idSet
+	decodes []decodeUnit
+	skip    int
+	reads   int // loads read from the index
+}
+
+func (v *candView) len() int {
+	if v.set == nil {
+		return len(v.loads)
+	}
+	if v.skip >= 0 {
+		return v.set.n - 1
+	}
+	return v.set.n
+}
+
+func (v *candView) at(k int) InstanceLoad {
+	if v.set == nil {
+		return v.loads[k]
+	}
+	return v.indexed(k)
+}
+
+// indexed is at for an index-backed view (kept apart so at inlines).
+func (v *candView) indexed(k int) InstanceLoad {
+	v.reads++
+	id := v.set.nth(v.pos(k))
+	if v.decodes == nil {
+		return InstanceLoad{Instance: id}
+	}
+	d := &v.decodes[id]
+	return InstanceLoad{Instance: id, Queue: d.pending.len() + len(d.active), FreeKV: d.kv.free()}
+}
+
+// pos maps a view position to its position in the backing set.
+func (v *candView) pos(k int) int {
+	if v.skip >= 0 && k >= v.skip {
+		return k + 1
+	}
+	return k
+}
+
+// idSet is a set of instance ids kept as a bitset, the index behind an
+// engine candidate view: put is O(1), rank and nth (select) are
+// O(words). nth keeps a cursor on the word its last answer came from,
+// so an ascending scan over every member costs O(words + members).
+type idSet struct {
+	words []uint64
+	n     int
+	// curK members lie in words[:curW] (the nth cursor).
+	curW, curK int
+}
+
+// reset empties the set and sizes it for ids in [0, size).
+func (s *idSet) reset(size int) {
+	nw := (size + 63) / 64
+	if cap(s.words) < nw {
+		s.words = make([]uint64, nw)
+	}
+	s.words = s.words[:nw]
+	clear(s.words)
+	s.n, s.curW, s.curK = 0, 0, 0
+}
+
+func (s *idSet) has(id int) bool { return s.words[id>>6]&(1<<(id&63)) != 0 }
+
+// put makes id a member (in) or not; it is a no-op when id already is.
+func (s *idSet) put(id int, in bool) {
+	if s.has(id) == in {
+		return
+	}
+	d := 1
+	if !in {
+		d = -1
+	}
+	s.words[id>>6] ^= 1 << (id & 63)
+	s.n += d
+	if id>>6 < s.curW {
+		s.curK += d
+	}
+}
+
+// rank returns the number of members below id.
+func (s *idSet) rank(id int) int {
+	w := id >> 6
+	r := bits.OnesCount64(s.words[w] & (1<<(id&63) - 1))
+	for _, x := range s.words[:w] {
+		r += bits.OnesCount64(x)
+	}
+	return r
+}
+
+// nth returns the k-th smallest member (0 <= k < n).
+func (s *idSet) nth(k int) int {
+	if k < s.curK {
+		s.curW, s.curK = 0, 0
+	}
+	for {
+		c := bits.OnesCount64(s.words[s.curW])
+		if k < s.curK+c {
+			break
+		}
+		s.curK += c
+		s.curW++
+	}
+	// Select the (k-curK)-th set bit of the word, a byte at a time.
+	w, r, id := s.words[s.curW], k-s.curK, s.curW<<6
+	for c := bits.OnesCount8(uint8(w)); r >= c; c = bits.OnesCount8(uint8(w)) {
+		r -= c
+		w >>= 8
+		id += 8
+	}
+	b := uint8(w)
+	for ; r > 0; r-- {
+		b &= b - 1
+	}
+	return id + bits.TrailingZeros8(b)
+}
+
 // leastKVRouter picks the most free KV pages, first maximum on ties —
 // exactly the scan the engine ran before routing became pluggable, so
 // the serve* goldens are reproduced byte for byte.
 type leastKVRouter struct{}
 
-func (leastKVRouter) Pick(loads []InstanceLoad) int {
+func (r leastKVRouter) Pick(loads []InstanceLoad) int { return r.pick(&candView{loads: loads}) }
+
+func (leastKVRouter) pick(v *candView) int {
 	best, bestFree := 0, -1
-	for i, l := range loads {
-		if l.FreeKV > bestFree {
-			best, bestFree = i, l.FreeKV
+	for k, n := 0, v.len(); k < n; k++ {
+		if l := v.at(k); l.FreeKV > bestFree {
+			best, bestFree = k, l.FreeKV
 		}
 	}
 	return best
@@ -134,19 +278,25 @@ type roundRobinRouter struct {
 	last int
 }
 
-func (r *roundRobinRouter) Pick(loads []InstanceLoad) int {
-	pick := -1
-	for i, l := range loads {
-		if l.Instance > r.last {
-			pick = i
-			break
+func (r *roundRobinRouter) Pick(loads []InstanceLoad) int { return r.pick(&candView{loads: loads}) }
+
+func (r *roundRobinRouter) pick(v *candView) int {
+	// The view is ascending, so the first Instance past the cursor is
+	// found by bisection.
+	lo, hi := 0, v.len()
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if v.at(m).Instance > r.last {
+			hi = m
+		} else {
+			lo = m + 1
 		}
 	}
-	if pick < 0 {
-		pick = 0 // wrapped: loads is ascending, so [0] is the smallest
+	if lo == v.len() {
+		lo = 0 // wrapped: the smallest candidate
 	}
-	r.last = loads[pick].Instance
-	return pick
+	r.last = v.at(lo).Instance
+	return lo
 }
 
 // p2cRouter implements power-of-two choices: sample two distinct
@@ -157,16 +307,19 @@ type p2cRouter struct {
 	rng *rand.Rand
 }
 
-func (r *p2cRouter) Pick(loads []InstanceLoad) int {
-	if len(loads) == 1 {
+func (r *p2cRouter) Pick(loads []InstanceLoad) int { return r.pick(&candView{loads: loads}) }
+
+func (r *p2cRouter) pick(v *candView) int {
+	n := v.len()
+	if n == 1 {
 		return 0
 	}
-	i := r.rng.Intn(len(loads))
-	j := r.rng.Intn(len(loads) - 1)
+	i := r.rng.Intn(n)
+	j := r.rng.Intn(n - 1)
 	if j >= i {
 		j++
 	}
-	if lessLoaded(loads[j], loads[i]) {
+	if lessLoaded(v.at(j), v.at(i)) {
 		return j
 	}
 	return i
@@ -176,11 +329,13 @@ func (r *p2cRouter) Pick(loads []InstanceLoad) int {
 // free KV then instance index breaking ties.
 type shortestQueueRouter struct{}
 
-func (shortestQueueRouter) Pick(loads []InstanceLoad) int {
-	best := 0
-	for i := 1; i < len(loads); i++ {
-		if lessLoaded(loads[i], loads[best]) {
-			best = i
+func (r shortestQueueRouter) Pick(loads []InstanceLoad) int { return r.pick(&candView{loads: loads}) }
+
+func (shortestQueueRouter) pick(v *candView) int {
+	best, bestLoad := 0, v.at(0)
+	for k, n := 1, v.len(); k < n; k++ {
+		if l := v.at(k); lessLoaded(l, bestLoad) {
+			best, bestLoad = k, l
 		}
 	}
 	return best

@@ -316,18 +316,29 @@ type Engine struct {
 	prefillQ fifo
 	prefills []unitState // empty when colocated
 	decodes  []decodeUnit
-	// idlePrefills counts prefill units that are idle and healthy — the
-	// dispatch candidate set size — so the post-event dispatch call can
-	// skip its O(nPrefill) scan when nothing can possibly pair. Kept
-	// exact: ±1 at dispatch/prefillDone, recounted on fault transitions.
-	idlePrefills int
+	// idle indexes the prefill units that are idle and servable — the
+	// dispatch candidates — and servable the decode units that are up or
+	// degraded — the hand-off candidates. Both are kept exact where the
+	// state changes (dispatch, prefillDone, setHealth), so a router reads
+	// its candidates through view without a scan over the fleet.
+	idle, servable idSet
+	view           candView
+	// kvUsed counts the pages allocated across every decode pool (kept by
+	// the pools themselves, see kvPool.fleet); kvTotal is the fleet's page
+	// capacity and kvAlive the capacity of the pools not down. Dead pools
+	// hold no pages, so kvUsed/kvAlive is the up-fleet occupancy.
+	kvUsed, kvTotal, kvAlive int
 
 	// One router instance per decision point, so per-policy state
 	// (round-robin cursors, the p2c stream) never couples prefill
 	// dispatch to the decode hand-off.
-	prefillRouter Router
-	decodeRouter  Router
-	loads         []InstanceLoad // candidate scratch, reused per decision
+	prefillRouter picker
+	decodeRouter  picker
+
+	// work counts the run's bookkeeping deterministically; eventHook,
+	// when set, runs after every event (both are read and set by tests).
+	work      workCounts
+	eventHook func(*Engine) error
 
 	mtpFactor float64
 	lc        latConsts // per-run latency constants (see LatencyModel.consts)
@@ -382,6 +393,20 @@ type Engine struct {
 	ttft, tpot, e2e []float64 // report percentile scratch
 }
 
+// workCounts are deterministic measures of a run's bookkeeping cost,
+// free of timing noise.
+type workCounts struct {
+	events int // events popped off the heap
+	picks  int // router decisions
+	loads  int // candidate loads the routers read
+	// scans counts the per-unit iterations of fleet scans made while
+	// handling events (the colocated dispatch sweep, the gray-failure
+	// median in hazard.go). The timeline and metrics samplers' scans are
+	// left out: they run once per sample tick, a bounded number of times
+	// per run, whatever the traffic.
+	scans int
+}
+
 // faultSpan is one interval during which at least one instance was
 // degraded (down or draining).
 type faultSpan struct {
@@ -422,8 +447,9 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 	// fault plan) cannot perturb speculative decoding.
 	e.cfg = cfg
 	e.reseed(parallel.DeriveSeed(cfg.Seed, 1))
-	e.prefillRouter = NewRouter(cfg.Fleet.Router, parallel.DeriveSeed(cfg.Seed, 2))
-	e.decodeRouter = NewRouter(cfg.Fleet.Router, parallel.DeriveSeed(cfg.Seed, 3))
+	e.prefillRouter = newPicker(cfg.Fleet.Router, parallel.DeriveSeed(cfg.Seed, 2))
+	e.decodeRouter = newPicker(cfg.Fleet.Router, parallel.DeriveSeed(cfg.Seed, 3))
+	e.work = workCounts{}
 	e.lc = cfg.Latency.consts()
 	e.resetHier()
 	e.now = 0
@@ -451,20 +477,25 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 		e.prefills = make([]unitState, nPrefill)
 	}
 	e.prefills = e.prefills[:nPrefill]
+	e.idle.reset(nPrefill)
 	for i := range e.prefills {
 		e.prefills[i] = unitState{commScale: 1}
+		e.idle.put(i, true)
 	}
-	e.idlePrefills = nPrefill
 	if cap(e.decodes) < nDecode {
 		next := make([]decodeUnit, nDecode)
 		copy(next, e.decodes[:cap(e.decodes)])
 		e.decodes = next
 	}
 	e.decodes = e.decodes[:nDecode]
-	kv := kvPool{total: cfg.KV.HBM.TotalPages(e.lc.kvPerToken)}
+	kv := kvPool{total: cfg.KV.HBM.TotalPages(e.lc.kvPerToken), fleet: &e.kvUsed}
+	e.servable.reset(nDecode)
 	for i := range e.decodes {
 		e.decodes[i].reset(kv)
+		e.servable.put(i, true)
 	}
+	e.kvUsed, e.kvTotal = 0, kv.total*nDecode
+	e.kvAlive = e.kvTotal
 	e.resetHazards(nDecode)
 	e.obsBeginRun(nPrefill, nDecode)
 
@@ -512,8 +543,12 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 			arr++
 		} else {
 			ev = e.events.pop()
+			e.work.events++
 		}
 		stop, err := e.processEvent(&ev)
+		if err == nil && e.eventHook != nil {
+			err = e.eventHook(e)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -649,19 +684,8 @@ func (e *Engine) shouldShed() bool {
 	if a.MaxQueueDepth > 0 && e.prefillQ.len() >= a.MaxQueueDepth {
 		return true
 	}
-	if a.MaxKVOccupancy > 0 {
-		var used, total int
-		for i := range e.decodes {
-			if d := &e.decodes[i]; !d.health.dead() {
-				used += d.kv.used
-				total += d.kv.total
-			}
-		}
-		if total > 0 && float64(used)/float64(total) > a.MaxKVOccupancy {
-			return true
-		}
-	}
-	return false
+	return a.MaxKVOccupancy > 0 && e.kvAlive > 0 &&
+		float64(e.kvUsed)/float64(e.kvAlive) > a.MaxKVOccupancy
 }
 
 // dispatch hands queued prefill work to idle capacity. It runs after
@@ -680,31 +704,21 @@ func (e *Engine) dispatch() {
 			if e.prefillQ.len() == 0 {
 				return
 			}
+			e.work.scans++
 			if d := &e.decodes[i]; d.health.servable() && !d.stepping && d.prefill == nil {
 				e.startStep(i)
 			}
 		}
 		return
 	}
-	if e.idlePrefills == 0 {
-		return
-	}
 	// Health-aware candidate set: crashed and draining prefill units are
-	// invisible to the router (degraded ones still serve, slower).
-	idle := e.loads[:0]
-	for i := range e.prefills {
-		if p := &e.prefills[i]; p.prefill == nil && p.health.servable() {
-			idle = append(idle, InstanceLoad{Instance: i})
-		}
-	}
-	for e.prefillQ.len() > 0 && len(idle) > 0 {
-		k := e.prefillRouter.Pick(idle)
-		inst := idle[k].Instance
-		idle = append(idle[:k], idle[k+1:]...)
+	// not in the idle index (degraded ones still serve, slower).
+	for e.prefillQ.len() > 0 && e.idle.n > 0 {
+		inst := e.route(e.prefillRouter, &e.idle, nil, -1)
+		e.idle.put(inst, false)
 		req := e.prefillQ.pop()
 		p := &e.prefills[inst]
 		p.prefill = req
-		e.idlePrefills--
 		cost := e.prefillCost(req, p.commScale)
 		e.trPhaseEnd(req)
 		e.trPhaseBegin(req, obs.PhasePrefill, inst)
@@ -712,7 +726,17 @@ func (e *Engine) dispatch() {
 		e.scheduleEpoch(e.now+cost, evPrefillDone, inst, p.epoch, req)
 		e.purgeLostHead()
 	}
-	e.loads = idle[:0]
+}
+
+// route runs a router over an index-backed candidate view — set, with
+// loads read from decodes when non-nil, less set position skip when
+// skip >= 0 — and returns the instance it picks.
+func (e *Engine) route(r picker, set *idSet, decodes []decodeUnit, skip int) int {
+	e.view = candView{set: set, decodes: decodes, skip: skip}
+	k := r.pick(&e.view)
+	e.work.picks++
+	e.work.loads += e.view.reads
+	return set.nth(e.view.pos(k))
 }
 
 // purgeLostHead drops losing hedge copies off the head of the shared
@@ -748,7 +772,7 @@ func (e *Engine) prefillDone(ev *event) {
 		return
 	}
 	if u.health.servable() {
-		e.idlePrefills++
+		e.idle.put(ev.inst, true)
 	}
 	if req.hstate == hzLost {
 		// The twin completed while this copy prefilled: the work is
@@ -766,40 +790,27 @@ func (e *Engine) prefillDone(ev *event) {
 	// by default), after the KV migration delay. Crashed and draining
 	// instances are excluded; a fleet with no healthy decode instance
 	// orphans the request into the retry path.
-	loads := e.loads[:0]
-	for i := range e.decodes {
-		d := &e.decodes[i]
-		if !d.health.servable() {
-			continue
-		}
-		loads = append(loads, InstanceLoad{
-			Instance: i,
-			Queue:    d.pending.len() + len(d.active),
-			FreeKV:   d.kv.free(),
-		})
-	}
-	if len(loads) == 0 {
-		e.loads = loads[:0]
+	if e.servable.n == 0 {
 		e.orphan(req)
 		return
 	}
-	// Hedge anti-affinity: a racing copy avoids its twin's decode
-	// instance when any alternative exists, so the race spans failure
-	// domains instead of queueing twice on the same straggler.
-	if t := req.twin; t != nil && req.hstate == hzRacing && len(loads) > 1 {
-		for k := range loads {
-			if loads[k].Instance == t.inst {
-				loads = append(loads[:k], loads[k+1:]...)
-				break
-			}
-		}
-	}
-	best := loads[e.decodeRouter.Pick(loads)].Instance
+	best := e.route(e.decodeRouter, &e.servable, e.decodes, e.twinSkip(req))
 	req.inst = best
-	e.loads = loads[:0]
 	transfer := e.cfg.Latency.kvBytesForContext(e.lc, req.ctx) / kvTransferBW
 	e.trPhaseBegin(req, obs.PhaseTransfer, best)
 	e.schedule(e.now+transfer, evDecodeLand, best, req)
+}
+
+// twinSkip is the hedge anti-affinity of a decode hand-off: a racing
+// copy avoids its twin's decode instance when any alternative exists,
+// so the race spans failure domains instead of queueing twice on the
+// same straggler. It returns the twin's position in the servable index,
+// or -1 when nothing is excluded.
+func (e *Engine) twinSkip(req *reqState) int {
+	if t := req.twin; t != nil && req.hstate == hzRacing && e.servable.n > 1 && t.inst >= 0 && e.servable.has(t.inst) {
+		return e.servable.rank(t.inst)
+	}
+	return -1
 }
 
 func (e *Engine) emitFirstToken(req *reqState) {
@@ -1143,15 +1154,10 @@ func (e *Engine) pickVictim(d *decodeUnit, grower *reqState, gen int) *reqState 
 }
 
 func (e *Engine) notePeakOcc() {
-	var used, total int
-	for i := range e.decodes {
-		used += e.decodes[i].kv.used
-		total += e.decodes[i].kv.total
-	}
-	if total == 0 {
+	if e.kvTotal == 0 {
 		return
 	}
-	if occ := float64(used) / float64(total); occ > e.peakOcc {
+	if occ := float64(e.kvUsed) / float64(e.kvTotal); occ > e.peakOcc {
 		e.peakOcc = occ
 	}
 }
@@ -1165,9 +1171,23 @@ func (e *Engine) unit(prefill bool, inst int) *unitState {
 }
 
 // setHealth moves an instance to a new health state, tracking fleet
-// degradation across the transition: it opens/closes the degraded span
-// that splits SLO attainment by fault epoch.
-func (e *Engine) setHealth(u *unitState, to healthState) {
+// degradation across the transition: it keeps the candidate indexes and
+// the alive KV capacity exact, and opens/closes the degraded span that
+// splits SLO attainment by fault epoch.
+func (e *Engine) setHealth(prefill bool, inst int, to healthState) {
+	u := e.unit(prefill, inst)
+	if prefill {
+		e.idle.put(inst, u.prefill == nil && to.servable())
+	} else {
+		e.servable.put(inst, to.servable())
+		if wasDead := u.health.dead(); wasDead != to.dead() {
+			if wasDead {
+				e.kvAlive += e.decodes[inst].kv.total
+			} else {
+				e.kvAlive -= e.decodes[inst].kv.total
+			}
+		}
+	}
 	wasUp, isUp := u.health == healthUp, to == healthUp
 	u.health = to
 	if wasUp == isUp {
@@ -1204,17 +1224,17 @@ func (e *Engine) applyFault(ev FaultEvent) {
 		if u.health != healthUp {
 			e.trIncident(prefill, inst, "recover")
 		}
-		e.setHealth(u, healthUp)
+		e.setHealth(prefill, inst, healthUp)
 	case FaultDrain:
 		if u.health.servable() {
 			e.trIncident(prefill, inst, "drain")
-			e.setHealth(u, healthDraining)
+			e.setHealth(prefill, inst, healthDraining)
 		}
 	case FaultDegrade:
 		u.commScale = ev.commScale()
 		if u.health == healthUp {
 			e.trIncident(prefill, inst, "degrade")
-			e.setHealth(u, healthDegraded)
+			e.setHealth(prefill, inst, healthDegraded)
 		}
 	case FaultHeal:
 		u.commScale = 1
@@ -1223,11 +1243,10 @@ func (e *Engine) applyFault(ev FaultEvent) {
 		if u.health == healthDegraded ||
 			(!prefill && u.health == healthDraining && e.hz.on && e.hz.grayDrained[inst]) {
 			e.trIncident(prefill, inst, "heal")
-			e.setHealth(u, healthUp)
+			e.setHealth(prefill, inst, healthUp)
 		}
 	}
 	if prefill {
-		e.recountIdlePrefills()
 		return
 	}
 	if ev.Kind == FaultRecover || ev.Kind == FaultHeal {
@@ -1273,18 +1292,6 @@ func (e *Engine) scheduleRecover(prefill bool, inst int, after units.Seconds) {
 	e.schedule(e.now+after, evFaultRecover, inst, nil)
 }
 
-// recountIdlePrefills rebuilds the dispatch candidate count after a
-// fault transition (rare; the hot paths maintain it incrementally).
-func (e *Engine) recountIdlePrefills() {
-	n := 0
-	for i := range e.prefills {
-		if p := &e.prefills[i]; p.prefill == nil && p.health.servable() {
-			n++
-		}
-	}
-	e.idlePrefills = n
-}
-
 // takeDown removes an instance from service, as a crash (to =
 // healthDown) or an SDC quarantine (to = healthQuarantined): every
 // request it holds is orphaned into the retry path, a decode
@@ -1323,7 +1330,7 @@ func (e *Engine) takeDown(prefill bool, inst int, to healthState, traceKind, kin
 		}
 		d.pending.reset()
 		d.stepping = false
-		d.kv.used = 0
+		d.kv.release(d.kv.used)
 	}
 	if req := u.prefill; req != nil {
 		// Partially built prefill KV counts as lost.
@@ -1333,7 +1340,7 @@ func (e *Engine) takeDown(prefill bool, inst int, to healthState, traceKind, kin
 		u.prefill = nil
 	}
 	u.epoch++
-	e.setHealth(u, to)
+	e.setHealth(prefill, inst, to)
 	e.kvLost += inc.KVTokensLost
 	e.incidents = append(e.incidents, inc)
 }
@@ -1426,10 +1433,7 @@ func (e *Engine) sampleUpTo(t units.Seconds) {
 // the metrics registry (fillMetrics).
 func (e *Engine) fleetSnapshot() (batch, used, total int) {
 	for i := range e.decodes {
-		d := &e.decodes[i]
-		batch += len(d.active)
-		used += d.kv.used
-		total += d.kv.total
+		batch += len(e.decodes[i].active)
 	}
-	return batch, used, total
+	return batch, e.kvUsed, e.kvTotal
 }

@@ -267,12 +267,12 @@ func TestKVConfigPaging(t *testing.T) {
 	if want := int((1 << 30) / wantPage); total != want {
 		t.Errorf("TotalPages = %d, want %d", total, want)
 	}
-	p := &kvPool{total: total}
-	if !p.tryAlloc(total) || p.tryAlloc(1) {
+	p := &kvPool{total: total, fleet: new(int)}
+	if !p.tryAlloc(total) || p.tryAlloc(1) || *p.fleet != total {
 		t.Error("pool over- or under-allocates")
 	}
 	p.release(total)
-	if p.used != 0 || p.free() != total {
+	if p.used != 0 || p.free() != total || *p.fleet != 0 {
 		t.Errorf("release did not restore pool: %+v", p)
 	}
 }

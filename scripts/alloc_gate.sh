@@ -23,6 +23,7 @@ BenchmarkServeEngineTiered 10
 BenchmarkServeEngineTraced 20
 BenchmarkServeEngineHazard 8
 BenchmarkServeFleet 12
+BenchmarkServeFleetWide 12
 BenchmarkEventQueue/heap/n=100000 0
 BenchmarkEventQueue/heap/n=1000000 0
 "
