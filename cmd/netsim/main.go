@@ -47,9 +47,15 @@ func main() {
 	sizeStr := flag.String("size", "1GiB", "per-rank buffer (B/KiB/MiB/GiB)")
 	flag.Parse()
 
-	kind := cluster.MPFT
-	if strings.EqualFold(*fabric, "mrft") {
+	var kind cluster.FabricKind
+	switch strings.ToLower(*fabric) {
+	case "mpft":
+		kind = cluster.MPFT
+	case "mrft":
 		kind = cluster.MRFT
+	default:
+		fmt.Fprintf(os.Stderr, "unknown -fabric %q (want mpft or mrft)\n", *fabric)
+		os.Exit(1)
 	}
 	size, err := parseSize(*sizeStr)
 	if err != nil {

@@ -90,8 +90,8 @@ func H800Config(nodes int, fabric FabricKind) Config {
 }
 
 // Cluster is a built cluster graph with the bookkeeping needed to
-// construct explicit paths (PXN, receiver-side forwarding) without
-// re-deriving the topology.
+// construct explicit paths (PXN, receiver-side forwarding, failed-plane
+// detours) without re-deriving the topology.
 type Cluster struct {
 	Cfg Config
 	G   *topology.Graph
@@ -117,14 +117,13 @@ type Cluster struct {
 	// spineDown[(spineNode,leafNode)] is the matching down link.
 	spineDown map[[2]int]int
 
-	// pathMu guards the lazily built path caches below. Path
-	// construction is pure, so caching keyed by the (src, dst) GPU
+	// pathMu guards the lazily built PlanePaths cache. Path
+	// construction is pure, so caching keyed by the (src, dst, plane)
 	// coordinates makes repeated collective/EP traffic generation on a
 	// shared cluster allocation-free after warm-up. Cached slices are
 	// shared: callers must treat returned paths as immutable.
-	pathMu   sync.RWMutex
-	pxnCache map[[4]int][][]int
-	fwdCache map[[4]int][][]int
+	pathMu sync.RWMutex
+	paths  map[[5]int][][]int
 }
 
 // Build constructs the cluster graph.
@@ -141,8 +140,7 @@ func Build(cfg Config) (*Cluster, error) {
 		planes:    planes,
 		leafCount: leafCount,
 		spineDown: make(map[[2]int]int),
-		pxnCache:  make(map[[4]int][][]int),
-		fwdCache:  make(map[[4]int][][]int),
+		paths:     make(map[[5]int][][]int),
 	}
 	g := c.G
 
@@ -253,119 +251,70 @@ func (c *Cluster) NVLinkPath(node, i, j int) []int {
 	return []int{c.gpuToNVSw[node][i], c.nvswToGPU[node][j]}
 }
 
-// appendNetSegment appends NIC(a,plane) -> fabric -> NIC(b,plane) to p,
-// choosing spine slot spine when the hosts sit under different leaves.
-func (c *Cluster) appendNetSegment(p []int, a, b, plane, spine int) []int {
-	leafA, leafB := c.LeafOf(a), c.LeafOf(b)
-	p = append(p, c.nicToLeaf[a][plane])
-	if leafA != leafB {
-		up := c.leafUp[plane][leafA][spine]
-		spineNode := c.G.Links[up].To
-		p = append(p, up, c.spineDown[[2]int{spineNode, c.leaf[plane][leafB]}])
+// PlanePaths returns the paths from GPU (a,i) to GPU (b,j) through
+// NIC plane plane: NVLink to the plane's local GPU when i != plane, the
+// plane's fabric, then NVLink at the receiver when plane != j. One path
+// per spine slot is returned for multipathing; same-leaf pairs have
+// exactly one, and same-host pairs take the single NVLink path whatever
+// the plane. The choice of plane names the route: plane = j is NCCL's
+// sender-side PXN, plane = i is DeepEP's receiver-side forwarding, and
+// any other surviving plane is the detour around a failed one (§5.1.1,
+// Figure 4). The result is cached and must not be mutated.
+func (c *Cluster) PlanePaths(a, i, b, j, plane int) [][]int {
+	if a == b {
+		plane = j // intra-host traffic never reaches a plane
 	}
-	return append(p, c.leafToNIC[b][plane])
-}
-
-// cachedPaths returns the memoized path set for key, building and
-// publishing it on first use. Safe for concurrent callers.
-func (c *Cluster) cachedPaths(cache map[[4]int][][]int, key [4]int, build func() [][]int) [][]int {
+	key := [5]int{a, i, b, j, plane}
 	c.pathMu.RLock()
-	p, ok := cache[key]
+	p, ok := c.paths[key]
 	c.pathMu.RUnlock()
 	if ok {
 		return p
 	}
-	p = build()
+	if a == b {
+		p = [][]int{c.NVLinkPath(a, i, j)}
+	} else {
+		p = c.fanOut(a, i, b, j, plane)
+	}
 	c.pathMu.Lock()
-	cache[key] = p
+	c.paths[key] = p
 	c.pathMu.Unlock()
 	return p
 }
 
-// PXNPaths returns the sender-side PXN paths from GPU (a,i) to GPU
-// (b,j): the message moves over NVLink to local GPU j (the one whose
-// NIC rail matches the destination), then through plane j. One path per
-// spine slot is returned for multipathing; same-leaf pairs have exactly
-// one path. The result is cached and must not be mutated.
-func (c *Cluster) PXNPaths(a, i, b, j int) [][]int {
-	return c.cachedPaths(c.pxnCache, [4]int{a, i, b, j}, func() [][]int {
-		if a == b {
-			return [][]int{c.NVLinkPath(a, i, j)}
-		}
-		var prefix []int
-		if i != j {
-			prefix = c.NVLinkPath(a, i, j)
-		}
-		plane := j
-		return c.fanOut(prefix, a, b, plane, 1, func(seg []int) []int {
-			seg = append(seg, c.nicToGPU[b][plane])
-			return seg
-		})
-	})
-}
-
-// ForwardPaths returns the receiver-side forwarding paths used by
-// DeepEP-style EP dispatch: GPU (a,i) sends through its own plane i to
-// the peer GPU (b,i), which forwards over NVLink to GPU (b,j). The
-// result is cached and must not be mutated.
-func (c *Cluster) ForwardPaths(a, i, b, j int) [][]int {
-	return c.cachedPaths(c.fwdCache, [4]int{a, i, b, j}, func() [][]int {
-		if a == b {
-			return [][]int{c.NVLinkPath(a, i, j)}
-		}
-		plane := i
-		return c.fanOut(nil, a, b, plane, 3, func(seg []int) []int {
-			seg = append(seg, c.nicToGPU[b][plane])
-			if i != j {
-				seg = append(seg, c.NVLinkPath(b, i, j)...)
-			}
-			return seg
-		})
-	})
-}
-
-// PXNPathsVia routes GPU (a,i) -> GPU (b,j) through an arbitrary plane:
-// NVLink to the plane's local GPU, the plane's fabric, then NVLink at
-// the receiver if the plane is not the destination GPU's own. This is
-// the detour NCCL takes when a plane (or its NIC) has failed — the
-// multi-plane robustness mechanism of §5.1.1 / Figure 4.
-func (c *Cluster) PXNPathsVia(a, i, b, j, plane int) [][]int {
-	if a == b {
-		return [][]int{c.NVLinkPath(a, i, j)}
+// fanOut builds the cross-host PlanePaths set: one path per spine slot,
+// or the single same-leaf path. Each path is built in exactly one
+// allocation of exactly its hop count, since path construction
+// populates the cluster's cache and the first big sweep on a fresh
+// cluster builds hundreds of thousands of these.
+func (c *Cluster) fanOut(a, i, b, j, plane int) [][]int {
+	leafA, leafB := c.LeafOf(a), c.LeafOf(b)
+	slots, hops := 1, 4 // GPU->NIC, NIC->leaf, leaf->NIC, NIC->GPU
+	if leafA != leafB {
+		slots, hops = c.SpineSlots(plane), hops+2 // leaf->spine->leaf
 	}
-	var prefix []int
 	if i != plane {
-		prefix = c.NVLinkPath(a, i, plane)
+		hops += 2
 	}
-	return c.fanOut(prefix, a, b, plane, 3, func(seg []int) []int {
-		seg = append(seg, c.nicToGPU[b][plane])
-		if plane != j {
-			seg = append(seg, c.NVLinkPath(b, plane, j)...)
-		}
-		return seg
-	})
-}
-
-// fanOut builds prefix + GPU(a)->NIC + net segment(spine) + suffix for
-// every spine slot (or the single same-leaf path). suffixCap is an
-// upper bound on the link IDs the suffix callback appends, so each path
-// is built in exactly one allocation — path construction populates the
-// per-cluster caches, and the first big sweep on a fresh cluster builds
-// hundreds of thousands of these.
-func (c *Cluster) fanOut(prefix []int, a, b, plane, suffixCap int, suffix func([]int) []int) [][]int {
-	sameLeaf := c.LeafOf(a) == c.LeafOf(b)
-	slots, segLen := 1, 2
-	if !sameLeaf {
-		slots = c.SpineSlots(plane)
-		segLen = 4
+	if plane != j {
+		hops += 2
 	}
 	paths := make([][]int, 0, slots)
 	for s := 0; s < slots; s++ {
-		p := make([]int, 0, len(prefix)+1+segLen+suffixCap)
-		p = append(p, prefix...)
-		p = append(p, c.gpuToNIC[a][plane])
-		p = c.appendNetSegment(p, a, b, plane, s)
-		paths = append(paths, suffix(p))
+		p := make([]int, 0, hops)
+		if i != plane {
+			p = append(p, c.gpuToNVSw[a][i], c.nvswToGPU[a][plane])
+		}
+		p = append(p, c.gpuToNIC[a][plane], c.nicToLeaf[a][plane])
+		if leafA != leafB {
+			up := c.leafUp[plane][leafA][s]
+			p = append(p, up, c.spineDown[[2]int{c.G.Links[up].To, c.leaf[plane][leafB]}])
+		}
+		p = append(p, c.leafToNIC[b][plane], c.nicToGPU[b][plane])
+		if plane != j {
+			p = append(p, c.gpuToNVSw[b][plane], c.nvswToGPU[b][j])
+		}
+		paths = append(paths, p)
 	}
 	return paths
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dsv3/internal/netsim"
+	"dsv3/internal/topology"
 	"dsv3/internal/units"
 )
 
@@ -78,7 +79,7 @@ func pathEnds(t *testing.T, c *Cluster, path []int, wantFrom, wantTo int) {
 
 func TestPXNPathsSameNode(t *testing.T) {
 	c, _ := Build(H800Config(2, MPFT))
-	paths := c.PXNPaths(0, 1, 0, 5)
+	paths := c.PlanePaths(0, 1, 0, 5, 5)
 	if len(paths) != 1 {
 		t.Fatalf("same-node should have 1 path, got %d", len(paths))
 	}
@@ -88,7 +89,7 @@ func TestPXNPathsSameNode(t *testing.T) {
 func TestPXNPathsSameLeafCrossNode(t *testing.T) {
 	// Nodes 0 and 1 share a leaf (NICsPerLeaf=4).
 	c, _ := Build(H800Config(2, MPFT))
-	paths := c.PXNPaths(0, 2, 1, 6)
+	paths := c.PlanePaths(0, 2, 1, 6, 6)
 	if len(paths) != 1 {
 		t.Fatalf("same-leaf pair should have 1 path, got %d", len(paths))
 	}
@@ -112,7 +113,7 @@ func TestPXNPathsCrossLeafFanOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths := c.PXNPaths(0, 0, 5, 0)
+	paths := c.PlanePaths(0, 0, 5, 0, 0)
 	if len(paths) != cfg.SpinesPerPlane {
 		t.Fatalf("cross-leaf paths = %d, want %d (one per spine)", len(paths), cfg.SpinesPerPlane)
 	}
@@ -123,7 +124,7 @@ func TestPXNPathsCrossLeafFanOut(t *testing.T) {
 
 func TestForwardPathsReceiverSide(t *testing.T) {
 	c, _ := Build(H800Config(2, MPFT))
-	paths := c.ForwardPaths(0, 3, 1, 7)
+	paths := c.PlanePaths(0, 3, 1, 7, 3)
 	if len(paths) != 1 {
 		t.Fatalf("same-leaf: 1 path, got %d", len(paths))
 	}
@@ -138,6 +139,41 @@ func TestForwardPathsReceiverSide(t *testing.T) {
 	}
 	if !sawSrcNIC {
 		t.Error("forward path should leave through the source GPU's own NIC")
+	}
+}
+
+// A failed-plane detour through a plane that is neither the source
+// GPU's nor the destination's: NVLink at both ends, and every NIC, leaf
+// and spine on the way belongs to the chosen plane.
+func TestPlanePathsCrossLeafDetour(t *testing.T) {
+	cfg := H800Config(8, MPFT) // leaves of 4 nodes: nodes 0..3 and 4..7
+	c, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const plane = 3
+	paths := c.PlanePaths(0, 1, 5, 6, plane)
+	if len(paths) != cfg.SpinesPerPlane {
+		t.Fatalf("cross-leaf paths = %d, want %d (one per spine)", len(paths), cfg.SpinesPerPlane)
+	}
+	spines := map[int]bool{}
+	for _, p := range paths {
+		pathEnds(t, c, p, c.GPUID(0, 1), c.GPUID(5, 6))
+		for _, lid := range p {
+			n := c.G.Nodes[c.G.Links[lid].To]
+			if n.ID == c.nvsw[0] || n.ID == c.nvsw[5] || n.Kind == topology.Endpoint {
+				continue
+			}
+			if n.Plane != plane {
+				t.Errorf("path crosses %s on plane %d, want plane %d", n.Label, n.Plane, plane)
+			}
+			if n.Level == 2 {
+				spines[n.ID] = true
+			}
+		}
+	}
+	if len(spines) != cfg.SpinesPerPlane {
+		t.Errorf("paths cross %d distinct spines, want %d", len(spines), cfg.SpinesPerPlane)
 	}
 }
 
@@ -179,7 +215,7 @@ func TestMRFTAggregateUplinkMatchesMPFT(t *testing.T) {
 // should achieve the NIC effective rate.
 func TestPXNPathFlowRate(t *testing.T) {
 	c, _ := Build(H800Config(8, MPFT))
-	paths := c.PXNPaths(0, 0, 5, 3)
+	paths := c.PlanePaths(0, 0, 5, 3, 3)
 	flow := netsim.Flow{Src: c.GPUID(0, 0), Dst: c.GPUID(5, 3), Bytes: 1 * units.GB, Paths: paths[:1]}
 	res := netsim.Simulate(c.G, []netsim.Flow{flow})
 	want := 1 * units.GB / NICEffective

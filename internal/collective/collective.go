@@ -7,6 +7,7 @@ package collective
 
 import (
 	"fmt"
+	"math"
 
 	"dsv3/internal/cluster"
 	"dsv3/internal/netsim"
@@ -34,6 +35,11 @@ type Options struct {
 	Multipath bool
 	// FlowSeed perturbs single-path (ECMP-like) choices.
 	FlowSeed uint64
+	// FailedPlanes takes NIC planes 0..FailedPlanes-1 down for
+	// AllToAll. A flow whose home plane (the destination GPU's) is down
+	// detours round-robin over the surviving planes, with NVLink at
+	// both ends (§5.1.1, Figure 4).
+	FailedPlanes int
 }
 
 // DefaultOptions matches the calibration used by the Figure 5/6
@@ -75,16 +81,12 @@ type Scratch struct {
 // collective it executes.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// Sim exposes the embedded simulator context for callers (the plane-
-// failure experiment) that build their own flow sets but still want to
-// reuse the water-filling scratch.
-func (s *Scratch) Sim() *netsim.Sim { return &s.sim }
-
 // AllToAll runs an NCCL-style all-to-all over the first `ranks` GPUs of
 // the cluster. Each rank holds a buffer of perRankBytes, sending
 // perRankBytes/ranks to every peer (itself included — the self chunk is
 // a local copy). Cross-node transfers use sender-side PXN: NVLink to
-// the rail-aligned local GPU, then the destination GPU's plane.
+// the rail-aligned local GPU, then the destination GPU's plane, or a
+// surviving plane when that one is among opts.FailedPlanes.
 func AllToAll(c *cluster.Cluster, ranks int, perRankBytes units.Bytes, opts Options) (AllToAllResult, error) {
 	return NewScratch().AllToAll(c, ranks, perRankBytes, opts)
 }
@@ -93,6 +95,13 @@ func AllToAll(c *cluster.Cluster, ranks int, perRankBytes units.Bytes, opts Opti
 func (s *Scratch) AllToAll(c *cluster.Cluster, ranks int, perRankBytes units.Bytes, opts Options) (AllToAllResult, error) {
 	if ranks < 2 || ranks > c.NumRanks() {
 		return AllToAllResult{}, fmt.Errorf("collective: ranks=%d out of range (cluster has %d)", ranks, c.NumRanks())
+	}
+	failed, planes := opts.FailedPlanes, c.Planes()
+	if failed < 0 || failed >= planes {
+		return AllToAllResult{}, fmt.Errorf("collective: %d failed planes out of range [0, %d)", failed, planes)
+	}
+	if perRankBytes < 0 || math.IsNaN(perRankBytes) || math.IsInf(perRankBytes, 0) {
+		return AllToAllResult{}, fmt.Errorf("collective: per-rank bytes %v must be finite and non-negative", perRankBytes)
 	}
 	chunk := perRankBytes / float64(ranks)
 	if need := ranks * (ranks - 1); cap(s.flows) < need {
@@ -106,7 +115,11 @@ func (s *Scratch) AllToAll(c *cluster.Cluster, ranks int, perRankBytes units.Byt
 				continue // local copy, no fabric time
 			}
 			dstNode, dstGPU := c.RankOf(q)
-			paths := c.PXNPaths(srcNode, srcGPU, dstNode, dstGPU)
+			plane := dstGPU
+			if plane < failed { // home plane down: detour
+				plane = failed + (r+q)%(planes-failed)
+			}
+			paths := c.PlanePaths(srcNode, srcGPU, dstNode, dstGPU, plane)
 			paths = selectPaths(paths, opts, uint64(r)<<20|uint64(q))
 			flows = append(flows, netsim.Flow{
 				Src:            c.GPUID(srcNode, srcGPU),

@@ -29,6 +29,37 @@ func TestAllToAllRejectsBadRanks(t *testing.T) {
 	}
 }
 
+// Out-of-range failed planes and negative or non-finite buffers return an
+// error instead of panicking: FailedPlanes == Planes() would leave no
+// surviving plane and divide by zero in the detour's round-robin.
+func TestAllToAllRejectsBadInput(t *testing.T) {
+	c := mustCluster(t, 2, cluster.MPFT)
+	cases := []struct {
+		name   string
+		failed int
+		bytes  units.Bytes
+	}{
+		{"failed -1", -1, units.MiB},
+		{"failed = planes", c.Planes(), units.MiB},
+		{"failed > planes", c.Planes() + 1, units.MiB},
+		{"bytes -1", 0, -1},
+		{"bytes NaN", 0, units.Bytes(math.NaN())},
+		{"bytes +Inf", 0, units.Bytes(math.Inf(1))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.FailedPlanes = tc.failed
+			if _, err := AllToAll(c, 16, tc.bytes, opts); err == nil {
+				t.Error("want an error")
+			}
+		})
+	}
+	if _, err := AllToAll(c, 16, 0, DefaultOptions()); err != nil {
+		t.Errorf("a zero-byte all-to-all is valid: %v", err)
+	}
+}
+
 func TestAllToAllIntraNodeIsNVLinkBound(t *testing.T) {
 	c := mustCluster(t, 1, cluster.MPFT)
 	opts := DefaultOptions()

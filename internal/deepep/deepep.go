@@ -343,10 +343,10 @@ func (tr *traffic) flows(c *cluster.Cluster, cfg Config, bm byteMatrix, reverse 
 				continue
 			}
 			if reverse {
-				paths := c.ForwardPaths(node, srcGPU, srcNode, srcGPU)
+				paths := c.PlanePaths(node, srcGPU, srcNode, srcGPU, srcGPU)
 				add(c.GPUID(node, srcGPU), c.GPUID(srcNode, srcGPU), paths, bytes, cfg.PerPeerRateCap)
 			} else {
-				paths := c.ForwardPaths(srcNode, srcGPU, node, srcGPU)
+				paths := c.PlanePaths(srcNode, srcGPU, node, srcGPU, srcGPU)
 				add(c.GPUID(srcNode, srcGPU), c.GPUID(node, srcGPU), paths, bytes, cfg.PerPeerRateCap)
 			}
 		}

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"dsv3/internal/cluster"
+	"dsv3/internal/collective"
 	"dsv3/internal/results"
 	"dsv3/internal/units"
 )
@@ -313,6 +315,19 @@ func TestPlaneFailureGraceful(t *testing.T) {
 	failed, times, slowdown := column(t, tab, "Failed planes"), column(t, tab, "Time"), column(t, tab, "Slowdown")
 	if slowdown[0] != 1 {
 		t.Errorf("baseline slowdown should be 1, got %v", slowdown[0])
+	}
+	// The 0-failure row is the plain all-to-all of figure5: same
+	// builder, same protocol constants, so the same time to the bit.
+	c, err := cluster.Cached(cluster.H800Config(4, cluster.MPFT))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2a, err := collective.AllToAll(c, 32, 1*units.GiB, collective.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failed[0] != 0 || times[0] != a2a.Time {
+		t.Errorf("%v failed planes took %v, collective.AllToAll %v", failed[0], times[0], a2a.Time)
 	}
 	for i := 1; i < len(times); i++ {
 		if times[i] <= times[i-1] {

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"dsv3/internal/cluster"
 	"dsv3/internal/collective"
 	"dsv3/internal/deepep"
@@ -179,19 +177,22 @@ func spreadGroups(eps []int, tp int) [][]int {
 	return groups
 }
 
-// planeFailure reruns a 32-GPU all-to-all with k planes failed:
-// traffic destined for a failed plane detours over a surviving plane
-// (NVLink at both ends). Degradation should be graceful — roughly
-// 8/(8-k) — rather than a connectivity loss.
+// planeFailure reruns figure5's 32-GPU, 1 GiB/rank all-to-all with k
+// planes failed (collective.Options.FailedPlanes): traffic destined for
+// a failed plane detours over a surviving plane, with NVLink at both
+// ends. The 0-failure row is collective.AllToAll under DefaultOptions,
+// so the Time column reads on the Figure 5/6 scale. Degradation should
+// be graceful — roughly 8/(8-k) — rather than a connectivity loss.
 func planeFailure(failedCounts []int) (*results.Table, error) {
 	c, err := cluster.Cached(cluster.H800Config(4, cluster.MPFT))
 	if err != nil {
 		return nil, err
 	}
-	opts := collective.DefaultOptions()
-	size := units.Bytes(1 * units.GiB)
 	times, err := parallel.MapScratch(len(failedCounts), collective.NewScratch, func(i int, sc *collective.Scratch) (units.Seconds, error) {
-		return allToAllWithFailedPlanes(sc, c, 32, size, failedCounts[i], opts)
+		opts := collective.DefaultOptions()
+		opts.FailedPlanes = failedCounts[i]
+		res, err := sc.AllToAll(c, 32, units.Bytes(1*units.GiB), opts)
+		return res.Time, err
 	})
 	if err != nil {
 		return nil, err
@@ -213,47 +214,4 @@ func planeFailure(failedCounts []int) (*results.Table, error) {
 			results.Float("%.2fx", slowdown))
 	}
 	return t, nil
-}
-
-// allToAllWithFailedPlanes builds the flow set of collective.AllToAll
-// but reroutes traffic whose home plane failed onto surviving planes
-// round-robin, and borrows the worker's simulator context for the
-// water-filling scratch. Unlike collective.AllToAll, its flows carry no
-// per-flow wire tax (opts.PerFlowOverheadBytes) and spray over every
-// path to the chosen plane regardless of opts.Multipath, so its times
-// are not comparable with an AllToAll of the same size; the Slowdown
-// column divides by this function's own failed==0 run.
-func allToAllWithFailedPlanes(sc *collective.Scratch, c *cluster.Cluster, ranks int, perRank units.Bytes, failed int, opts collective.Options) (units.Seconds, error) {
-	alive := make([]int, 0, c.Planes()-failed)
-	for p := failed; p < c.Planes(); p++ {
-		alive = append(alive, p)
-	}
-	if len(alive) == 0 {
-		return 0, fmt.Errorf("experiments: all planes failed")
-	}
-	chunk := perRank / float64(ranks)
-	var flows []netsim.Flow
-	for r := 0; r < ranks; r++ {
-		srcNode, srcGPU := c.RankOf(r)
-		for q := 0; q < ranks; q++ {
-			if q == r {
-				continue
-			}
-			dstNode, dstGPU := c.RankOf(q)
-			plane := dstGPU
-			if plane < failed { // home plane down: detour
-				plane = alive[(r+q)%len(alive)]
-			}
-			paths := c.PXNPathsVia(srcNode, srcGPU, dstNode, dstGPU, plane)
-			flows = append(flows, netsim.Flow{
-				Src:            c.GPUID(srcNode, srcGPU),
-				Dst:            c.GPUID(dstNode, dstGPU),
-				Bytes:          chunk,
-				Paths:          paths,
-				StartupLatency: opts.HostLatency + c.G.PathLatency(paths[0]),
-			})
-		}
-	}
-	res := sc.Sim().Simulate(c.G, flows)
-	return res.Makespan + opts.LaunchOverhead, nil
 }
