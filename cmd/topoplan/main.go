@@ -11,8 +11,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 
 	"dsv3/internal/tablefmt"
@@ -20,19 +23,54 @@ import (
 )
 
 func main() {
-	radix := flag.Int("radix", 64, "switch port count")
-	planes := flag.Int("planes", 8, "multi-plane plane count")
-	sfq := flag.Int("sf-q", 28, "Slim Fly MMS parameter q")
-	epCost := flag.Float64("endpoint-cost", 514, "$ per endpoint (NIC + cable share)")
-	swCost := flag.Float64("switch-cost", 50000, "$ per switch")
-	linkCost := flag.Float64("link-cost", 1536, "$ per inter-switch optical link")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one invocation and returns its exit status: 2 for a
+// malformed command line, 1 for an input no layout can be built from
+// (reported on stderr).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("topoplan", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	radix := fs.Int("radix", 64, "switch port count (even, at least 4)")
+	planes := fs.Int("planes", 8, "multi-plane plane count (at least 1)")
+	sfq := fs.Int("sf-q", 28, "Slim Fly MMS parameter q")
+	epCost := fs.Float64("endpoint-cost", 514, "$ per endpoint (NIC + cable share)")
+	swCost := fs.Float64("switch-cost", 50000, "$ per switch")
+	linkCost := fs.Float64("link-cost", 1536, "$ per inter-switch optical link")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	// A fat-tree switch splits its ports evenly between the layers
+	// below and above it, and the dragonfly gives radix/4 ports each to
+	// endpoints and global links: an odd radix or one below 4 leaves a
+	// layout without endpoints or with a fractional half.
+	if *radix < 4 || *radix%2 != 0 {
+		return fail(fmt.Errorf("topoplan: -radix %d: need an even port count of at least 4", *radix))
+	}
+	if *planes < 1 {
+		return fail(fmt.Errorf("topoplan: -planes %d: need at least 1 plane", *planes))
+	}
+	for _, c := range []struct {
+		flag string
+		v    float64
+	}{{"endpoint-cost", *epCost}, {"switch-cost", *swCost}, {"link-cost", *linkCost}} {
+		if c.v < 0 || math.IsNaN(c.v) || math.IsInf(c.v, 0) {
+			return fail(fmt.Errorf("topoplan: -%s %v: need a finite non-negative cost", c.flag, c.v))
+		}
+	}
 
 	model := topology.CostModel{EndpointCost: *epCost, SwitchCost: *swCost, LinkCost: *linkCost}
 	sf, err := topology.SlimFlyCounts(*sfq)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 	rows := []topology.Counts{
 		topology.FT2Counts(*radix),
@@ -48,5 +86,6 @@ func main() {
 			fmt.Sprintf("%.1f", model.Cost(c)/1e6),
 			fmt.Sprintf("%.2f", model.CostPerEndpoint(c)/1e3))
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(stdout, t.String())
+	return 0
 }

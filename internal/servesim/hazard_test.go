@@ -180,6 +180,11 @@ func TestHedgeFirstWins(t *testing.T) {
 		t.Errorf("request accounting broken: %d completed + %d failed + %d shed != %d offered",
 			r.Completed, r.Failed, r.Shed, r.Requests)
 	}
+	// The report reaches a winning clone through its arena twin: one
+	// TTFT sample per completion, none missed and none twice.
+	if r.TTFT.N != r.Completed {
+		t.Errorf("report summarized %d completions, the engine counted %d", r.TTFT.N, r.Completed)
+	}
 }
 
 // The p95-tracked trigger must stay at the floor until enough

@@ -51,6 +51,45 @@ func TestIDSetMatchesNaive(t *testing.T) {
 				t.Fatalf("size %d: %v", size, err)
 			}
 		}
+		// The full set answers nth without its cursor: fill it, drop one
+		// member and re-add it, checking every rank at each stage (the
+		// descending pass sends the cursor back each time).
+		for id := 0; id < size; id++ {
+			s.put(id, true)
+			in[id] = true
+		}
+		gone := rng.Intn(size)
+		for stage := 0; stage < 3; stage++ {
+			if stage == 1 {
+				s.put(gone, false)
+				in[gone] = false
+			} else if stage == 2 {
+				s.put(gone, true)
+				in[gone] = true
+			}
+			var members []int
+			for id, v := range in {
+				if v {
+					members = append(members, id)
+				}
+			}
+			if s.n != len(members) {
+				t.Fatalf("size %d stage %d: n = %d, want %d", size, stage, s.n, len(members))
+			}
+			for k := len(members) - 1; k >= 0; k-- {
+				if got := s.nth(k); got != members[k] {
+					t.Fatalf("size %d stage %d: nth(%d) = %d, want %d", size, stage, k, got, members[k])
+				}
+			}
+			for k, id := range members {
+				if got := s.nth(k); got != id {
+					t.Fatalf("size %d stage %d: ascending nth(%d) = %d, want %d", size, stage, k, got, id)
+				}
+			}
+			if err := s.check(); err != nil {
+				t.Fatalf("size %d stage %d: %v", size, stage, err)
+			}
+		}
 	}
 }
 

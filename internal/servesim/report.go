@@ -137,13 +137,13 @@ type Report struct {
 }
 
 // report assembles the Report after the event loop drains. The sample
-// vectors live in engine scratch and the percentile summaries sort them
-// in place; only the Report itself (and its Timeline copy — the sample
-// buffer is recycled) is allocated.
+// vectors live in engine scratch and the percentile summaries reorder
+// them in place; only the Report itself (and its Timeline copy — the
+// sample buffer is recycled) is allocated.
 func (e *Engine) report() *Report {
 	r := &Report{
 		Requests:         len(e.arena),
-		Completed:        len(e.completed),
+		Completed:        e.completed,
 		Preemptions:      e.preempts,
 		Failed:           len(e.failed),
 		Shed:             e.shed,
@@ -187,20 +187,30 @@ func (e *Engine) report() *Report {
 	if len(e.samples) > 0 {
 		r.Timeline = append([]TimelinePoint(nil), e.samples...)
 	}
-	// Completion order depends on scheduling; metrics are over the
-	// request population, so sort by ID for a canonical view. IDs are
-	// unique, so any sort algorithm yields the same order; SortFunc
-	// avoids sort.Slice's closure boxing.
-	slices.SortFunc(e.completed, func(a, b *reqState) int { return a.ID - b.ID })
-
-	ttft := e.ttft[:0]
-	tpot := e.tpot[:0]
-	e2e := e.e2e[:0]
+	// One sample per completion at most: size the scratch once, since
+	// growing it by append on a fresh engine allocates several times its
+	// final size.
+	ttft := slices.Grow(e.ttft[:0], e.completed)
+	tpot := slices.Grow(e.tpot[:0], e.completed)
+	e2e := slices.Grow(e.e2e[:0], e.completed)
 	goodDone := e.goodDone[:0]
 	var lastArrival, lastDone units.Seconds
 	meetsSLO, nonFinite := 0, 0
 	healthyGood, healthyTot, faultedGood, faultedTot := 0, 0, 0, 0
-	for _, req := range e.completed {
+	// Completion order depends on scheduling; metrics are over the
+	// request population, so walk it in ID order for a canonical view:
+	// the arena index is the request ID. A request is completed by its
+	// arena entry or by a winning hedge clone, which lives outside the
+	// arena, carries the same ID and is the entry's twin; only one of
+	// the two copies ever completes.
+	for i := range e.arena {
+		req := &e.arena[i]
+		if !req.completed {
+			if req.twin == nil || !req.twin.completed {
+				continue
+			}
+			req = req.twin
+		}
 		t := req.firstToken - req.Arrival
 		ttft = append(ttft, t)
 		e2e = append(e2e, req.done-req.Arrival)
@@ -272,9 +282,8 @@ func (e *Engine) report() *Report {
 		r.SLOAttainment = float64(meetsSLO) / float64(r.Completed)
 	}
 	if len(e.incidents) > 0 {
-		// goodDone is in completion order, which is time order (requests
-		// complete at monotonically non-decreasing e.now) before the
-		// by-ID sort above reordered e.completed — re-establish it.
+		// goodDone was filled in ID order; the recovery scan needs it in
+		// time order.
 		sort.Float64s(goodDone)
 		r.Incidents = append([]Incident(nil), e.incidents...)
 		e.resolveRecovery(r.Incidents, goodDone, lastDone)
@@ -282,9 +291,9 @@ func (e *Engine) report() *Report {
 	e.goodDone = goodDone[:0]
 	e.ttft, e.tpot, e.e2e = ttft[:0], tpot[:0], e2e[:0]
 	r.DroppedSamples = nonFinite
-	r.TTFT = stats.SummarizeSorting(ttft)
-	r.TPOT = stats.SummarizeSorting(tpot)
-	r.E2E = stats.SummarizeSorting(e2e)
+	r.TTFT = stats.SummarizeInPlace(ttft)
+	r.TPOT = stats.SummarizeInPlace(tpot)
+	r.E2E = stats.SummarizeInPlace(e2e)
 	if e.steps > 0 {
 		r.MeanBatch = float64(e.stepBatch) / float64(e.steps)
 	}

@@ -178,10 +178,13 @@ func (v *candView) pos(k int) int {
 // idSet is a set of instance ids kept as a bitset, the index behind an
 // engine candidate view: put is O(1), rank and nth (select) are
 // O(words). nth keeps a cursor on the word its last answer came from,
-// so an ascending scan over every member costs O(words + members).
+// so an ascending scan over every member costs O(words + members), and
+// answers in O(1) while every id is a member — the common state of a
+// healthy fleet's servable index.
 type idSet struct {
 	words []uint64
-	n     int
+	// n is the member count, size the id range.
+	n, size int
 	// curK members lie in words[:curW] (the nth cursor).
 	curW, curK int
 }
@@ -194,7 +197,7 @@ func (s *idSet) reset(size int) {
 	}
 	s.words = s.words[:nw]
 	clear(s.words)
-	s.n, s.curW, s.curK = 0, 0, 0
+	s.n, s.size, s.curW, s.curK = 0, size, 0, 0
 }
 
 func (s *idSet) has(id int) bool { return s.words[id>>6]&(1<<(id&63)) != 0 }
@@ -227,6 +230,9 @@ func (s *idSet) rank(id int) int {
 
 // nth returns the k-th smallest member (0 <= k < n).
 func (s *idSet) nth(k int) int {
+	if s.n == s.size {
+		return k
+	}
 	if k < s.curK {
 		s.curW, s.curK = 0, 0
 	}

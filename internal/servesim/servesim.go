@@ -80,6 +80,12 @@ type event struct {
 // no per-event allocation. seq is unique, so the order is strict and
 // total — the pop sequence (and therefore the whole simulation) is
 // identical to any other heap implementation over the same comparator.
+// Both operations move a hole instead of swapping: push carries it up
+// from the new leaf; pop walks it from the root down to a leaf along
+// the smaller child, one compare per level, then carries the last
+// element up from there (the bottom-up variant — the last element
+// nearly always belongs near the bottom, so this takes about half the
+// compares of sifting it down from the root).
 type eventHeap []event
 
 func eventLess(a, b *event) bool {
@@ -91,42 +97,44 @@ func eventLess(a, b *event) bool {
 
 func (h *eventHeap) push(ev event) {
 	*h = append(*h, ev)
-	s := *h
-	i := len(s) - 1
+	h.up(len(*h)-1, ev)
+}
+
+// up places ev in the heap by moving the hole at i toward the root
+// past every parent ev orders before.
+func (h eventHeap) up(i int, ev event) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !eventLess(&s[i], &s[parent]) {
+		if !eventLess(&ev, &h[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = ev
 }
 
 func (h *eventHeap) pop() event {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
+	last := s[n]
 	s[n] = event{} // drop the req pointer so the arena can be collected
 	s = s[:n]
 	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && eventLess(&s[l], &s[smallest]) {
-			smallest = l
-		}
-		if r < n && eventLess(&s[r], &s[smallest]) {
-			smallest = r
-		}
-		if smallest == i {
-			return top
-		}
-		s[i], s[smallest] = s[smallest], s[i]
-		i = smallest
+	if n == 0 {
+		return top
 	}
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && eventLess(&s[c+1], &s[c]) {
+			c++
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s.up(i, last)
+	return top
 }
 
 // at returns the earliest pending event time; only valid when the heap
@@ -169,6 +177,10 @@ type reqState struct {
 	// corruption (hazard.go); a corrupt completion never counts as
 	// SLO-good.
 	corrupt bool
+	// completed marks the copy that completed the request — the arena
+	// entry itself or its winning hedge clone — so the report can walk
+	// the arena in ID order instead of sorting the completions.
+	completed bool
 	// Hedging state (hazard.go). isClone marks a speculative duplicate
 	// living outside the arena; twin links the two racing copies; hstate
 	// is the race state (hzNone..hzDone); inst is the decode instance
@@ -371,7 +383,7 @@ type Engine struct {
 	hedge        hedgeState
 
 	// metrics accumulation
-	completed  []*reqState
+	completed  int // requests completed
 	failed     []*reqState
 	shed       int
 	retries    int // total retry attempts across requests
@@ -457,8 +469,7 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 	e.mtpFactor = 1
 	e.markGen = 0
 	e.prefillQ.reset()
-	clearPtrs(e.completed)
-	e.completed = e.completed[:0]
+	e.completed = 0
 	clearPtrs(e.failed)
 	e.failed = e.failed[:0]
 	e.shed, e.retries, e.retried, e.affected, e.kvLost = 0, 0, 0, 0, 0
@@ -641,7 +652,7 @@ func (e *Engine) processEvent(ev *event) (stop bool, err error) {
 		e.hedgeFire(ev.req)
 	}
 	e.dispatch()
-	return len(e.completed)+len(e.failed)+e.shed == len(e.arena), nil
+	return e.completed+len(e.failed)+e.shed == len(e.arena), nil
 }
 
 // finishRun closes the run out after the event loop: the open degraded
@@ -651,7 +662,7 @@ func (e *Engine) finishRun() (*Report, error) {
 		e.spans = append(e.spans, faultSpan{start: e.degradedSince, end: e.now})
 		e.downCount = 0
 	}
-	if n := len(e.completed) + len(e.failed) + e.shed; n != len(e.arena) {
+	if n := e.completed + len(e.failed) + e.shed; n != len(e.arena) {
 		return nil, fmt.Errorf("servesim: %d of %d requests never completed (scheduling stall)",
 			len(e.arena)-n, len(e.arena))
 	}
@@ -837,7 +848,8 @@ func (e *Engine) complete(req *reqState) {
 	}
 	e.trPhaseEnd(req)
 	e.trMark(req, obs.MarkComplete)
-	e.completed = append(e.completed, req)
+	req.completed = true
+	e.completed++
 	e.prefixStore(req)
 }
 

@@ -319,9 +319,9 @@ func TestReportCountsNonFiniteSamples(t *testing.T) {
 	}
 	// Each poisoned request yields two non-finite samples: NaN TTFT and
 	// TPOT; +Inf E2E and TPOT; -Inf TTFT and +Inf TPOT.
-	e.completed[0].firstToken = math.NaN()
-	e.completed[1].done = math.Inf(1)
-	e.completed[2].firstToken = math.Inf(-1)
+	e.arena[0].firstToken = math.NaN()
+	e.arena[1].done = math.Inf(1)
+	e.arena[2].firstToken = math.Inf(-1)
 	if got := e.report().DroppedSamples; got != 6 {
 		t.Errorf("DroppedSamples = %d, want 6", got)
 	}

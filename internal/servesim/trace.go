@@ -184,7 +184,7 @@ func (e *Engine) fillMetrics(row []units.Seconds) {
 		}
 	}
 	row[mi.healthy] = float64(healthy)
-	row[mi.completed] = float64(len(e.completed))
+	row[mi.completed] = float64(e.completed)
 	row[mi.failed] = float64(len(e.failed))
 	row[mi.shed] = float64(e.shed)
 	row[mi.retries] = float64(e.retries)

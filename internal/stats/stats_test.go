@@ -7,9 +7,9 @@ import (
 	"testing/quick"
 )
 
-// summarize is SummarizeSorting on a copy, leaving xs in its order.
+// summarize is SummarizeInPlace on a copy, leaving xs in its order.
 func summarize(xs []float64) Summary {
-	return SummarizeSorting(append([]float64(nil), xs...))
+	return SummarizeInPlace(append([]float64(nil), xs...))
 }
 
 func TestSummarizeBasic(t *testing.T) {
