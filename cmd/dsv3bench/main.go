@@ -49,6 +49,12 @@ func main() {
 	outDir := flag.String("out", "", "write one <experiment>.<ext> file per experiment into this directory instead of stdout")
 	deterministic := flag.Bool("deterministic", false, "omit volatile metadata (wall time) from emitted results, for golden-corpus comparison")
 	flag.Parse()
+	// Parsing stops at the first non-flag argument, so every flag
+	// after it would be dropped silently.
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "dsv3bench: unexpected argument %q (select an experiment with -run)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	format, err := results.ParseFormat(*formatName)
 	if err != nil {

@@ -135,6 +135,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	// Parsing stops at the first non-flag argument, so every flag
+	// after it would be dropped silently.
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "dsv3serve: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, err)
 		return 1

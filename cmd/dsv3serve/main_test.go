@@ -70,32 +70,35 @@ func TestGoldenCases(t *testing.T) {
 
 // A flag that the chosen mode ignores exits 1 and names the flag: a
 // replay takes its traffic from the trace, a capacity search picks its
-// own rates.
+// own rates. A positional argument, after which the flag parser would
+// drop every flag, exits 2 and names the argument.
 func TestIgnoredFlagsRejected(t *testing.T) {
 	trace := []string{"-trace", "testdata/trace.csv"}
 	for _, c := range []struct {
 		args []string
-		flag string
+		code int
+		want string // in stderr
 	}{
-		{append(trace, "-rate", "3,4"), "-rate"},
-		{append(trace, "-requests", "10"), "-requests"},
-		{append(trace, "-prompt", "256"), "-prompt"},
-		{append(trace, "-output", "256"), "-output"},
-		{append(trace, "-burst", "2,2"), "-burst"},
-		{append(trace, "-turns", "3"), "-turns"},
-		{append(trace, "-think", "2"), "-think"},
-		{[]string{"-find-capacity", "-rate", "4"}, "-rate"},
-		{[]string{"-target", "0.5"}, "-target"},
-		{[]string{"-metrics-interval", "NaN"}, "-metrics-interval"},
-		{[]string{"-stride", "99"}, "-stride"},
-		{[]string{"-chunk-tokens", "128"}, "-chunk-tokens"},
-		{[]string{"-turns", "1", "-think", "3"}, "-think"},
-		{[]string{"-mttr", "5"}, "-mttr"},
-		{[]string{"-colocate", "-router", "p2c"}, "-router"},
+		{append(trace, "-rate", "3,4"), 1, "-rate has no effect"},
+		{append(trace, "-requests", "10"), 1, "-requests has no effect"},
+		{append(trace, "-prompt", "256"), 1, "-prompt has no effect"},
+		{append(trace, "-output", "256"), 1, "-output has no effect"},
+		{append(trace, "-burst", "2,2"), 1, "-burst has no effect"},
+		{append(trace, "-turns", "3"), 1, "-turns has no effect"},
+		{append(trace, "-think", "2"), 1, "-think has no effect"},
+		{[]string{"-find-capacity", "-rate", "4"}, 1, "-rate has no effect"},
+		{[]string{"-target", "0.5"}, 1, "-target has no effect"},
+		{[]string{"-metrics-interval", "NaN"}, 1, "-metrics-interval has no effect"},
+		{[]string{"-stride", "99"}, 1, "-stride has no effect"},
+		{[]string{"-chunk-tokens", "128"}, 1, "-chunk-tokens has no effect"},
+		{[]string{"-turns", "1", "-think", "3"}, 1, "-think has no effect"},
+		{[]string{"-mttr", "5"}, 1, "-mttr has no effect"},
+		{[]string{"-colocate", "-router", "p2c"}, 1, "-router has no effect"},
+		{[]string{"extra", "-requests", "20"}, 2, `unexpected argument "extra"`},
 	} {
 		var stdout, stderr bytes.Buffer
-		if code := run(c.args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), c.flag+" has no effect") {
-			t.Errorf("dsv3serve %s: exit %d, stderr %q; want exit 1 naming %s", strings.Join(c.args, " "), code, stderr.String(), c.flag)
+		if code := run(c.args, &stdout, &stderr); code != c.code || !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("dsv3serve %s: exit %d, stderr %q; want exit %d with %q", strings.Join(c.args, " "), code, stderr.String(), c.code, c.want)
 		}
 	}
 }

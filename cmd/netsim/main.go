@@ -46,6 +46,12 @@ func main() {
 	gpus := flag.Int("gpus", 32, "GPU count (multiple of 8)")
 	sizeStr := flag.String("size", "1GiB", "per-rank buffer (B/KiB/MiB/GiB)")
 	flag.Parse()
+	// Parsing stops at the first non-flag argument, so every flag
+	// after it would be dropped silently.
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "netsim: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	var kind cluster.FabricKind
 	switch strings.ToLower(*fabric) {

@@ -18,7 +18,7 @@ import (
 	"math"
 	"os"
 
-	"dsv3/internal/tablefmt"
+	"dsv3/internal/results"
 	"dsv3/internal/topology"
 )
 
@@ -42,6 +42,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
+		return 2
+	}
+	// Parsing stops at the first non-flag argument, so every flag
+	// after it would be dropped silently.
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "topoplan: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
 	fail := func(err error) int {
@@ -79,13 +85,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sf,
 		topology.DragonflyCounts(*radix/4, *radix/2, *radix/4, *radix/2**radix/4+1),
 	}
-	t := tablefmt.New(fmt.Sprintf("Topology plan (radix %d, %d planes)", *radix, *planes),
-		"Topology", "Endpoints", "Switches", "Links", "Cost [M$]", "Cost/EP [k$]")
+	t := results.NewTable(fmt.Sprintf("Topology plan (radix %d, %d planes)", *radix, *planes),
+		results.C("Topology"), results.C("Endpoints"), results.C("Switches"), results.C("Links"),
+		results.C("Cost [M$]"), results.C("Cost/EP [k$]"))
 	for _, c := range rows {
-		t.AddRow(c.Name, c.Endpoints, c.Switches, c.InterSwitchLinks,
-			fmt.Sprintf("%.1f", model.Cost(c)/1e6),
-			fmt.Sprintf("%.2f", model.CostPerEndpoint(c)/1e3))
+		t.Row(results.Str(c.Name), results.Int(c.Endpoints), results.Int(c.Switches), results.Int(c.InterSwitchLinks),
+			results.Float("%.1f", model.Cost(c)/1e6),
+			results.Float("%.2f", model.CostPerEndpoint(c)/1e3))
 	}
-	fmt.Fprint(stdout, t.String())
+	fmt.Fprint(stdout, t.Text())
 	return 0
 }

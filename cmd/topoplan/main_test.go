@@ -28,6 +28,7 @@ func TestRunValidatesInputs(t *testing.T) {
 		{[]string{"-link-cost", "-Inf"}, 1, "-link-cost -Inf"},
 		{[]string{"-sf-q", "2"}, 1, "q=2"},
 		{[]string{"-radix", "many"}, 2, "-radix"},
+		{[]string{"junk", "-planes", "0"}, 2, `unexpected argument "junk"`},
 		{[]string{"-radix", "4", "-planes", "1"}, 0, "DF        6 "},
 		{[]string{"-endpoint-cost", "0", "-switch-cost", "0", "-link-cost", "0"}, 0, "MPFT      16384 "},
 	} {

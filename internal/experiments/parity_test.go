@@ -1,13 +1,19 @@
 package experiments
 
 // The determinism contract of the parallel engine (DESIGN.md): every
-// sweep-shaped runner must render byte-identical output whether it runs
-// serially or fanned out over the worker pool. These tests execute each
-// parallel runner twice — workers=1 and workers=8 — and compare the
-// rendered artifacts byte for byte.
+// runner must render byte-identical output whether it runs serially or
+// fanned out over the worker pool. TestGoldenCorpus runs the quick
+// catalogue twice — workers=1 and workers=8 — and diffs both runs
+// against the golden corpus, so the two runs also equal each other.
+// TestParallelSerialParity does the same serial-vs-parallel comparison
+// for sweep runners on inputs the catalogue does not use.
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -39,10 +45,7 @@ func assertParity(t *testing.T, f func() (string, error)) {
 	}
 }
 
-// The first cases run sweep runners on inputs the catalogue does not
-// use. The named catalogue entries compare the memoized quick Results
-// that TestCatalogueEmitterParity also checks (JSON and text), so they
-// add no catalogue run.
+// The cases run sweep runners on inputs the catalogue does not use.
 func TestParallelSerialParity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -73,17 +76,6 @@ func TestParallelSerialParity(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { assertParity(t, c.f) })
 	}
-	for _, name := range []string{"table4", "fp8", "figure7", "figure8", "accum", "logfmt", "nodelimit",
-		"serve", "serve-disagg", "serve-spec", "serve-router", "serve-capacity", "serve-failure",
-		"serve-shed", "serve-kvtier", "serve-trace"} {
-		t.Run(name, func(t *testing.T) {
-			r, ok := Find(name)
-			if !ok {
-				t.Fatalf("%s missing from the catalogue", name)
-			}
-			assertParity(t, func() (string, error) { return quickResult(t, r, parallel.Workers()).Text(), nil })
-		})
-	}
 }
 
 func runWithWorkers(t *testing.T, workers int, r Runner) *results.Result {
@@ -103,9 +95,9 @@ type quickKey struct {
 }
 
 // quickResults memoizes each runner's quick-mode Result per pool
-// width, so the parity and structure tests check the very same Results
-// and the catalogue runs once serially and once in parallel per test
-// binary.
+// width, so the golden, numeric and structure tests check the very same
+// Results and the catalogue runs once serially and once in parallel per
+// test binary.
 var quickResults = struct {
 	sync.Mutex
 	m map[quickKey]*results.Result
@@ -124,30 +116,83 @@ func quickResult(t *testing.T, r Runner, workers int) *results.Result {
 	return res
 }
 
-// The determinism contract extends to every emitter: the structured
-// results (and hence the JSON and text encodings) of every catalogue
-// runner must be byte-identical between serial and parallel execution.
-func TestCatalogueEmitterParity(t *testing.T) {
-	emitJSON := func(t *testing.T, res *results.Result) []byte {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := results.EmitJSON(&buf, res); err != nil {
-			t.Fatalf("%s: emit: %v", res.Experiment, err)
-		}
-		return buf.Bytes()
-	}
+// TestGoldenCorpus diffs the JSON, CSV and text of both memoized quick
+// runs of every catalogue runner (workers=1 and workers=8) against
+// testdata/golden/<name>.<ext>: the corpus that scripts/golden.sh
+// regenerates after an intentional change and checks in CI. A run that
+// equals the golden bytes at both widths is also serial == parallel.
+// `-run 'TestGoldenCorpus/<name>'` runs that experiment alone, and
+// `-run 'TestGoldenCorpus/<name>/workers=8'` at one width only.
+//
+// Set DSV3_SKIP_GOLDEN=1 on architectures whose libm rounding differs
+// from the amd64 corpus: the workers=1 run then stands in for the
+// golden bytes, so the parallel run is still checked against it.
+func TestGoldenCorpus(t *testing.T) {
+	skipGolden := os.Getenv("DSV3_SKIP_GOLDEN") != ""
+	dir := filepath.Join("..", "..", "testdata", "golden")
+	seen := make(map[string]bool)
 	for _, r := range Catalogue() {
-		t.Run(r.Name, func(t *testing.T) {
-			serialRes, parRes := quickResult(t, r, 1), quickResult(t, r, 8)
-			serial, par := emitJSON(t, serialRes), emitJSON(t, parRes)
-			if !bytes.Equal(serial, par) {
-				t.Errorf("parallel JSON differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, par)
-			}
-			if st, pt := serialRes.Text(), parRes.Text(); st != pt {
-				t.Errorf("parallel text differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", st, pt)
-			}
-		})
+		for _, format := range []results.Format{results.FormatJSON, results.FormatCSV, results.FormatText} {
+			name := r.Name + "." + format.Ext()
+			seen[name] = true
+			t.Run(name, func(t *testing.T) {
+				emit := func(t *testing.T, workers int) string {
+					var b bytes.Buffer
+					if err := results.Emit(&b, format, quickResult(t, r, workers)); err != nil {
+						t.Fatalf("%s workers=%d: %v", name, workers, err)
+					}
+					return b.String()
+				}
+				ref := filepath.Join(dir, name)
+				want, err := os.ReadFile(ref)
+				if skipGolden {
+					ref, want, err = "the workers=1 run", []byte(emit(t, 1)), nil
+				}
+				if err != nil {
+					t.Fatalf("missing golden file (run scripts/golden.sh): %v", err)
+				}
+				for _, workers := range []int{1, 8} {
+					t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+						if got := emit(t, workers); got != string(want) {
+							t.Errorf("workers=%d output drifted from %s (regenerate with scripts/golden.sh):\n%s",
+								workers, ref, diffHint(string(want), got))
+						}
+					})
+				}
+			})
+		}
 	}
+	// Stale goldens (an experiment was renamed or removed) fail too,
+	// and DESIGN.md must quote the corpus size.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range entries {
+		if !seen[ent.Name()] {
+			t.Errorf("stale golden file %s (run scripts/golden.sh)", ent.Name())
+		}
+	}
+	doc, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("(%d files)", len(entries)); !strings.Contains(string(doc), want) {
+		t.Errorf("DESIGN.md's golden corpus section does not quote %q", want)
+	}
+}
+
+// diffHint shows the first diverging line, keeping failure output
+// readable for large documents.
+func diffHint(want, got string) string {
+	wl := bytes.Split([]byte(want), []byte("\n"))
+	gl := bytes.Split([]byte(got), []byte("\n"))
+	for i := 0; i < len(wl) && i < len(gl); i++ {
+		if !bytes.Equal(wl[i], gl[i]) {
+			return fmt.Sprintf("line %d:\n- %s\n+ %s", i+1, wl[i], gl[i])
+		}
+	}
+	return fmt.Sprintf("want %d lines, got %d", len(wl), len(gl))
 }
 
 // Every catalogue result is well-formed: correctly labelled, at least

@@ -2,6 +2,7 @@ package fp8train
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -12,6 +13,28 @@ func Train(cfg Config, prec Precision) (Result, error) {
 		return Result{}, err
 	}
 	return trainArm(cfg, prec, genDataset(cfg)), nil
+}
+
+// defaultRuns memoizes Train(DefaultConfig(), prec) per precision, so
+// the tests that compare the default configurations train each once.
+var defaultRuns = struct {
+	sync.Mutex
+	m map[Precision]Result
+}{m: map[Precision]Result{}}
+
+func trainDefault(t *testing.T, prec Precision) Result {
+	t.Helper()
+	defaultRuns.Lock()
+	defer defaultRuns.Unlock()
+	res, ok := defaultRuns.m[prec]
+	if !ok {
+		var err error
+		if res, err = Train(DefaultConfig(), prec); err != nil {
+			t.Fatal(err)
+		}
+		defaultRuns.m[prec] = res
+	}
+	return res
 }
 
 // TestCompareMatchesIndependentTrains pins the shared-dataset hoist:
@@ -50,10 +73,7 @@ func TestCompareMatchesIndependentTrains(t *testing.T) {
 func TestEvalTailOnlyFinalLossIdentical(t *testing.T) {
 	for _, prec := range []Precision{BF16, FP8Fine} {
 		full := DefaultConfig()
-		res, err := Train(full, prec)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := trainDefault(t, prec)
 		tail := full
 		tail.EvalTailOnly = true
 		tailRes, err := Train(tail, prec)

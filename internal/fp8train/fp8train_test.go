@@ -9,10 +9,7 @@ func TestTrainingConverges(t *testing.T) {
 	// decades), so the quiet directions converge slowly; the loud ones
 	// drive a solid early loss drop. Expect >=25% reduction in 120
 	// steps and a monotonically helpful trend.
-	res, err := Train(DefaultConfig(), FP64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := trainDefault(t, FP64)
 	first := res.LossCurve[0]
 	if res.FinalLoss >= first*0.75 {
 		t.Errorf("training did not converge: first %v, final %v", first, res.FinalLoss)
@@ -33,15 +30,7 @@ func TestFP8FineTracksBF16(t *testing.T) {
 	// closely. The paper reports <0.25% on full LM loss; the toy task
 	// is noisier, so we assert a 2% band and report the actual value in
 	// EXPERIMENTS.md (typically well under 1%).
-	cfg := DefaultConfig()
-	bf, err := Train(cfg, BF16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp8, err := Train(cfg, FP8Fine)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bf, fp8 := trainDefault(t, BF16), trainDefault(t, FP8Fine)
 	gap := RelativeLossGap(fp8, bf)
 	if gap > 0.02 {
 		t.Errorf("FP8-fine vs BF16 relative loss gap %v exceeds 2%%", gap)
@@ -49,13 +38,7 @@ func TestFP8FineTracksBF16(t *testing.T) {
 }
 
 func TestCoarseFP8Worse(t *testing.T) {
-	cfg := DefaultConfig()
-	bf, _ := Train(cfg, BF16)
-	fine, _ := Train(cfg, FP8Fine)
-	coarse, err := Train(cfg, FP8Coarse)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bf, fine, coarse := trainDefault(t, BF16), trainDefault(t, FP8Fine), trainDefault(t, FP8Coarse)
 	if RelativeLossGap(coarse, bf) <= RelativeLossGap(fine, bf) {
 		t.Errorf("coarse FP8 (gap %v) should be worse than fine-grained (gap %v)",
 			RelativeLossGap(coarse, bf), RelativeLossGap(fine, bf))
@@ -63,9 +46,7 @@ func TestCoarseFP8Worse(t *testing.T) {
 }
 
 func TestBF16TracksFP64(t *testing.T) {
-	cfg := DefaultConfig()
-	ref, _ := Train(cfg, FP64)
-	bf, _ := Train(cfg, BF16)
+	ref, bf := trainDefault(t, FP64), trainDefault(t, BF16)
 	if RelativeLossGap(bf, ref) > 0.02 {
 		t.Errorf("BF16 vs FP64 gap %v too large", RelativeLossGap(bf, ref))
 	}

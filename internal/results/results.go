@@ -1,11 +1,10 @@
 // Package results is the structured carrier for experiment output. A
 // runner produces a Result — one or more typed Tables plus metadata
 // (seed, quick mode, wall time) — and rendering is split into pluggable
-// emitters: the fixed-width text renderer (byte-identical to the
-// historical tablefmt output, see the parity and golden tests), JSON,
-// and CSV. The structured layer is the substrate for CI regression
-// gating (testdata/golden), result serving, and what-if sweeps; the
-// text layer stays the human-facing view.
+// emitters: the fixed-width text renderer, JSON, and CSV. The
+// structured layer is the substrate for CI regression gating
+// (testdata/golden), result serving, and what-if sweeps; the text
+// layer stays the human-facing view.
 package results
 
 import (

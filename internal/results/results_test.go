@@ -94,6 +94,115 @@ func TestTextMatchesCellText(t *testing.T) {
 	}
 }
 
+// strTable builds a table of string cells for the layout tests.
+func strTable(title string, cols []string, rows ...[]string) *Table {
+	t := NewTable(title)
+	for _, c := range cols {
+		t.Columns = append(t.Columns, C(c))
+	}
+	for _, r := range rows {
+		cells := make([]Cell, len(r))
+		for i, s := range r {
+			cells[i] = Str(s)
+		}
+		t.Row(cells...)
+	}
+	return t
+}
+
+func lines(s string) []string { return strings.Split(strings.TrimRight(s, "\n"), "\n") }
+
+func TestRenderBasic(t *testing.T) {
+	tb := NewTable("Table X", C("Model"), C("Value"))
+	tb.Row(Str("DeepSeek-V3"), Float("%.3f", 70.272))
+	tb.Row(Str("Qwen-2.5 72B"), Float("%.2f", 327.68))
+	out := tb.Text()
+	if !strings.HasPrefix(out, "Table X\n") {
+		t.Errorf("missing title: %q", out)
+	}
+	if !strings.Contains(out, "DeepSeek-V3") || !strings.Contains(out, "70.272") {
+		t.Errorf("missing cells: %q", out)
+	}
+	ls := lines(out)
+	if len(ls) != 5 { // title, header, rule, 2 rows
+		t.Errorf("expected 5 lines, got %d: %q", len(ls), out)
+	}
+	// All data rows align: each column starts at the same offset.
+	if strings.Index(ls[3], "70.272") != strings.Index(ls[4], "327.68") {
+		t.Errorf("columns misaligned:\n%s", out)
+	}
+}
+
+func TestNoTitleNoHeaders(t *testing.T) {
+	out := strTable("", nil, []string{"a", "b"}).Text()
+	if strings.Contains(out, "-") {
+		t.Errorf("rule should not render without headers: %q", out)
+	}
+	if !strings.HasPrefix(out, "a") {
+		t.Errorf("unexpected prefix: %q", out)
+	}
+}
+
+func TestRaggedRows(t *testing.T) {
+	out := strTable("", []string{"A", "B"}, []string{"x"}, []string{"y", "z", "extra"}).Text()
+	if !strings.Contains(out, "extra") {
+		t.Errorf("wide rows must render all cells: %q", out)
+	}
+}
+
+func TestRuleMatchesWidestRow(t *testing.T) {
+	out := strTable("", []string{"A", "B"}, []string{"wide-cell-value", "x"}).Text()
+	ls := lines(out)
+	// header, rule, row
+	if len(ls) != 3 {
+		t.Fatalf("expected 3 lines, got %d: %q", len(ls), out)
+	}
+	rule, row := ls[1], ls[2]
+	if len(rule) != len(row) {
+		t.Errorf("rule width %d != row width %d:\n%s", len(rule), len(row), out)
+	}
+	if strings.Trim(rule, "-") != "" {
+		t.Errorf("rule contains non-dash characters: %q", rule)
+	}
+}
+
+func TestHeaderWiderThanCells(t *testing.T) {
+	out := strTable("", []string{"a-very-long-header", "h2"}, []string{"x", "y"}, []string{"zz", "w"}).Text()
+	ls := lines(out)
+	// Column 2 starts at the same offset in every line, padded to the
+	// header width.
+	want := strings.Index(ls[0], "h2")
+	if strings.Index(ls[2], "y") != want || strings.Index(ls[3], "w") != want {
+		t.Errorf("second column misaligned under wide header:\n%s", out)
+	}
+}
+
+func TestShortRowPadsMissingCells(t *testing.T) {
+	out := strTable("", []string{"A", "B", "C"}, []string{"x"}, []string{"y", "mid", "z"}).Text()
+	ls := lines(out)
+	if strings.Index(ls[3], "z") <= strings.Index(ls[3], "mid") {
+		t.Fatalf("sanity: %q", ls[3])
+	}
+	// The short row renders only padding where cells are missing.
+	if got := strings.TrimRight(ls[2], " "); got != "x" {
+		t.Errorf("short row = %q, want bare first cell", got)
+	}
+}
+
+func TestEmptyTable(t *testing.T) {
+	if out := NewTable("").Text(); out != "" {
+		t.Errorf("empty table rendered %q", out)
+	}
+	if out := NewTable("T").Text(); out != "T\n" {
+		t.Errorf("title-only table rendered %q", out)
+	}
+	// Headers with no rows still render the header and rule.
+	out := strTable("", []string{"A", "B"}).Text()
+	if ls := lines(out); len(ls) != 2 {
+		t.Errorf("header-only table rendered %q", out)
+	}
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	r := sampleResult()
 	var first bytes.Buffer

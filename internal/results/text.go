@@ -1,28 +1,61 @@
 package results
 
-import (
-	"strings"
+import "strings"
 
-	"dsv3/internal/tablefmt"
-)
-
-// Text renders the table through the fixed-width tablefmt renderer.
-// Cell texts are passed through verbatim, so output is byte-identical
-// to the historical per-runner tablefmt rendering.
+// Text renders the table as fixed-width text: the title line, the
+// column names, a dash rule as wide as the widest row, then one line
+// per row. Each column is padded to its widest cell; cell texts are
+// printed verbatim. A row shorter than the header pads the missing
+// cells and a longer one widens the table.
 func (t *Table) Text() string {
-	headers := make([]string, len(t.Columns))
+	head := make([]Cell, len(t.Columns))
 	for i, c := range t.Columns {
-		headers[i] = c.Name
+		head[i] = Str(c.Name)
 	}
-	tf := tablefmt.New(t.Title, headers...)
-	for _, row := range t.Rows {
-		cells := make([]any, len(row))
-		for i, c := range row {
-			cells[i] = c.Text
+	rows := append([][]Cell{head}, t.Rows...)
+	width := 0
+	for _, r := range rows {
+		width = max(width, len(r))
+	}
+	colw := make([]int, width)
+	for _, r := range rows {
+		for i, c := range r {
+			colw[i] = max(colw[i], len(c.Text))
 		}
-		tf.AddRow(cells...)
 	}
-	return tf.String()
+
+	var b strings.Builder
+	if t.Title != "" {
+		b.WriteString(t.Title)
+		b.WriteByte('\n')
+	}
+	writeRow := func(r []Cell) {
+		for i, w := range colw {
+			if i > 0 {
+				b.WriteString("  ")
+			}
+			s := ""
+			if i < len(r) {
+				s = r[i].Text
+			}
+			b.WriteString(s)
+			b.WriteString(strings.Repeat(" ", w-len(s)))
+		}
+		b.WriteByte('\n')
+	}
+	if len(head) > 0 {
+		writeRow(head)
+		rule := 2 * (width - 1)
+		for _, w := range colw {
+			rule += w
+		}
+		b.WriteString(strings.Repeat("-", rule))
+		b.WriteByte('\n')
+	}
+	for _, r := range t.Rows {
+		writeRow(r)
+	}
+	return b.String()
 }
 
 // Text renders every table of the result, blank-line separated — the
