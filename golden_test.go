@@ -5,29 +5,42 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+
+	"dsv3/internal/parallel"
 )
 
 // The golden corpus under testdata/golden pins the deterministic
-// quick-mode output of every experiment in every emitter format. This
-// is the same gate CI applies through scripts/golden.sh -check, run
-// in-process so plain `go test ./...` catches regressions in either
-// the numbers or the emitters. Regenerate with scripts/golden.sh after
-// an intentional change.
+// quick-mode output of every experiment in every emitter format.
+// TestGoldenCorpus runs each experiment through the public facade on
+// an 8-worker pool and diffs its JSON, CSV and text against the
+// corpus. internal/experiments' TestGoldenCorpus diffs the serial
+// (workers=1) run that its numeric tests share against the same files,
+// so `go test ./...` runs the quick catalogue once at each width, and
+// both runs equalling the corpus is the serial-vs-parallel check.
+// `-run 'TestGoldenCorpus/<name>'` runs that experiment alone.
+// Regenerate with scripts/golden.sh after an intentional change.
 //
-// Set DSV3_SKIP_GOLDEN=1 to skip (e.g. on architectures whose libm
-// rounding differs from the amd64 corpus).
+// Set DSV3_SKIP_GOLDEN=1 on architectures whose libm rounding differs
+// from the amd64 corpus: a workers=1 run then stands in for the golden
+// bytes, so the parallel run is still checked against the serial one.
 func TestGoldenCorpus(t *testing.T) {
-	if os.Getenv("DSV3_SKIP_GOLDEN") != "" {
-		t.Skip("DSV3_SKIP_GOLDEN set")
-	}
+	skipGolden := os.Getenv("DSV3_SKIP_GOLDEN") != ""
+	dir := filepath.Join("testdata", "golden")
 	seen := make(map[string]bool)
 	for _, e := range Experiments() {
-		// The experiment runs inside the first of its file subtests that
-		// the -run filter keeps, so `-run 'TestGoldenCorpus/<name>'`
-		// runs that experiment alone.
-		run := sync.OnceValues(func() (*ExperimentResult, error) { return e.Run(RunOptions{Quick: true}) })
+		runAt := func(workers int) func() (*ExperimentResult, error) {
+			return sync.OnceValues(func() (*ExperimentResult, error) {
+				prev := parallel.SetWorkers(workers)
+				defer parallel.SetWorkers(prev)
+				return e.Run(RunOptions{Quick: true})
+			})
+		}
+		// The runs happen inside the first file subtest that the -run
+		// filter keeps.
+		parallelRun, serialRun := runAt(8), runAt(1)
 		emitters := []struct {
 			ext  string
 			emit func(*ExperimentResult) (string, error)
@@ -48,27 +61,35 @@ func TestGoldenCorpus(t *testing.T) {
 			name := e.Name + "." + em.ext
 			seen[name] = true
 			t.Run(name, func(t *testing.T) {
-				res, err := run()
-				if err != nil {
-					t.Fatalf("%s: %v", e.Name, err)
+				emit := func(run func() (*ExperimentResult, error)) string {
+					res, err := run()
+					if err != nil {
+						t.Fatalf("%s: %v", e.Name, err)
+					}
+					out, err := em.emit(res)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return out
 				}
-				got, err := em.emit(res)
-				if err != nil {
-					t.Fatal(err)
+				ref := filepath.Join(dir, name)
+				want, err := os.ReadFile(ref)
+				if skipGolden {
+					ref, want, err = "the workers=1 run", []byte(emit(serialRun)), nil
 				}
-				path := filepath.Join("testdata", "golden", name)
-				want, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatalf("missing golden file (run scripts/golden.sh): %v", err)
 				}
-				if got != string(want) {
-					t.Errorf("drift vs %s (regenerate with scripts/golden.sh):\n%s", path, diffHint(string(want), got))
+				if got := emit(parallelRun); got != string(want) {
+					t.Errorf("workers=8 output drifted from %s (regenerate with scripts/golden.sh):\n%s",
+						ref, diffHint(string(want), got))
 				}
 			})
 		}
 	}
-	// Stale goldens (an experiment was renamed or removed) fail too.
-	entries, err := os.ReadDir(filepath.Join("testdata", "golden"))
+	// Stale goldens (an experiment was renamed or removed) fail too,
+	// and DESIGN.md must quote the corpus size.
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,6 +97,13 @@ func TestGoldenCorpus(t *testing.T) {
 		if !seen[ent.Name()] {
 			t.Errorf("stale golden file %s (run scripts/golden.sh)", ent.Name())
 		}
+	}
+	doc, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("(%d files)", len(entries)); !strings.Contains(string(doc), want) {
+		t.Errorf("DESIGN.md's golden corpus section does not quote %q", want)
 	}
 }
 

@@ -22,7 +22,7 @@ func catalogueTable(t *testing.T, name string, i int) *results.Table {
 	if !ok {
 		t.Fatalf("%s missing from the catalogue", name)
 	}
-	return quickResult(t, r, 1).Tables[i]
+	return quickResult(t, r).Tables[i]
 }
 
 // colIndex returns the position of the first column named name.

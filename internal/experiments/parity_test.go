@@ -2,9 +2,10 @@ package experiments
 
 // The determinism contract of the parallel engine (DESIGN.md): every
 // runner must render byte-identical output whether it runs serially or
-// fanned out over the worker pool. TestGoldenCorpus runs the quick
-// catalogue twice — workers=1 and workers=8 — and diffs both runs
-// against the golden corpus, so the two runs also equal each other.
+// fanned out over the worker pool. TestGoldenCorpus here diffs the
+// serial quick catalogue run against the golden corpus, and the root
+// package's TestGoldenCorpus an 8-worker run, so the two runs also
+// equal each other.
 // TestParallelSerialParity does the same serial-vs-parallel comparison
 // for sweep runners on inputs the catalogue does not use.
 
@@ -13,7 +14,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -78,107 +78,66 @@ func TestParallelSerialParity(t *testing.T) {
 	}
 }
 
-func runWithWorkers(t *testing.T, workers int, r Runner) *results.Result {
-	t.Helper()
-	prev := parallel.SetWorkers(workers)
-	defer parallel.SetWorkers(prev)
-	res, err := r.Run(Options{Quick: true})
-	if err != nil {
-		t.Fatalf("%s workers=%d: %v", r.Name, workers, err)
-	}
-	return res
-}
-
-type quickKey struct {
-	name    string
-	workers int
-}
-
-// quickResults memoizes each runner's quick-mode Result per pool
-// width, so the golden, numeric and structure tests check the very same
-// Results and the catalogue runs once serially and once in parallel per
-// test binary.
+// quickResults memoizes each runner's serial (workers=1) quick-mode
+// Result, so the golden, numeric and structure tests check the very
+// same Results and the catalogue runs once per test binary.
 var quickResults = struct {
 	sync.Mutex
-	m map[quickKey]*results.Result
-}{m: map[quickKey]*results.Result{}}
+	m map[string]*results.Result
+}{m: map[string]*results.Result{}}
 
-func quickResult(t *testing.T, r Runner, workers int) *results.Result {
+func quickResult(t *testing.T, r Runner) *results.Result {
 	t.Helper()
 	quickResults.Lock()
 	defer quickResults.Unlock()
-	k := quickKey{r.Name, workers}
-	res, ok := quickResults.m[k]
+	res, ok := quickResults.m[r.Name]
 	if !ok {
-		res = runWithWorkers(t, workers, r)
-		quickResults.m[k] = res
+		prev := parallel.SetWorkers(1)
+		defer parallel.SetWorkers(prev)
+		var err error
+		if res, err = r.Run(Options{Quick: true}); err != nil {
+			t.Fatalf("%s workers=1: %v", r.Name, err)
+		}
+		quickResults.m[r.Name] = res
 	}
 	return res
 }
 
-// TestGoldenCorpus diffs the JSON, CSV and text of both memoized quick
-// runs of every catalogue runner (workers=1 and workers=8) against
+// TestGoldenCorpus diffs the JSON, CSV and text of every catalogue
+// runner's memoized serial quick run against
 // testdata/golden/<name>.<ext>: the corpus that scripts/golden.sh
-// regenerates after an intentional change and checks in CI. A run that
-// equals the golden bytes at both widths is also serial == parallel.
-// `-run 'TestGoldenCorpus/<name>'` runs that experiment alone, and
-// `-run 'TestGoldenCorpus/<name>/workers=8'` at one width only.
+// regenerates after an intentional change and checks in CI. The root
+// package's TestGoldenCorpus diffs an 8-worker run through the facade
+// against the same files (and checks for stale ones), so both runs
+// equalling the corpus is the serial-vs-parallel check.
+// `-run 'TestGoldenCorpus/<name>'` runs that experiment alone.
 //
-// Set DSV3_SKIP_GOLDEN=1 on architectures whose libm rounding differs
-// from the amd64 corpus: the workers=1 run then stands in for the
-// golden bytes, so the parallel run is still checked against it.
+// Set DSV3_SKIP_GOLDEN=1 to skip on architectures whose libm rounding
+// differs from the amd64 corpus; the root test then compares the
+// parallel run against a serial one.
 func TestGoldenCorpus(t *testing.T) {
-	skipGolden := os.Getenv("DSV3_SKIP_GOLDEN") != ""
-	dir := filepath.Join("..", "..", "testdata", "golden")
-	seen := make(map[string]bool)
+	if os.Getenv("DSV3_SKIP_GOLDEN") != "" {
+		t.Skip("DSV3_SKIP_GOLDEN set")
+	}
 	for _, r := range Catalogue() {
 		for _, format := range []results.Format{results.FormatJSON, results.FormatCSV, results.FormatText} {
 			name := r.Name + "." + format.Ext()
-			seen[name] = true
 			t.Run(name, func(t *testing.T) {
-				emit := func(t *testing.T, workers int) string {
-					var b bytes.Buffer
-					if err := results.Emit(&b, format, quickResult(t, r, workers)); err != nil {
-						t.Fatalf("%s workers=%d: %v", name, workers, err)
-					}
-					return b.String()
-				}
-				ref := filepath.Join(dir, name)
+				ref := filepath.Join("..", "..", "testdata", "golden", name)
 				want, err := os.ReadFile(ref)
-				if skipGolden {
-					ref, want, err = "the workers=1 run", []byte(emit(t, 1)), nil
-				}
 				if err != nil {
 					t.Fatalf("missing golden file (run scripts/golden.sh): %v", err)
 				}
-				for _, workers := range []int{1, 8} {
-					t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-						if got := emit(t, workers); got != string(want) {
-							t.Errorf("workers=%d output drifted from %s (regenerate with scripts/golden.sh):\n%s",
-								workers, ref, diffHint(string(want), got))
-						}
-					})
+				var b bytes.Buffer
+				if err := results.Emit(&b, format, quickResult(t, r)); err != nil {
+					t.Fatalf("%s workers=1: %v", name, err)
+				}
+				if got := b.String(); got != string(want) {
+					t.Errorf("workers=1 output drifted from %s (regenerate with scripts/golden.sh):\n%s",
+						ref, diffHint(string(want), got))
 				}
 			})
 		}
-	}
-	// Stale goldens (an experiment was renamed or removed) fail too,
-	// and DESIGN.md must quote the corpus size.
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ent := range entries {
-		if !seen[ent.Name()] {
-			t.Errorf("stale golden file %s (run scripts/golden.sh)", ent.Name())
-		}
-	}
-	doc, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := fmt.Sprintf("(%d files)", len(entries)); !strings.Contains(string(doc), want) {
-		t.Errorf("DESIGN.md's golden corpus section does not quote %q", want)
 	}
 }
 
@@ -200,7 +159,7 @@ func diffHint(want, got string) string {
 // the pre-refactor rendering is pinned by the .txt golden corpus.)
 func TestCatalogueStructure(t *testing.T) {
 	for _, r := range Catalogue() {
-		res := quickResult(t, r, 1)
+		res := quickResult(t, r)
 		if len(res.Tables) == 0 {
 			t.Fatalf("%s: no tables", r.Name)
 		}
