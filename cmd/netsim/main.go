@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -42,15 +44,33 @@ func parseSize(s string) (units.Bytes, error) {
 }
 
 func main() {
-	fabric := flag.String("fabric", "mpft", "mpft or mrft")
-	gpus := flag.Int("gpus", 32, "GPU count (multiple of 8)")
-	sizeStr := flag.String("size", "1GiB", "per-rank buffer (B/KiB/MiB/GiB)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run executes one invocation and returns its exit status: 2 for a
+// malformed command line, 1 for an input no simulation can be run on
+// (reported on stderr, naming the flag).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("netsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fabric := fs.String("fabric", "mpft", "mpft or mrft")
+	gpus := fs.Int("gpus", 32, "GPU count (positive multiple of 8)")
+	sizeStr := fs.String("size", "1GiB", "per-rank buffer (B/KiB/MiB/GiB)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	// Parsing stops at the first non-flag argument, so every flag
 	// after it would be dropped silently.
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "netsim: unexpected argument %q\n", flag.Arg(0))
-		os.Exit(2)
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "netsim: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	var kind cluster.FabricKind
@@ -60,25 +80,26 @@ func main() {
 	case "mrft":
 		kind = cluster.MRFT
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -fabric %q (want mpft or mrft)\n", *fabric)
-		os.Exit(1)
+		return fail(fmt.Errorf("netsim: unknown -fabric %q (want mpft or mrft)", *fabric))
+	}
+	// The cluster is built from whole 8-GPU nodes.
+	if *gpus <= 0 || *gpus%cluster.GPUsPerNode != 0 {
+		return fail(fmt.Errorf("netsim: -gpus %d: need a positive multiple of %d", *gpus, cluster.GPUsPerNode))
 	}
 	size, err := parseSize(*sizeStr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(fmt.Errorf("netsim: -size: %w", err))
 	}
 	c, err := cluster.Build(cluster.H800Config(*gpus/cluster.GPUsPerNode, kind))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
 	res, err := collective.AllToAll(c, *gpus, size, collective.DefaultOptions())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return fail(err)
 	}
-	fmt.Printf("all-to-all on %s, %d GPUs, %s per rank:\n", kind, *gpus, units.FormatBytes(size))
-	fmt.Printf("  time:  %s\n", units.FormatSeconds(res.Time))
-	fmt.Printf("  algbw: %s\n", units.FormatBandwidth(res.AlgBW))
+	fmt.Fprintf(stdout, "all-to-all on %s, %d GPUs, %s per rank:\n", kind, *gpus, units.FormatBytes(size))
+	fmt.Fprintf(stdout, "  time:  %s\n", units.FormatSeconds(res.Time))
+	fmt.Fprintf(stdout, "  algbw: %s\n", units.FormatBandwidth(res.AlgBW))
+	return 0
 }

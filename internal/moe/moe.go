@@ -51,22 +51,22 @@ func (g Gate) Validate() error {
 // statistics) runs without allocating. A Router is NOT safe for
 // concurrent use; parallel runners hold one per worker task.
 type Router struct {
-	g          Gate
-	groupScore []float64 // per-group top-2 sum
-	groupTaken []bool    // groups already selected
-	groupOK    []bool    // experts in selected groups are eligible
-	topScore   []float64 // running top-k scores, descending
-	out        []int     // result buffer, len TopK
+	g           Gate
+	groupScore  []float64 // per-group top-2 sum
+	groupSecond []float64 // per-group second-best biased score
+	groupTaken  []bool    // groups already selected
+	topScore    []float64 // running top-k scores, descending; len TopK
+	out         []int     // running top-k experts, then the result; len TopK
 }
 
 // NewRouter allocates a Router for the gate. The gate should be valid;
 // Route panics on malformed inputs.
 func NewRouter(g Gate) *Router {
-	r := &Router{g: g, topScore: make([]float64, 0, g.TopK), out: make([]int, 0, g.TopK)}
+	r := &Router{g: g, topScore: make([]float64, g.TopK), out: make([]int, g.TopK)}
 	if g.Groups > 0 {
 		r.groupScore = make([]float64, g.Groups)
+		r.groupSecond = make([]float64, g.Groups)
 		r.groupTaken = make([]bool, g.Groups)
-		r.groupOK = make([]bool, g.Groups)
 	}
 	return r
 }
@@ -87,9 +87,10 @@ func (r *Router) Route(scores, bias []float64) []int {
 	}
 
 	grouped := g.Groups > 0 && g.GroupTopK > 0 && g.GroupTopK < g.Groups
-	perGroup := 0
+	floor := math.Inf(-1)
+	n := 0
 	if grouped {
-		perGroup = g.Experts / g.Groups
+		perGroup := g.Experts / g.Groups
 		for grp := 0; grp < g.Groups; grp++ {
 			// Group score = sum of the top-2 member affinities (V3 rule).
 			best, second := math.Inf(-1), math.Inf(-1)
@@ -114,14 +115,15 @@ func (r *Router) Route(scores, bias []float64) []int {
 				}
 			}
 			r.groupScore[grp] = best + second
+			r.groupSecond[grp] = second
 			r.groupTaken[grp] = false
-			r.groupOK[grp] = false
 		}
 		// Pick the top GroupTopK groups by (score desc, index asc):
 		// repeated argmax with strict > keeps the lowest index on ties,
 		// matching a stable descending sort. The best < 0 clause accepts
 		// the first unpicked group even when every score is -Inf (one
 		// expert per group makes the top-2 sum -Inf across the board).
+		floor = math.Inf(1)
 		for pick := 0; pick < g.GroupTopK; pick++ {
 			best, bestScore := -1, math.Inf(-1)
 			for grp := 0; grp < g.Groups; grp++ {
@@ -130,59 +132,83 @@ func (r *Router) Route(scores, bias []float64) []int {
 				}
 			}
 			r.groupTaken[best] = true
-			r.groupOK[best] = true
+			floor = min(floor, r.groupSecond[best])
 		}
-	}
-
-	// Global top-k inside the surviving groups in one pass, maintaining
-	// a small descending-ordered buffer. Candidates arrive in ascending
-	// expert index; a candidate is inserted strictly after every kept
-	// entry with an equal-or-higher score, so the buffer realizes the
-	// (score desc, index asc) total order a stable sort would produce.
-	r.topScore = r.topScore[:0]
-	r.out = r.out[:0]
-	consider := func(lo, hi int) {
-		for e := lo; e < hi; e++ {
-			s := scores[e]
-			if bias != nil {
-				s += bias[e]
-			}
-			n := len(r.out)
-			if n == g.TopK {
-				if s <= r.topScore[n-1] {
-					continue
-				}
-				n--
-				r.topScore = r.topScore[:n]
-				r.out = r.out[:n]
-			}
-			pos := n
-			for pos > 0 && r.topScore[pos-1] < s {
-				pos--
-			}
-			r.topScore = append(r.topScore, 0)
-			r.out = append(r.out, 0)
-			copy(r.topScore[pos+1:], r.topScore[pos:])
-			copy(r.out[pos+1:], r.out[pos:])
-			r.topScore[pos] = s
-			r.out[pos] = e
+		// The chosen groups' best and second-best experts are
+		// 2·GroupTopK distinct experts scoring at least floor. When that
+		// is at least TopK of them, an expert scoring below floor cannot
+		// make the top-k, so the scan may skip it. A NaN score breaks the
+		// order this argument rests on; the scan then reports it and the
+		// unfiltered scan runs instead.
+		if 2*g.GroupTopK < g.TopK {
+			floor = math.Inf(-1)
 		}
-	}
-	if grouped {
-		for grp := 0; grp < g.Groups; grp++ {
-			if r.groupOK[grp] {
-				consider(grp*perGroup, (grp+1)*perGroup)
-			}
+		n = r.scanGroups(scores, bias, perGroup, floor)
+		if n < 0 {
+			n = r.scanGroups(scores, bias, perGroup, math.Inf(-1))
 		}
 	} else {
-		consider(0, g.Experts)
+		n = r.scan(scores, bias, 0, g.Experts, 0, math.Inf(-1))
 	}
-	if len(r.out) < g.TopK {
+	if n < g.TopK {
 		panic(fmt.Sprintf("moe: top-%d does not fit the allowed groups of %+v", g.TopK, g))
 	}
 	// Return ascending expert IDs (insertion sort; TopK is small).
 	sortSmall(r.out)
 	return r.out
+}
+
+// scanGroups runs scan over the selected groups in ascending order and
+// returns the number of experts kept, or -1 as scan does.
+func (r *Router) scanGroups(scores, bias []float64, perGroup int, floor float64) int {
+	n := 0
+	for grp, ok := range r.groupTaken {
+		if ok {
+			if n = r.scan(scores, bias, grp*perGroup, (grp+1)*perGroup, n, floor); n < 0 {
+				return -1
+			}
+		}
+	}
+	return n
+}
+
+// scan feeds experts lo..hi-1 into the running top-k, whose first n
+// entries are filled, and returns the new fill. Candidates arrive in
+// ascending expert index; a candidate is inserted strictly after every
+// kept entry with an equal-or-higher score, so the buffer realizes the
+// (score desc, index asc) total order a stable sort would produce.
+// Candidates scoring below floor are skipped; with a floor above -Inf,
+// scan returns -1 on meeting a NaN score, for which skipping is not
+// exact.
+func (r *Router) scan(scores, bias []float64, lo, hi, n int, floor float64) int {
+	top, out := r.topScore, r.out
+	k := len(top)
+	filtered := floor > math.Inf(-1)
+	for e := lo; e < hi; e++ {
+		s := scores[e]
+		if bias != nil {
+			s += bias[e]
+		}
+		if s < floor {
+			continue
+		}
+		if n == k {
+			if s <= top[k-1] {
+				continue
+			}
+			n--
+		}
+		if filtered && s != s {
+			return -1
+		}
+		pos := n
+		for ; pos > 0 && top[pos-1] < s; pos-- {
+			top[pos], out[pos] = top[pos-1], out[pos-1]
+		}
+		top[pos], out[pos] = s, e
+		n++
+	}
+	return n
 }
 
 // sortSmall is an allocation-free insertion sort for the tiny result

@@ -1,7 +1,10 @@
 package moe
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -249,5 +252,125 @@ func TestRouteGroupCapProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rng}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refRoute is the sort-based definition Route must match on NaN-free
+// input: rank groups by top-2 biased sum with a stable descending sort,
+// keep the first GroupTopK, then stable-sort the surviving experts by
+// biased score and take the first TopK, returned ascending.
+func refRoute(g Gate, scores, bias []float64) []int {
+	biased := make([]float64, g.Experts)
+	for e, s := range scores {
+		if bias != nil {
+			s += bias[e]
+		}
+		biased[e] = s
+	}
+	eligible := make([]bool, g.Experts)
+	if g.Groups > 0 && g.GroupTopK > 0 && g.GroupTopK < g.Groups {
+		per := g.Experts / g.Groups
+		groupScore := make([]float64, g.Groups)
+		order := make([]int, g.Groups)
+		for grp := range order {
+			members := append([]float64(nil), biased[grp*per:(grp+1)*per]...)
+			sort.Sort(sort.Reverse(sort.Float64Slice(members)))
+			second := math.Inf(-1)
+			if per > 1 {
+				second = members[1]
+			}
+			groupScore[grp] = members[0] + second
+			order[grp] = grp
+		}
+		sort.SliceStable(order, func(a, b int) bool { return groupScore[order[a]] > groupScore[order[b]] })
+		for _, grp := range order[:g.GroupTopK] {
+			for e := grp * per; e < (grp+1)*per; e++ {
+				eligible[e] = true
+			}
+		}
+	} else {
+		for e := range eligible {
+			eligible[e] = true
+		}
+	}
+	var cand []int
+	for e, ok := range eligible {
+		if ok {
+			cand = append(cand, e)
+		}
+	}
+	sort.SliceStable(cand, func(a, b int) bool { return biased[cand[a]] > biased[cand[b]] })
+	out := append([]int(nil), cand[:g.TopK]...)
+	sort.Ints(out)
+	return out
+}
+
+// Property: Route equals the sort-based reference on random gate
+// shapes — ungrouped, GroupTopK = 0, GroupTopK = Groups, one expert per
+// group, and tight limits where 2·GroupTopK ≥ TopK lets Route skip
+// experts — with and without bias, on scores drawn from a few levels so
+// that ties are common, and on continuous scores.
+func TestRouteMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for trial := 0; trial < 3000; trial++ {
+		groups := rng.Intn(9) // 0 = ungrouped
+		perGroup := 1 + rng.Intn(8)
+		experts := perGroup * max(groups, 1)
+		gtk := 0
+		if groups > 0 {
+			gtk = rng.Intn(groups + 1) // 0 disables the limit
+		}
+		room := experts
+		if groups > 0 && gtk > 0 {
+			room = gtk * perGroup
+		}
+		g := Gate{Experts: experts, TopK: 1 + rng.Intn(room), Groups: groups, GroupTopK: gtk}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		scores := make([]float64, experts)
+		levels := 1 + rng.Intn(4) // 1..4 distinct levels, or continuous
+		for e := range scores {
+			if levels == 4 {
+				scores[e] = rng.Float64()
+			} else {
+				scores[e] = float64(rng.Intn(levels)) / 4
+			}
+		}
+		var bias []float64
+		if rng.Intn(2) == 0 {
+			bias = make([]float64, experts)
+			for e := range bias {
+				bias[e] = float64(rng.Intn(3)) / 8
+			}
+		}
+		r := NewRouter(g)
+		for rep := 0; rep < 2; rep++ { // reuse must not bleed
+			got := r.Route(scores, bias)
+			if want := refRoute(g, scores, bias); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d %+v\nscores %v\nbias %v\nRoute = %v, want %v", trial, g, scores, bias, got, want)
+			}
+		}
+	}
+}
+
+// A NaN score has no place in a sorted order, so it is pinned to the
+// result of the plain top-k scan: the NaN enters the buffer, the next
+// candidate evicts it, and the result is the two best real scores. A
+// scan that skipped experts below the chosen groups' second-best score
+// (0.8 here) would keep the NaN and return [1 2].
+func TestRouteNaNScore(t *testing.T) {
+	g := Gate{Experts: 8, TopK: 2, Groups: 2, GroupTopK: 1}
+	nan := math.NaN()
+	scores := []float64{0.3, nan, 0.9, 0.8, 0.1, 0.1, 0.1, 0.1}
+	r := NewRouter(g)
+	if got := r.Route(scores, nil); !reflect.DeepEqual(got, []int{2, 3}) {
+		t.Errorf("Route = %v, want [2 3]", got)
+	}
+	bias := make([]float64, g.Experts)
+	bias[1] = nan
+	scores[1] = 0.5
+	if got := r.Route(scores, bias); !reflect.DeepEqual(got, []int{2, 3}) {
+		t.Errorf("Route with a NaN bias = %v, want [2 3]", got)
 	}
 }

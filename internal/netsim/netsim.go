@@ -60,16 +60,37 @@ type Result struct {
 	MaxLinkBytes units.Bytes
 }
 
+// subflow is one path of one flow: 32 bytes. Every index the simulator
+// stores — flow and subflow numbers, path-arena offsets, link IDs — is
+// an int32, which halves the path arena and the per-link lists and
+// keeps the 128-GPU sprayed all-to-all's ~400K subflows and ~3M path
+// entries small; Simulate panics on inputs too large for that.
 type subflow struct {
-	flow int
-	// pathStart/pathEnd delimit the subflow's link-ID path inside the
+	remaining units.Bytes
+	rate      float64
+	cap       float64 // per-subflow rate cap; 0 = uncapped
+	flow      int32
+	// pathStart is where the subflow's link-ID path begins in the
 	// simulation's flat path arena (Sim.paths): the water-filling loops
 	// walk paths every epoch, and one contiguous arena keeps those scans
-	// sequential instead of chasing per-flow slice headers.
-	pathStart, pathEnd int
-	remaining          units.Bytes
-	rate               float64
-	cap                float64 // per-subflow rate cap; 0 = uncapped
+	// sequential instead of chasing per-flow slice headers. Subflows are
+	// laid out in arena order and the subflow table ends with a sentinel
+	// whose pathStart is the arena length, so a path ends where the next
+	// subflow's begins (see path).
+	pathStart int32
+}
+
+// path returns subflow si's link IDs; subs must end with the sentinel.
+func path(subs []subflow, arena []int32, si int32) []int32 {
+	return arena[subs[si].pathStart:subs[si+1].pathStart]
+}
+
+// checkInt32 panics when n, a count that bounds an index the simulator
+// stores as int32, does not fit in one.
+func checkInt32(what string, n int) {
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("netsim: %d %s exceed the int32 index range", n, what))
+	}
 }
 
 // Simulate runs the fluid simulation to completion and returns per-flow
@@ -91,13 +112,13 @@ func Simulate(g *topology.Graph, flows []Flow) Result {
 // Simulate function: scratch reuse never changes the arithmetic, only
 // where the buffers live.
 type Sim struct {
-	subs          []subflow
-	paths         []int // flat path arena, indexed by subflow.pathStart/End
-	flowRemaining []int // unfinished subflows per flow
+	subs          []subflow // subflow table plus the end sentinel
+	paths         []int32   // flat path arena, indexed by subflow.pathStart
+	flowRemaining []int     // unfinished subflows per flow
 	flowNetDone   []units.Seconds
 	linkBytes     []units.Bytes
-	bySID         []int
-	active        []int
+	bySID         []int32
+	active        []int32
 	flowFinish    []units.Seconds
 	pf            filler
 }
@@ -128,24 +149,33 @@ func (s *Sim) Simulate(g *topology.Graph, flows []Flow) Result {
 	s.linkBytes = grow(s.linkBytes, len(g.Links))
 	linkBytes := s.linkBytes
 
-	// Explode flows into subflows. Counting subflows first sizes the
-	// reused tables exactly, so even the cold first call allocates once
-	// instead of append-doubling.
-	nsubs, npath := 0, 0
+	// Explode flows into subflows. Counting subflows, path entries and
+	// rate-capped subflows first sizes the reused tables exactly, so even
+	// the cold first call allocates once instead of append-doubling; the
+	// counts also bound every index the int32 buffers hold (so negative
+	// and NaN sizes, which make subflows too, are counted).
+	nsubs, npath, ncapped := 0, 0, 0
 	for _, f := range flows {
-		if len(f.Paths) > 0 && f.Bytes > 0 {
+		if len(f.Paths) > 0 && f.Bytes != 0 {
 			nsubs += len(f.Paths)
+			if f.RateCap > 0 {
+				ncapped += len(f.Paths)
+			}
 			for _, p := range f.Paths {
 				npath += len(p)
 			}
 		}
 	}
-	if cap(s.subs) < nsubs {
-		s.subs = make([]subflow, 0, nsubs)
+	checkInt32("flows", len(flows))
+	checkInt32("subflows", nsubs)
+	checkInt32("path entries plus capped subflows", npath+ncapped)
+	checkInt32("links plus capped subflows", len(g.Links)+ncapped)
+	if cap(s.subs) < nsubs+1 {
+		s.subs = make([]subflow, 0, nsubs+1)
 	}
 	subs := s.subs[:0]
 	if cap(s.paths) < npath {
-		s.paths = make([]int, 0, npath)
+		s.paths = make([]int32, 0, npath)
 	}
 	arena := s.paths[:0]
 	s.flowRemaining = grow(s.flowRemaining, len(flows))
@@ -161,27 +191,31 @@ func (s *Sim) Simulate(g *topology.Graph, flows []Flow) Result {
 		if f.StartTime > flowNetDone[fi] {
 			flowNetDone[fi] = f.StartTime
 		}
+		var subCap float64
+		if f.RateCap > 0 {
+			subCap = f.RateCap / float64(len(paths))
+		}
 		for _, p := range paths {
+			start := int32(len(arena))
 			for _, lid := range p {
 				if lid < 0 || lid >= len(g.Links) {
 					panic(fmt.Sprintf("netsim: flow %d references invalid link %d", fi, lid))
 				}
 				linkBytes[lid] += share
+				if share != 0 {
+					arena = append(arena, int32(lid))
+				}
 			}
 			if len(p) == 0 || share == 0 {
 				continue // loopback or zero bytes: done at StartTime
 			}
-			var subCap float64
-			if f.RateCap > 0 {
-				subCap = f.RateCap / float64(len(paths))
-			}
-			start := len(arena)
-			arena = append(arena, p...)
-			subs = append(subs, subflow{flow: fi, pathStart: start, pathEnd: len(arena), remaining: share, cap: subCap})
+			subs = append(subs, subflow{flow: int32(fi), pathStart: start, remaining: share, cap: subCap})
 			flowRemaining[fi]++
 		}
 	}
-	s.subs = subs
+	nsubs = len(subs)
+	s.subs = append(subs, subflow{pathStart: int32(len(arena))})
+	subs = s.subs
 	s.paths = arena
 	for _, b := range linkBytes {
 		if b > res.MaxLinkBytes {
@@ -191,13 +225,13 @@ func (s *Sim) Simulate(g *topology.Graph, flows []Flow) Result {
 
 	// Group subflows by start time. Most collectives launch everything
 	// at t=0, in which case creation order is already sorted.
-	if cap(s.bySID) < len(subs) {
-		s.bySID = make([]int, len(subs))
+	if cap(s.bySID) < nsubs {
+		s.bySID = make([]int32, nsubs)
 	}
-	bySID := s.bySID[:len(subs)]
+	bySID := s.bySID[:nsubs]
 	staged := false
 	for i := range bySID {
-		bySID[i] = i
+		bySID[i] = int32(i)
 		if flows[subs[i].flow].StartTime != 0 {
 			staged = true
 		}
@@ -210,9 +244,12 @@ func (s *Sim) Simulate(g *topology.Graph, flows []Flow) Result {
 
 	now := 0.0
 	nextStart := 0
+	if cap(s.active) < nsubs {
+		s.active = make([]int32, 0, nsubs)
+	}
 	active := s.active[:0]
 	pf := &s.pf
-	pf.reset(g, subs, arena)
+	pf.reset(g, subs[:nsubs], arena)
 
 	for {
 		// Admit subflows whose start time has arrived.
@@ -293,10 +330,10 @@ func (s *Sim) Simulate(g *topology.Graph, flows []Flow) Result {
 type filler struct {
 	g        *topology.Graph
 	residual []float64
-	count    []int
-	touched  []int
+	count    []int32
+	touched  []int32
 	frozen   []bool
-	vlink    []int // subflow -> virtual link ID this epoch (-1 none)
+	vlink    []int32 // subflow -> virtual link ID this epoch (-1 none)
 
 	// Per-link subflow lists in CSR form over one flat arena: link lid's
 	// list lives in entries[listStart[lid] : next[lid]], where next is
@@ -305,17 +342,17 @@ type filler struct {
 	// from the run's total path footprint (an upper bound on any epoch's
 	// lists), so epoch rebuilds write straight into place — no per-link
 	// slice growth, ever.
-	listStart []int
-	next      []int
-	entries   []int
+	listStart []int32
+	next      []int32
+	entries   []int32
 }
 
 // reset prepares the filler for one simulation run, growing (and
 // re-zeroing) the link-indexed scratch as needed. assign relies on
 // count being all-zero between epochs; reset re-establishes that
 // invariant explicitly so an abandoned run (panic) cannot poison the
-// next one.
-func (pf *filler) reset(g *topology.Graph, subs []subflow, arena []int) {
+// next one. subs is the subflow table without its sentinel.
+func (pf *filler) reset(g *topology.Graph, subs []subflow, arena []int32) {
 	// Virtual links exist only for rate-capped subflows; sizing the
 	// link-indexed scratch to links+capped (not links+len(subs)) keeps
 	// the allocation proportional to the real problem — collectives
@@ -341,7 +378,7 @@ func (pf *filler) reset(g *topology.Graph, subs []subflow, arena []int) {
 	// exactly its own capped subflow).
 	pf.listStart = grow(pf.listStart, total)
 	if cap(pf.next) < total {
-		pf.next = make([]int, total)
+		pf.next = make([]int32, total)
 	} else {
 		pf.next = pf.next[:total] // stale cursors fine: rewound on touch
 	}
@@ -349,7 +386,7 @@ func (pf *filler) reset(g *topology.Graph, subs []subflow, arena []int) {
 	for _, lid := range arena {
 		counts[lid]++
 	}
-	sum := 0
+	var sum int32
 	for lid := 0; lid < nLinks; lid++ {
 		c := counts[lid]
 		counts[lid] = sum
@@ -359,25 +396,27 @@ func (pf *filler) reset(g *topology.Graph, subs []subflow, arena []int) {
 		counts[vid] = sum
 		sum++
 	}
-	if cap(pf.entries) < sum {
-		pf.entries = make([]int, sum)
+	if cap(pf.entries) < int(sum) {
+		pf.entries = make([]int32, sum)
 	} else {
 		pf.entries = pf.entries[:sum]
 	}
 }
 
 // assign computes the (unique) max-min fair allocation for the active
-// subflows. Ties are broken by lowest link ID for determinism.
-func (pf *filler) assign(subs []subflow, active []int, arena []int) {
-	nLinks := len(pf.g.Links)
+// subflows; subs ends with the sentinel. Each water-filling level
+// freezes its bottleneck links in one sweep over the touched links in
+// first-touch order (the order the active scan first reaches them),
+// which fixes the floating-point order of the residual updates.
+func (pf *filler) assign(subs []subflow, active []int32, arena []int32) {
+	nextVirtual := int32(len(pf.g.Links))
 	pf.touched = pf.touched[:0]
-	nextVirtual := nLinks
 	for _, si := range active {
 		sub := &subs[si]
 		sub.rate = 0
 		pf.frozen[si] = false
 		pf.vlink[si] = -1
-		for _, lid := range arena[sub.pathStart:sub.pathEnd] {
+		for _, lid := range path(subs, arena, si) {
 			if pf.count[lid] == 0 {
 				pf.residual[lid] = pf.g.Links[lid].Capacity
 				pf.next[lid] = pf.listStart[lid]
@@ -435,10 +474,9 @@ func (pf *filler) assign(subs []subflow, active []int, arena []int) {
 					continue
 				}
 				pf.frozen[si] = true
-				sub := &subs[si]
-				sub.rate = rate
+				subs[si].rate = rate
 				undetermined--
-				for _, plid := range arena[sub.pathStart:sub.pathEnd] {
+				for _, plid := range path(subs, arena, si) {
 					pf.residual[plid] -= rate
 					pf.count[plid]--
 				}
