@@ -295,6 +295,26 @@ func BenchmarkServeFleet(b *testing.B) { benchServeFleet(b, 1) }
 // ns/op growing faster than the request count.
 func BenchmarkServeFleetWide(b *testing.B) { benchServeFleet(b, 4) }
 
+// BenchmarkServeFleetCold is the BenchmarkServeFleet run on a fresh
+// engine per op, so every pool is built from nothing: its B/op is what
+// one cold 50K-request fleet run allocates, dominated by the per-request
+// arena. scripts/alloc_gate.sh pins its allocs/op and B/op.
+func BenchmarkServeFleetCold(b *testing.B) {
+	cfg := experiments.FleetConfig(79)
+	w := experiments.FleetWorkload(11000)
+	w.Requests = 50_000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rep, err := NewServeEngine().Run(cfg, w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Completed != w.Requests {
+			b.Fatalf("completed %d of %d requests", rep.Completed, w.Requests)
+		}
+	}
+}
+
 func benchServeFleet(b *testing.B, scale int) {
 	cfg := experiments.FleetConfig(79)
 	cfg.Fleet.PrefillInstances *= scale

@@ -181,7 +181,8 @@ func TestDesignIndexCoversCatalogue(t *testing.T) {
 
 // DESIGN.md's allocation-budget table and the budgets scripts/alloc_gate.sh
 // enforces must agree row for row: every gated benchmark is documented
-// with the same budget, and every documented row gates something.
+// with the same allocs/op budget and the same B/op budget (or none on
+// both sides), and every documented row gates something.
 func TestAllocBudgetsMatchDesign(t *testing.T) {
 	script, err := os.ReadFile("scripts/alloc_gate.sh")
 	if err != nil {
@@ -192,12 +193,13 @@ func TestAllocBudgetsMatchDesign(t *testing.T) {
 		t.Fatal("scripts/alloc_gate.sh has no budgets= block")
 	}
 	block, _, _ = strings.Cut(block, "\"")
+	// A budget is "allocs" or "allocs bytes".
 	gate := map[string]string{}
 	for _, line := range strings.Split(block, "\n") {
-		if f := strings.Fields(line); len(f) == 2 {
-			gate[f[0]] = f[1]
+		if f := strings.Fields(line); len(f) == 2 || len(f) == 3 {
+			gate[f[0]] = strings.Join(f[1:], " ")
 		} else if len(f) != 0 {
-			t.Fatalf("alloc_gate.sh budgets line %q: want \"name budget\"", line)
+			t.Fatalf("alloc_gate.sh budgets line %q: want \"name allocs [bytes]\"", line)
 		}
 	}
 	if len(gate) == 0 {
@@ -212,7 +214,7 @@ func TestAllocBudgetsMatchDesign(t *testing.T) {
 	if !ok {
 		t.Fatal("DESIGN.md has no pinned allocation budgets section")
 	}
-	_, rows, ok := strings.Cut(section, "\n| benchmark | budget |")
+	_, rows, ok := strings.Cut(section, "\n| benchmark | budget | bytes |")
 	if !ok {
 		t.Fatal("DESIGN.md's allocation budgets section has no budget table")
 	}
@@ -222,11 +224,14 @@ func TestAllocBudgetsMatchDesign(t *testing.T) {
 			break
 		}
 		cells := strings.Split(line, "|")
-		if len(cells) < 3 || strings.HasPrefix(strings.TrimSpace(cells[1]), "---") {
+		if len(cells) < 4 || strings.HasPrefix(strings.TrimSpace(cells[1]), "---") {
 			continue
 		}
 		name := strings.Trim(strings.TrimSpace(cells[1]), "`")
 		budget, _, _ := strings.Cut(strings.TrimSpace(cells[2]), " ")
+		if bytes, _, _ := strings.Cut(strings.TrimSpace(cells[3]), " "); bytes != "—" {
+			budget += " " + bytes
+		}
 		design[name] = budget
 	}
 

@@ -3,6 +3,7 @@ package servesim
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"dsv3/internal/mtp"
 	"dsv3/internal/units"
@@ -137,6 +138,9 @@ func (r ResilienceConfig) validate(f FleetConfig) error {
 	errs := []error{r.Admission.Validate(), r.Hedge.Validate()}
 	if r.MaxRetries < 0 {
 		errs = append(errs, fmt.Errorf("servesim: negative retry budget %d", r.MaxRetries))
+	}
+	if r.MaxRetries > math.MaxInt32 { // reqState.retries is an int32
+		errs = append(errs, fmt.Errorf("servesim: retry budget %d exceeds %d", r.MaxRetries, math.MaxInt32))
 	}
 	if r.Faults != nil {
 		nPrefill, nDecode := f.shape()

@@ -7,10 +7,11 @@ import (
 
 // WorkCounts returns the deterministic work counters of the engine's
 // last run: events popped off the heap, router picks, candidate loads
-// the routers read, and per-unit scan iterations in event handlers.
-func (e *Engine) WorkCounts() (events, picks, loads, scans int) {
+// the routers read, per-unit scan iterations in event handlers, and KV
+// page-pool operations (tryAlloc and release calls).
+func (e *Engine) WorkCounts() (events, picks, loads, scans, kvOps int) {
 	w := e.work
-	return w.events, w.picks, w.loads, w.scans
+	return w.events, w.picks, w.loads, w.scans, w.kvOps
 }
 
 // checkEveryEvent makes every later run of the engine verify the fleet

@@ -434,6 +434,15 @@ func TestRetryPolicyDelay(t *testing.T) {
 	if cfg.Validate() == nil {
 		t.Error("negative retry budget validated")
 	}
+	// reqState counts retries in an int32.
+	cfg.Resilience.MaxRetries = math.MaxInt32
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("retry budget MaxInt32: %v", err)
+	}
+	cfg.Resilience.MaxRetries = math.MaxInt32 + 1
+	if cfg.Validate() == nil {
+		t.Error("retry budget beyond MaxInt32 validated")
+	}
 }
 
 // TestParseFaultEvents covers the one incident-script syntax across all
@@ -506,13 +515,17 @@ func TestParseAdmissionPolicy(t *testing.T) {
 	}
 }
 
-// ParseTrace rejects negative fields with the offending line number and
-// surfaces scanner read errors instead of truncating silently.
+// ParseTrace rejects negative arrivals and non-positive token counts
+// with the offending line number (comments and blank lines counted),
+// and surfaces scanner read errors instead of truncating silently.
 func TestParseTraceRejectsNegativesAndReadErrors(t *testing.T) {
 	cases := []struct{ in, frag string }{
 		{"0,128,32\n-1,128,32\n", "line 2"},
 		{"0,128,32\n1,-5,32\n", "line 2"},
 		{"# header\n0,128,-2\n", "line 2"},
+		{"0.5,0,10\n", "line 1: prompt tokens must be positive, got 0"},
+		{"0.5,100,0\n", "line 1: output tokens must be positive, got 0"},
+		{"# header\n\n0,128,32\n1,0,32\n", "line 4: prompt tokens"},
 	}
 	for _, c := range cases {
 		_, err := ParseTrace(strings.NewReader(c.in))

@@ -213,19 +213,8 @@ func (e *Engine) resetHazards(nDecode int) {
 			hz.verifyFactor = float64(plan.VerifyTrials) * 2 * e.lc.activeNonEmbedding
 		}
 		hz.detect = plan.DetectThreshold > 0
-		hz.ewma = growFloats(hz.ewma, nDecode)
-		hz.stepCost = growFloats(hz.stepCost, nDecode)
-		if cap(hz.ewmaSteps) < nDecode {
-			hz.ewmaSteps = make([]int, nDecode)
-			hz.grayDrained = make([]bool, nDecode)
-		}
-		hz.ewmaSteps = hz.ewmaSteps[:nDecode]
-		hz.grayDrained = hz.grayDrained[:nDecode]
-		for i := 0; i < nDecode; i++ {
-			hz.ewma[i], hz.stepCost[i] = 0, 0
-			hz.ewmaSteps[i] = 0
-			hz.grayDrained[i] = false
-		}
+		hz.ewma, hz.stepCost = zeroed(hz.ewma, nDecode), zeroed(hz.stepCost, nDecode)
+		hz.ewmaSteps, hz.grayDrained = zeroed(hz.ewmaSteps, nDecode), zeroed(hz.grayDrained, nDecode)
 		if cap(hz.medScratch) < nDecode {
 			hz.medScratch = make([]float64, 0, nDecode)
 		}
@@ -237,13 +226,6 @@ func (e *Engine) resetHazards(nDecode int) {
 		}
 		hg.e2e = hg.e2e[:0]
 	}
-}
-
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }
 
 // forgetStraggler clears an instance's gray-failure record after a

@@ -53,10 +53,12 @@ type kvPool struct {
 	// moved with every page this pool allocates or releases, so fleet
 	// occupancy is read without a scan over the pools.
 	fleet *int
+	ops   *int // the engine's workCounts.kvOps: tryAlloc and release calls
 }
 
 // tryAlloc claims n pages, reporting whether they were available.
 func (p *kvPool) tryAlloc(n int) bool {
+	*p.ops++
 	if p.used+n > p.total {
 		return false
 	}
@@ -67,6 +69,7 @@ func (p *kvPool) tryAlloc(n int) bool {
 
 // release returns n pages to the pool.
 func (p *kvPool) release(n int) {
+	*p.ops++
 	p.used -= n
 	*p.fleet -= n
 	if p.used < 0 {

@@ -3,6 +3,7 @@ package servesim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -249,9 +250,7 @@ func (e *Engine) resetHier() {
 		h.chunkTokens = DefaultChunkTokens
 	}
 	h.chunkBytes = e.lc.kvPerToken * float64(h.chunkTokens)
-	for i := range h.entries {
-		h.entries[i] = offEntry{}
-	}
+	clear(h.entries)
 	h.entries = h.entries[:0]
 	h.freeSlots = h.freeSlots[:0]
 	h.touchSeq = 0
@@ -259,22 +258,10 @@ func (e *Engine) resetHier() {
 	h.offloads, h.reloads, h.demotions, h.drops = 0, 0, 0, 0
 	h.hits, h.misses, h.hitTokens = 0, 0, 0
 	n := len(tiers)
-	if cap(h.caps) < n {
-		h.caps = make([]int, n)
-		h.used = make([]int, n)
-	}
-	h.caps, h.used = h.caps[:n], h.used[:n]
-	if cap(h.bytesIn) < n+1 {
-		h.bytesIn = make([]units.Bytes, n+1)
-		h.bytesOut = make([]units.Bytes, n+1)
-	}
-	h.bytesIn, h.bytesOut = h.bytesIn[:n+1], h.bytesOut[:n+1]
+	h.caps, h.used = zeroed(h.caps, n), zeroed(h.used, n)
+	h.bytesIn, h.bytesOut = zeroed(h.bytesIn, n+1), zeroed(h.bytesOut, n+1)
 	for i := range tiers {
 		h.caps[i] = int(tiers[i].CapacityBytes / h.chunkBytes)
-		h.used[i] = 0
-	}
-	for i := range h.bytesIn {
-		h.bytesIn[i], h.bytesOut[i] = 0, 0
 	}
 	if h.bySession != nil {
 		clear(h.bySession)
@@ -312,7 +299,7 @@ func (h *hierState) forget(req *reqState) {
 	if req.entry == 0 {
 		return
 	}
-	idx := req.entry - 1
+	idx := int(req.entry) - 1
 	if ent := &h.entries[idx]; !ent.dropped {
 		h.used[ent.tier] -= ent.chunks
 	}
@@ -413,11 +400,14 @@ func (e *Engine) offloadVictim(d *decodeUnit, req *reqState) bool {
 	if !h.on || e.cfg.Fleet.Colocated {
 		return false
 	}
-	idx, ok := e.tierStore(offEntry{req: req, tokens: req.ctx})
+	idx, ok := e.tierStore(offEntry{req: req, tokens: req.ctx()})
 	if !ok {
 		return false
 	}
-	req.entry = idx + 1
+	if idx >= math.MaxInt32 {
+		panic("servesim: offload entry index overflows reqState.entry")
+	}
+	req.entry = int32(idx) + 1
 	h.offloads++
 	d.pending.push(req)
 	return true
@@ -444,7 +434,7 @@ func (e *Engine) startReload(inst int, req *reqState) {
 	dur := e.tierXfer(ent.tier, ent.chunks, true)
 	h.reloadStall += (start - e.now) + dur
 	h.used[ent.tier] -= ent.chunks
-	h.freeEntry(req.entry - 1)
+	h.freeEntry(int(req.entry) - 1)
 	req.entry = 0
 	h.reloads++
 	d.reloads = append(d.reloads, req)
@@ -498,7 +488,7 @@ func (e *Engine) prefixStore(req *reqState) {
 		delete(h.bySession, req.Session)
 		h.freeEntry(old)
 	}
-	if idx, ok := e.tierStore(offEntry{session: req.Session, tokens: req.ctx}); ok {
+	if idx, ok := e.tierStore(offEntry{session: req.Session, tokens: req.ctx()}); ok {
 		h.bySession[req.Session] = idx
 	}
 }
@@ -535,7 +525,7 @@ func (e *Engine) tierStore(ent offEntry) (idx int, ok bool) {
 // which rebuild mid-generation state the cache does not hold) pay the
 // full prefill.
 func (e *Engine) prefillCost(req *reqState, commScale float64) units.Seconds {
-	full := req.ctxForPrefill()
+	full := req.ctx()
 	base := e.cfg.Latency.prefillTime(e.lc, full, commScale)
 	h := &e.hier
 	if !h.prefixOn || req.Session <= 0 || req.resumed {

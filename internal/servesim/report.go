@@ -136,10 +136,11 @@ type Report struct {
 	Timeline []TimelinePoint
 }
 
-// report assembles the Report after the event loop drains. The sample
-// vectors live in engine scratch and the percentile summaries reorder
-// them in place; only the Report itself (and its Timeline copy — the
-// sample buffer is recycled) is allocated.
+// report assembles the Report after the event loop drains. The latency
+// samples live in one engine scratch vector, filled in ID order for
+// TTFT, then refilled for TPOT, then for E2E; each percentile summary
+// reorders it in place. Only the Report itself (and its Timeline copy —
+// the sample buffer is recycled) is allocated.
 func (e *Engine) report() *Report {
 	r := &Report{
 		Requests:         len(e.arena),
@@ -187,48 +188,27 @@ func (e *Engine) report() *Report {
 	if len(e.samples) > 0 {
 		r.Timeline = append([]TimelinePoint(nil), e.samples...)
 	}
-	// One sample per completion at most: size the scratch once, since
-	// growing it by append on a fresh engine allocates several times its
-	// final size.
-	ttft := slices.Grow(e.ttft[:0], e.completed)
-	tpot := slices.Grow(e.tpot[:0], e.completed)
-	e2e := slices.Grow(e.e2e[:0], e.completed)
 	goodDone := e.goodDone[:0]
 	var lastArrival, lastDone units.Seconds
 	meetsSLO, nonFinite := 0, 0
 	healthyGood, healthyTot, faultedGood, faultedTot := 0, 0, 0, 0
-	// Completion order depends on scheduling; metrics are over the
-	// request population, so walk it in ID order for a canonical view:
-	// the arena index is the request ID. A request is completed by its
-	// arena entry or by a winning hedge clone, which lives outside the
-	// arena, carries the same ID and is the entry's twin; only one of
-	// the two copies ever completes.
 	for i := range e.arena {
-		req := &e.arena[i]
-		if !req.completed {
-			if req.twin == nil || !req.twin.completed {
-				continue
-			}
-			req = req.twin
+		req := e.completion(i)
+		if req == nil {
+			continue
 		}
-		t := req.firstToken - req.Arrival
-		ttft = append(ttft, t)
-		e2e = append(e2e, req.done-req.Arrival)
+		t, _ := ttftOf(req)
 		if !units.Finite(t) {
 			nonFinite++
 		}
-		if !units.Finite(req.done - req.Arrival) {
+		if e2e, _ := e2eOf(req); !units.Finite(e2e) {
 			nonFinite++
 		}
-		perTok := -1.0
-		if req.OutputTokens > 1 {
-			perTok = (req.done - req.firstToken) / float64(req.OutputTokens-1)
-			tpot = append(tpot, perTok)
-			if !units.Finite(perTok) {
-				nonFinite++
-			}
+		perTok, hasTPOT := tpotOf(req)
+		if hasTPOT && !units.Finite(perTok) {
+			nonFinite++
 		}
-		good := t <= e.cfg.SLO.TTFT && (perTok < 0 || perTok <= e.cfg.SLO.TPOT) && !req.corrupt
+		good := t <= e.cfg.SLO.TTFT && (!hasTPOT || perTok <= e.cfg.SLO.TPOT) && !req.corrupt
 		if good {
 			meetsSLO++
 			if len(e.incidents) > 0 {
@@ -289,11 +269,26 @@ func (e *Engine) report() *Report {
 		e.resolveRecovery(r.Incidents, goodDone, lastDone)
 	}
 	e.goodDone = goodDone[:0]
-	e.ttft, e.tpot, e.e2e = ttft[:0], tpot[:0], e2e[:0]
 	r.DroppedSamples = nonFinite
-	r.TTFT = stats.SummarizeInPlace(ttft)
-	r.TPOT = stats.SummarizeInPlace(tpot)
-	r.E2E = stats.SummarizeInPlace(e2e)
+	// One sample per completion at most: size the scratch once, since
+	// growing it by append on a fresh engine allocates several times its
+	// final size.
+	lat := slices.Grow(e.lat[:0], e.completed)
+	for _, m := range [...]struct {
+		sum    *stats.Summary
+		sample func(*reqState) (float64, bool)
+	}{{&r.TTFT, ttftOf}, {&r.TPOT, tpotOf}, {&r.E2E, e2eOf}} {
+		lat = lat[:0]
+		for i := range e.arena {
+			if req := e.completion(i); req != nil {
+				if v, ok := m.sample(req); ok {
+					lat = append(lat, v)
+				}
+			}
+		}
+		*m.sum = stats.SummarizeInPlace(lat)
+	}
+	e.lat = lat[:0]
 	if e.steps > 0 {
 		r.MeanBatch = float64(e.stepBatch) / float64(e.steps)
 	}
@@ -308,6 +303,37 @@ func (e *Engine) report() *Report {
 		r.MeanKVOccupancy = sum / float64(len(e.samples))
 	}
 	return r
+}
+
+// completion returns the copy that completed request i, or nil when the
+// request did not complete. Completion order depends on scheduling;
+// metrics are over the request population, so the report walks it in
+// ID order for a canonical view: the arena index is the request ID. A
+// request is completed by its arena entry or by a winning hedge clone,
+// which lives outside the arena, carries the same ID and is the entry's
+// twin; only one of the two copies ever completes.
+func (e *Engine) completion(i int) *reqState {
+	req := &e.arena[i]
+	if req.completed {
+		return req
+	}
+	if req.twin != nil && req.twin.completed {
+		return req.twin
+	}
+	return nil
+}
+
+// ttftOf, tpotOf and e2eOf are a completed request's latency samples;
+// TPOT is defined for requests with at least two output tokens.
+func ttftOf(req *reqState) (float64, bool) { return req.firstToken - req.Arrival, true }
+
+func e2eOf(req *reqState) (float64, bool) { return req.done - req.Arrival, true }
+
+func tpotOf(req *reqState) (float64, bool) {
+	if req.OutputTokens <= 1 {
+		return 0, false
+	}
+	return (req.done - req.firstToken) / float64(req.OutputTokens-1), true
 }
 
 // inDegraded reports whether any instance was down or draining at t.

@@ -146,33 +146,37 @@ func (h *eventHeap) reset() {
 	*h = (*h)[:0]
 }
 
-// reqState tracks one request through the pipeline. States live in an
-// engine-owned arena, fully re-initialized per run.
+// reqState tracks one request through the pipeline in 128 bytes, the
+// embedded Request included. States live in an engine-owned arena the
+// workload is generated straight into, fully re-initialized per run.
 type reqState struct {
 	Request
 	// generated counts emitted tokens (the prefill-produced first
 	// token included); remaining = OutputTokens - generated.
-	generated int
-	// ctx is the KV-resident context length (prompt + generated-1
-	// decode-written tokens, approximated as prompt + generated).
-	ctx   int
-	pages int
-	// resumed marks a preempted request re-running prefill to rebuild
-	// its KV (recompute); its first token was already emitted.
-	resumed   bool
-	preempted int
-	// retries counts crash-orphaning retries spent (MaxRetries budget).
-	retries    int
+	generated  int
+	pages      int
 	firstToken units.Seconds
 	done       units.Seconds
 	admitSeq   int // admission order on the decode instance (preemption priority)
-	// entry is 1 + the request's offEntry index while its KV lives in a
-	// below-HBM tier (0 = none).
-	entry int
 	// preemptMark carries the engine's step generation when this request
 	// was chosen as a preemption victim — the allocation-free stand-in
 	// for the per-step victim set.
 	preemptMark int
+	// Hedging state (hazard.go). twin links the two racing copies; inst
+	// is the decode instance the copy was last routed to (-1 before any
+	// hand-off) — the twin's routing anti-affinity.
+	twin *reqState
+	inst int
+	// retries counts crash-orphaning retries spent. It never exceeds
+	// Resilience.MaxRetries, which Validate caps at math.MaxInt32.
+	retries int32
+	// entry is 1 + the request's offEntry index while its KV lives in a
+	// below-HBM tier (0 = none). Live entries number at most one per
+	// request, hedge copy and session; offloadVictim checks the bound.
+	entry int32
+	// resumed marks a preempted request re-running prefill to rebuild
+	// its KV (recompute); its first token was already emitted.
+	resumed bool
 	// corrupt marks a response tainted by undetected silent data
 	// corruption (hazard.go); a corrupt completion never counts as
 	// SLO-good.
@@ -181,15 +185,10 @@ type reqState struct {
 	// entry itself or its winning hedge clone — so the report can walk
 	// the arena in ID order instead of sorting the completions.
 	completed bool
-	// Hedging state (hazard.go). isClone marks a speculative duplicate
-	// living outside the arena; twin links the two racing copies; hstate
-	// is the race state (hzNone..hzDone); inst is the decode instance
-	// the copy was last routed to (-1 before any hand-off) — the twin's
-	// routing anti-affinity.
+	// isClone marks a speculative duplicate living outside the arena;
+	// hstate is the race state (hzNone..hzDone).
 	isClone bool
 	hstate  int8
-	twin    *reqState
-	inst    int
 }
 
 func (r *reqState) remaining() int { return r.OutputTokens - r.generated }
@@ -256,9 +255,9 @@ type decodeUnit struct {
 // reset re-initializes the unit for a new run, keeping the batch-queue
 // buffers.
 func (d *decodeUnit) reset(kv kvPool) {
-	clearPtrs(d.active)
+	clear(d.active)
 	d.active = d.active[:0]
-	clearPtrs(d.reloads)
+	clear(d.reloads)
 	d.reloads = d.reloads[:0]
 	d.pending.reset()
 	d.kv = kv
@@ -268,10 +267,15 @@ func (d *decodeUnit) reset(kv kvPool) {
 	d.admitCounter = 0
 }
 
-func clearPtrs(rs []*reqState) {
-	for i := range rs {
-		rs[i] = nil
+// zeroed returns s resized to n zero elements, reusing its storage when
+// it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // fifo is a head-indexed FIFO of request states. Unlike the q = q[1:]
@@ -302,7 +306,7 @@ func (f *fifo) peek() *reqState { return f.buf[f.head] }
 func (f *fifo) len() int { return len(f.buf) - f.head }
 
 func (f *fifo) reset() {
-	clearPtrs(f.buf)
+	clear(f.buf)
 	f.buf = f.buf[:0]
 	f.head = 0
 }
@@ -323,8 +327,7 @@ type Engine struct {
 	seq    int
 	events eventHeap
 
-	reqs     []Request  // generated workload scratch
-	arena    []reqState // one entry per request, pointer-stable within a run
+	arena    []reqState // one entry per request in ID order, pointer-stable within a run
 	prefillQ fifo
 	prefills []unitState // empty when colocated
 	decodes  []decodeUnit
@@ -402,7 +405,7 @@ type Engine struct {
 	nextSample units.Seconds
 	sampleStep units.Seconds
 
-	ttft, tpot, e2e []float64 // report percentile scratch
+	lat []float64 // report percentile scratch: TTFT, then TPOT, then E2E
 }
 
 // workCounts are deterministic measures of a run's bookkeeping cost,
@@ -417,6 +420,7 @@ type workCounts struct {
 	// left out: they run once per sample tick, a bounded number of times
 	// per run, whatever the traffic.
 	scans int
+	kvOps int // KV page-pool tryAlloc and release calls
 }
 
 // faultSpan is one interval during which at least one instance was
@@ -450,8 +454,8 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 	if err := cfg.validateRun(w); err != nil {
 		return nil, err
 	}
-	e.reqs = w.generateInto(parallel.DeriveSeed(cfg.Seed, 0), e.reqs)
-	reqs := e.reqs
+	e.arena = generateInto(w, parallel.DeriveSeed(cfg.Seed, 0), e.arena, reqState{inst: -1},
+		func(r *reqState) *Request { return &r.Request })
 
 	// Seed-stream layout: 0 workload, 1 engine (MTP acceptance), 2/3
 	// the routing streams, 4 fault injection. Routing and fault draws
@@ -470,7 +474,7 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 	e.markGen = 0
 	e.prefillQ.reset()
 	e.completed = 0
-	clearPtrs(e.failed)
+	clear(e.failed)
 	e.failed = e.failed[:0]
 	e.shed, e.retries, e.retried, e.affected, e.kvLost = 0, 0, 0, 0, 0
 	e.downCount = 0
@@ -484,13 +488,10 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 		e.mtpFactor = cfg.MTP.StepCost()
 	}
 	nPrefill, nDecode := cfg.Fleet.shape()
-	if cap(e.prefills) < nPrefill {
-		e.prefills = make([]unitState, nPrefill)
-	}
-	e.prefills = e.prefills[:nPrefill]
+	e.prefills = zeroed(e.prefills, nPrefill)
 	e.idle.reset(nPrefill)
 	for i := range e.prefills {
-		e.prefills[i] = unitState{commScale: 1}
+		e.prefills[i].commScale = 1
 		e.idle.put(i, true)
 	}
 	if cap(e.decodes) < nDecode {
@@ -499,7 +500,7 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 		e.decodes = next
 	}
 	e.decodes = e.decodes[:nDecode]
-	kv := kvPool{total: cfg.KV.HBM.TotalPages(e.lc.kvPerToken), fleet: &e.kvUsed}
+	kv := kvPool{total: cfg.KV.HBM.TotalPages(e.lc.kvPerToken), fleet: &e.kvUsed, ops: &e.work.kvOps}
 	e.servable.reset(nDecode)
 	for i := range e.decodes {
 		e.decodes[i].reset(kv)
@@ -513,7 +514,7 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 	// Sample the batch/occupancy timeline on a horizon estimated from
 	// the offered traffic; sampling is clocked off event times only, so
 	// it never perturbs the simulation.
-	horizon := reqs[len(reqs)-1].Arrival + 1
+	horizon := e.arena[len(e.arena)-1].Arrival + 1
 	e.sampleStep = horizon / timelineSamples
 	if e.sampleStep <= 0 {
 		e.sampleStep = 1
@@ -521,14 +522,6 @@ func (e *Engine) Run(cfg Config, w Workload) (*Report, error) {
 	e.nextSample = e.sampleStep
 
 	e.events.reset()
-
-	if cap(e.arena) < len(reqs) {
-		e.arena = make([]reqState, len(reqs))
-	}
-	e.arena = e.arena[:len(reqs)]
-	for i := range reqs {
-		e.arena[i] = reqState{Request: reqs[i], inst: -1}
-	}
 
 	if plan := cfg.Resilience.Faults; plan != nil {
 		e.faultReseed(parallel.DeriveSeed(cfg.Seed, 4))
@@ -638,7 +631,6 @@ func (e *Engine) processEvent(ev *event) (stop bool, err error) {
 			break
 		}
 		req.resumed = req.generated > 0
-		req.ctx = req.ctxForPrefill()
 		e.trPhaseEnd(req)
 		e.trMark(req, obs.MarkRetry)
 		e.trPhaseBegin(req, obs.PhaseQueue, -1)
@@ -761,9 +753,12 @@ func (e *Engine) purgeLostHead() {
 	}
 }
 
-// ctxForPrefill is the context a (re-)prefill must process: the prompt
-// plus, after a preemption, every token generated so far (recompute).
-func (r *reqState) ctxForPrefill() int {
+// ctx is the request's context: the prompt plus every token generated
+// so far. Before the first token it is what a prefill processes; after a
+// preemption, what a recompute re-prefill rebuilds; once the first token
+// is out, the KV-resident context (prompt + generated-1 decode-written
+// tokens, approximated as prompt + generated).
+func (r *reqState) ctx() int {
 	return r.PromptTokens + r.generated
 }
 
@@ -807,7 +802,7 @@ func (e *Engine) prefillDone(ev *event) {
 	}
 	best := e.route(e.decodeRouter, &e.servable, e.decodes, e.twinSkip(req))
 	req.inst = best
-	transfer := e.cfg.Latency.kvBytesForContext(e.lc, req.ctx) / kvTransferBW
+	transfer := e.cfg.Latency.kvBytesForContext(e.lc, req.ctx()) / kvTransferBW
 	e.trPhaseBegin(req, obs.PhaseTransfer, best)
 	e.schedule(e.now+transfer, evDecodeLand, best, req)
 }
@@ -825,11 +820,9 @@ func (e *Engine) twinSkip(req *reqState) int {
 }
 
 func (e *Engine) emitFirstToken(req *reqState) {
-	req.ctx = req.ctxForPrefill()
 	if !req.resumed {
 		req.firstToken = e.now
 		req.generated = 1
-		req.ctx = req.PromptTokens + 1
 	}
 }
 
@@ -904,16 +897,14 @@ func (e *Engine) startStep(inst int) {
 				d.pending.pop()
 				e.hier.forget(req)
 				req.resumed = true
-				req.preempted++
 				e.preempts++
 				// The queue phase continues: the request rejoins the shared
 				// prefill queue without leaving the queued state.
 				e.trMark(req, obs.MarkPreempt)
-				req.ctx = req.ctxForPrefill()
 				e.prefillQ.push(req)
 				continue
 			}
-			pages := e.cfg.KV.HBM.PagesFor(req.ctx)
+			pages := e.cfg.KV.HBM.PagesFor(req.ctx())
 			if !d.kv.tryAlloc(pages) {
 				break
 			}
@@ -940,7 +931,7 @@ func (e *Engine) startStep(inst int) {
 
 	var attn batchAttention
 	for _, req := range d.active {
-		e.cfg.Latency.addContextC(e.lc, &attn, req.ctx)
+		e.cfg.Latency.addContextC(e.lc, &attn, req.ctx())
 	}
 	dt := e.cfg.Latency.decodeStepTime(e.lc, len(d.active), attn, d.commScale) * e.mtpFactor
 	if e.hz.on {
@@ -1014,9 +1005,7 @@ func (e *Engine) stepDone(inst int) error {
 				keep = append(keep, req)
 			}
 		}
-		for i := len(keep); i < len(d.active); i++ {
-			d.active[i] = nil
-		}
+		clear(d.active[len(keep):])
 		d.active = keep
 	}
 	if e.hz.on {
@@ -1050,7 +1039,6 @@ func (e *Engine) stepDone(inst int) error {
 		}
 		req.generated += emitted
 		e.stepTokens += emitted
-		req.ctx += emitted
 	}
 
 	unfinished := d.active[:0]
@@ -1063,9 +1051,7 @@ func (e *Engine) stepDone(inst int) error {
 			unfinished = append(unfinished, req)
 		}
 	}
-	for i := len(unfinished); i < len(d.active); i++ {
-		d.active[i] = nil
-	}
+	clear(d.active[len(unfinished):])
 	d.active = unfinished
 
 	// Victim bookkeeping rides on a per-step generation mark instead of
@@ -1078,7 +1064,7 @@ func (e *Engine) stepDone(inst int) error {
 		if req.preemptMark == gen {
 			continue
 		}
-		if need := e.cfg.KV.HBM.PagesFor(req.ctx) - req.pages; need > 0 {
+		if need := e.cfg.KV.HBM.PagesFor(req.ctx()) - req.pages; need > 0 {
 			for !d.kv.tryAlloc(need) {
 				victim := e.pickVictim(d, req, gen)
 				if victim == nil {
@@ -1124,20 +1110,16 @@ func (e *Engine) stepDone(inst int) error {
 				// request re-prefills prompt + generated tokens, then
 				// resumes.
 				req.resumed = true
-				req.preempted++
 				e.preempts++
 				e.trPhaseEnd(req)
 				e.trMark(req, obs.MarkPreempt)
 				e.trPhaseBegin(req, obs.PhaseQueue, -1)
-				req.ctx = req.ctxForPrefill()
 				e.prefillQ.push(req)
 			} else {
 				keep = append(keep, req)
 			}
 		}
-		for i := len(keep); i < len(d.active); i++ {
-			d.active[i] = nil
-		}
+		clear(d.active[len(keep):])
 		d.active = keep
 	}
 	e.startStep(inst)
@@ -1322,17 +1304,17 @@ func (e *Engine) takeDown(prefill bool, inst int, to healthState, traceKind, kin
 		// count as KV-resident context lost.
 		for _, req := range d.active {
 			inc.Orphaned++
-			inc.KVTokensLost += req.ctx
+			inc.KVTokensLost += req.ctx()
 			e.orphan(req)
 		}
-		clearPtrs(d.active)
+		clear(d.active)
 		d.active = d.active[:0]
 		for _, req := range d.reloads {
 			inc.Orphaned++
-			inc.KVTokensLost += req.ctx
+			inc.KVTokensLost += req.ctx()
 			e.orphan(req)
 		}
-		clearPtrs(d.reloads)
+		clear(d.reloads)
 		d.reloads = d.reloads[:0]
 		for d.pending.len() > 0 {
 			// Landed requests hold no pages yet; they are affected but
@@ -1347,7 +1329,7 @@ func (e *Engine) takeDown(prefill bool, inst int, to healthState, traceKind, kin
 	if req := u.prefill; req != nil {
 		// Partially built prefill KV counts as lost.
 		inc.Orphaned++
-		inc.KVTokensLost += req.ctxForPrefill()
+		inc.KVTokensLost += req.ctx()
 		e.orphan(req)
 		u.prefill = nil
 	}
@@ -1376,14 +1358,14 @@ func (e *Engine) orphan(req *reqState) {
 	e.affected++
 	e.trPhaseEnd(req)
 	e.trMark(req, obs.MarkOrphan)
-	if req.retries < e.cfg.Resilience.MaxRetries {
+	if int(req.retries) < e.cfg.Resilience.MaxRetries {
 		if req.retries == 0 {
 			e.retried++
 		}
 		req.retries++
 		e.retries++
 		e.trPhaseBegin(req, obs.PhaseBackoff, -1)
-		e.schedule(e.now+retryDelay(req.retries), evRetry, 0, req)
+		e.schedule(e.now+retryDelay(int(req.retries)), evRetry, 0, req)
 		return
 	}
 	// Retry budget exhausted. A copy whose twin still races is absorbed

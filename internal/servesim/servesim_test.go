@@ -267,13 +267,16 @@ func TestKVConfigPaging(t *testing.T) {
 	if want := int((1 << 30) / wantPage); total != want {
 		t.Errorf("TotalPages = %d, want %d", total, want)
 	}
-	p := &kvPool{total: total, fleet: new(int)}
+	p := &kvPool{total: total, fleet: new(int), ops: new(int)}
 	if !p.tryAlloc(total) || p.tryAlloc(1) || *p.fleet != total {
 		t.Error("pool over- or under-allocates")
 	}
 	p.release(total)
 	if p.used != 0 || p.free() != total || *p.fleet != 0 {
 		t.Errorf("release did not restore pool: %+v", p)
+	}
+	if *p.ops != 3 {
+		t.Errorf("page-op counter = %d after two tryAlloc calls and one release, want 3", *p.ops)
 	}
 }
 

@@ -263,28 +263,45 @@ func (w Workload) maxContextTokens() int {
 // same traffic; traces are returned as a sorted copy with IDs
 // renumbered in arrival order.
 func (w Workload) Generate(seed int64) []Request {
-	return w.generateInto(seed, nil)
+	return generateInto(w, seed, nil, Request{}, func(r *Request) *Request { return r })
 }
 
-// generateInto is Generate into a reusable buffer (contents are fully
-// overwritten; grown only when capacity falls short). The engine feeds
-// its own scratch through here so steady-state runs allocate no request
-// slice.
-func (w Workload) generateInto(seed int64, buf []Request) []Request {
+// generateInto is Generate into a reusable buffer of any element that
+// carries a Request, reached through req: every element is overwritten
+// with blank, then its Request is filled in (buf is grown only when its
+// capacity falls short). The engine generates straight into its
+// reqState arena through here, so a run holds each request once and a
+// steady-state run allocates no request slice.
+func generateInto[T any](w Workload, seed int64, buf []T, blank T, req func(*T) *Request) []T {
+	n := w.Requests
 	if w.Arrival == ArrivalTrace {
-		out := append(buf[:0], w.Trace...)
-		sort.SliceStable(out, func(i, j int) bool { return out[i].Arrival < out[j].Arrival })
+		n = len(w.Trace)
+	}
+	out := buf[:0]
+	if cap(out) < n {
+		out = make([]T, 0, n)
+	}
+	add := func(r Request) {
+		out = append(out, blank)
+		*req(&out[len(out)-1]) = r
+	}
+	// sorted orders the stream by arrival, stably, and renumbers the IDs
+	// in that order.
+	sorted := func() []T {
+		sort.SliceStable(out, func(i, j int) bool { return req(&out[i]).Arrival < req(&out[j]).Arrival })
 		for i := range out {
-			out[i].ID = i
+			req(&out[i]).ID = i
 		}
 		return out
 	}
+	if w.Arrival == ArrivalTrace {
+		for _, r := range w.Trace {
+			add(r)
+		}
+		return sorted()
+	}
 	rng := parallel.NewRand(seed)
 	step := w.arrivalStepper(rng)
-	out := buf[:0]
-	if cap(out) < w.Requests {
-		out = make([]Request, 0, w.Requests)
-	}
 	if w.Turns > 1 {
 		// Multi-turn sessions: the arrival process paces session starts;
 		// each turn's prompt carries the full prior context plus a fresh
@@ -304,7 +321,7 @@ func (w Workload) generateInto(seed int64, buf []Request) []Request {
 				}
 				prompt := ctx + w.Prompt.Sample(rng)
 				output := w.Output.Sample(rng)
-				out = append(out, Request{
+				add(Request{
 					Arrival:      at,
 					PromptTokens: prompt,
 					OutputTokens: output,
@@ -314,16 +331,12 @@ func (w Workload) generateInto(seed int64, buf []Request) []Request {
 				ctx = prompt + output
 			}
 		}
-		sort.SliceStable(out, func(i, j int) bool { return out[i].Arrival < out[j].Arrival })
-		for i := range out {
-			out[i].ID = i
-		}
-		return out
+		return sorted()
 	}
 	var t units.Seconds
 	for i := 0; i < w.Requests; i++ {
 		t = step(t)
-		out = append(out, Request{
+		add(Request{
 			ID:           i,
 			Arrival:      t,
 			PromptTokens: w.Prompt.Sample(rng),
@@ -408,11 +421,11 @@ func ParseTrace(r io.Reader) ([]Request, error) {
 		if arr < 0 || !units.Finite(arr) {
 			return nil, fmt.Errorf("servesim: trace line %d: arrival must be finite and non-negative, got %v", line, arr)
 		}
-		if prompt < 0 {
-			return nil, fmt.Errorf("servesim: trace line %d: negative prompt tokens %d", line, prompt)
+		if prompt <= 0 {
+			return nil, fmt.Errorf("servesim: trace line %d: prompt tokens must be positive, got %d", line, prompt)
 		}
-		if output < 0 {
-			return nil, fmt.Errorf("servesim: trace line %d: negative output tokens %d", line, output)
+		if output <= 0 {
+			return nil, fmt.Errorf("servesim: trace line %d: output tokens must be positive, got %d", line, output)
 		}
 		out = append(out, Request{ID: len(out), Arrival: arr, PromptTokens: prompt, OutputTokens: output})
 	}

@@ -169,7 +169,7 @@ func TestParseTrace(t *testing.T) {
 	if len(reqs) != 2 || reqs[0].PromptTokens != 128 || reqs[1].Arrival != 1.5 || reqs[1].OutputTokens != 64 {
 		t.Errorf("parsed %+v", reqs)
 	}
-	for _, bad := range []string{"1.0,2", "x,1,2", "1,1.5,2", "1,2,z", "NaN,100,20", "+Inf,100,20"} {
+	for _, bad := range []string{"1.0,2", "x,1,2", "1,1.5,2", "1,2,z", "NaN,100,20", "+Inf,100,20", "0.5,0,10", "0.5,100,0"} {
 		if _, err := ParseTrace(strings.NewReader(bad)); err == nil {
 			t.Errorf("ParseTrace(%q) succeeded, want error", bad)
 		}

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Allocation-regression smoke: run the allocation-sensitive benchmarks
 # three times each (-benchtime=1x -count=3 -benchmem) and fail if the
-# lowest allocs/op a benchmark reports exceeds its pinned budget. ns/op
-# at 1x is meaningless noise — only the allocation counts are checked.
-# Those are a process-wide MemStats delta, so a stray allocation from
-# another goroutine (the runtime, the test framework) can be charged to
-# one run; it only ever adds, so the minimum never reads below the true
-# count, while a real regression shows in every run. The gate is cheap
-# enough for every CI run.
+# lowest allocs/op a benchmark reports exceeds its pinned budget, or,
+# for a row with a third column, the lowest B/op exceeds that byte
+# budget. ns/op at 1x is meaningless noise — only the allocation figures
+# are checked. Those are a process-wide MemStats delta, so a stray
+# allocation from another goroutine (the runtime, the test framework)
+# can be charged to one run; it only ever adds, so the minimum never
+# reads below the true figure, while a real regression shows in every
+# run. The gate is cheap enough for every CI run.
 #
 # The budgets below, and why each holds, are documented in DESIGN.md's
 # "Pinned allocation budgets" table; TestAllocBudgetsMatchDesign fails
@@ -24,6 +25,7 @@ BenchmarkServeEngineTraced 20
 BenchmarkServeEngineHazard 8
 BenchmarkServeFleet 12
 BenchmarkServeFleetWide 12
+BenchmarkServeFleetCold 3150 7500000
 BenchmarkEventQueue/heap/n=100000 0
 BenchmarkEventQueue/heap/n=1000000 0
 "
@@ -34,11 +36,16 @@ out="$(go test -run=NONE -bench="^(${pattern})\$" -benchmem -benchtime=1x -count
 echo "$out"
 
 status=0
-while read -r name budget; do
+# lowest <unit> reading of the named benchmark across its runs
+lowest() {
+  awk -v n="$1" -v u="$2" '$1 ~ "^"n"(-[0-9]+)?$" {
+    for (i = 2; i <= NF; i++) if ($i == u && (min == "" || $(i-1) < min)) min = $(i-1)
+  } END { print min }' <<<"$out"
+}
+
+while read -r name budget bytes; do
   [ -z "$name" ] && continue
-  allocs="$(awk -v n="$name" '$1 ~ "^"n"(-[0-9]+)?$" {
-    for (i = 2; i <= NF; i++) if ($i == "allocs/op" && (min == "" || $(i-1) < min)) min = $(i-1)
-  } END { print min }' <<<"$out")"
+  allocs="$(lowest "$name" allocs/op)"
   if [ -z "$allocs" ]; then
     echo "FAIL: $name did not run (pattern or -benchmem problem)" >&2
     status=1
@@ -49,6 +56,14 @@ while read -r name budget; do
     status=1
   else
     echo "OK: $name $allocs allocs/op (budget $budget)"
+  fi
+  [ -z "$bytes" ] && continue
+  used="$(lowest "$name" B/op)"
+  if [ "$used" -gt "$bytes" ]; then
+    echo "FAIL: $name reports $used B/op, budget is $bytes" >&2
+    status=1
+  else
+    echo "OK: $name $used B/op (budget $bytes)"
   fi
 done <<<"$budgets"
 
