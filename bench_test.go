@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"dsv3/internal/cluster"
+	"dsv3/internal/collective"
 	"dsv3/internal/experiments"
 	"dsv3/internal/moe"
 	"dsv3/internal/pipeline"
@@ -80,6 +81,24 @@ func BenchmarkFlowSimAllToAll32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := AllToAll(c, 32, 1*units.GiB, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAllToAll128Cold is one 128-GPU MPFT all-to-all from nothing:
+// each op builds a fresh cluster, so its plane-path cache starts empty,
+// and runs the collective on a fresh scratch, so the path sets and every
+// Simulate table are charged. scripts/alloc_gate.sh pins its allocs/op
+// and B/op.
+func BenchmarkAllToAll128Cold(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c, err := cluster.Build(H800Config(16, MPFT))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := collective.NewScratch().AllToAll(c, 128, 1*units.GiB, collective.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -99,32 +99,27 @@ type Cluster struct {
 	// GPU[n][g] is the graph node ID of GPU g on host n (endpoints).
 	GPU [][]int
 
-	nvsw      []int   // [node]
-	nic       [][]int // [node][plane]
-	leaf      [][]int // [plane][leafIdx]
-	planes    int
-	leafCount int // leaves per plane
+	planes int
+	port   [][]port // [node][gpu]
+	// leafUp[plane][leafIdx][s] is the uplink to the leaf's s-th spine
+	// (plane-local spines for MPFT; all shared spines for MRFT), and
+	// leafDown the matching down link into the leaf.
+	leafUp, leafDown [][][]int32
 
-	gpuToNVSw [][]int // link IDs [node][gpu]
-	nvswToGPU [][]int
-	gpuToNIC  [][]int // [node][plane]
-	nicToGPU  [][]int
-	nicToLeaf [][]int // [node][plane]
-	leafToNIC [][]int
-	// leafUp[plane][leafIdx] lists uplink link IDs, one per reachable
-	// spine (plane-local spines for MPFT; all shared spines for MRFT).
-	leafUp [][][]int
-	// spineDown[(spineNode,leafNode)] is the matching down link.
-	spineDown map[[2]int]int
-
-	// pathMu guards the lazily built PlanePaths cache. Path
-	// construction is pure, so caching keyed by the (src, dst, plane)
-	// coordinates makes repeated collective/EP traffic generation on a
-	// shared cluster allocation-free after warm-up. Cached slices are
-	// shared: callers must treat returned paths as immutable.
+	// pathMu guards the lazily built PlanePaths cache, keyed by the
+	// (a, i, b, j, plane) coordinates packed into one int. Path
+	// construction is pure, so caching makes repeated collective/EP
+	// traffic generation on a shared cluster allocation-free after
+	// warm-up. A stored set is never written again, so readers may use
+	// it while another goroutine adds sets.
 	pathMu sync.RWMutex
-	paths  map[[5]int][][]int
+	paths  map[int]topology.PathSet
 }
+
+// port holds the link IDs around GPU g of one host: to and from the
+// NVSwitch, to and from NIC g, and NIC g's up and down links to its
+// plane-g leaf.
+type port struct{ toNVSw, fromNVSw, toNIC, fromNIC, up, down int32 }
 
 // Build constructs the cluster graph.
 func Build(cfg Config) (*Cluster, error) {
@@ -135,24 +130,21 @@ func Build(cfg Config) (*Cluster, error) {
 	leafCount := (cfg.Nodes + cfg.NICsPerLeaf - 1) / cfg.NICsPerLeaf
 
 	c := &Cluster{
-		Cfg:       cfg,
-		G:         topology.NewGraph(),
-		planes:    planes,
-		leafCount: leafCount,
-		spineDown: make(map[[2]int]int),
-		paths:     make(map[[5]int][][]int),
+		Cfg:    cfg,
+		G:      topology.NewGraph(),
+		planes: planes,
+		paths:  make(map[int]topology.PathSet),
 	}
 	g := c.G
 
 	// Spines. MPFT: SpinesPerPlane per plane, isolated. MRFT: one shared
 	// pool of planes*SpinesPerPlane spines; leaf uplink capacity is
 	// divided across them so aggregate uplink bandwidth matches MPFT.
-	var spineIDs [][]int // [plane] -> spine node IDs reachable from that plane's leaves
+	spineIDs := make([][]int, planes) // [plane] -> spine node IDs reachable from that plane's leaves
 	uplinkCap := cfg.Net.SwitchLinkCap
 	switch cfg.Fabric {
 	case MPFT:
-		spineIDs = make([][]int, planes)
-		for p := 0; p < planes; p++ {
+		for p := range spineIDs {
 			for s := 0; s < cfg.SpinesPerPlane; s++ {
 				id := g.AddNode(topology.Switch, fmt.Sprintf("spine-p%d-%d", p, s), 2, p)
 				spineIDs[p] = append(spineIDs[p], id)
@@ -163,8 +155,7 @@ func Build(cfg Config) (*Cluster, error) {
 		for s := 0; s < planes*cfg.SpinesPerPlane; s++ {
 			shared = append(shared, g.AddNode(topology.Switch, fmt.Sprintf("spine-%d", s), 2, -1))
 		}
-		spineIDs = make([][]int, planes)
-		for p := 0; p < planes; p++ {
+		for p := range spineIDs {
 			spineIDs[p] = shared
 		}
 		uplinkCap = cfg.Net.SwitchLinkCap / float64(planes)
@@ -173,18 +164,18 @@ func Build(cfg Config) (*Cluster, error) {
 	}
 
 	// Leaves.
-	c.leaf = make([][]int, planes)
-	c.leafUp = make([][][]int, planes)
+	leaf := make([][]int, planes) // [plane][leafIdx] node IDs
+	c.leafUp, c.leafDown = make([][][]int32, planes), make([][][]int32, planes)
 	for p := 0; p < planes; p++ {
-		c.leaf[p] = make([]int, leafCount)
-		c.leafUp[p] = make([][]int, leafCount)
+		leaf[p] = make([]int, leafCount)
+		c.leafUp[p], c.leafDown[p] = make([][]int32, leafCount), make([][]int32, leafCount)
 		for l := 0; l < leafCount; l++ {
 			id := g.AddNode(topology.Switch, fmt.Sprintf("leaf-p%d-%d", p, l), 1, p)
-			c.leaf[p][l] = id
+			leaf[p][l] = id
 			for _, sp := range spineIDs[p] {
 				up, down := g.AddDuplex(id, sp, uplinkCap, cfg.Net.SwitchHopLat)
 				c.leafUp[p][l] = append(c.leafUp[p][l], up)
-				c.spineDown[[2]int{sp, id}] = down
+				c.leafDown[p][l] = append(c.leafDown[p][l], down)
 			}
 		}
 	}
@@ -192,32 +183,22 @@ func Build(cfg Config) (*Cluster, error) {
 	// Hosts: GPUs, NVSwitch, NICs.
 	for n := 0; n < cfg.Nodes; n++ {
 		nvsw := g.AddNode(topology.Switch, fmt.Sprintf("nvsw-%d", n), 0, -1)
-		c.nvsw = append(c.nvsw, nvsw)
 		gpus := make([]int, cfg.GPUsPerNode)
-		nics := make([]int, planes)
-		g2n, n2g := make([]int, cfg.GPUsPerNode), make([]int, cfg.GPUsPerNode)
-		g2nic, nic2g := make([]int, planes), make([]int, planes)
-		nicUp, nicDn := make([]int, planes), make([]int, planes)
-		for i := 0; i < cfg.GPUsPerNode; i++ {
+		ports := make([]port, cfg.GPUsPerNode)
+		for i := range ports {
+			p := &ports[i]
 			gpu := g.AddNode(topology.Endpoint, fmt.Sprintf("gpu-%d-%d", n, i), 0, i)
 			gpus[i] = gpu
-			g2n[i], n2g[i] = g.AddDuplex(gpu, nvsw, cfg.NVLinkCap, cfg.NVLinkLat)
+			p.toNVSw, p.fromNVSw = g.AddDuplex(gpu, nvsw, cfg.NVLinkCap, cfg.NVLinkLat)
 
 			nic := g.AddNode(topology.Switch, fmt.Sprintf("nic-%d-%d", n, i), 0, i)
-			nics[i] = nic
 			// GPU->NIC is PCIe/direct; not the bottleneck, so line rate.
-			g2nic[i], nic2g[i] = g.AddDuplex(gpu, nic, cfg.Net.EndpointLinkCap, 0)
+			p.toNIC, p.fromNIC = g.AddDuplex(gpu, nic, cfg.Net.EndpointLinkCap, 0)
 			leafIdx := n / cfg.NICsPerLeaf
-			nicUp[i], nicDn[i] = g.AddDuplex(nic, c.leaf[i][leafIdx], cfg.Net.EndpointLinkCap, cfg.Net.EndpointLinkLat)
+			p.up, p.down = g.AddDuplex(nic, leaf[i][leafIdx], cfg.Net.EndpointLinkCap, cfg.Net.EndpointLinkLat)
 		}
 		c.GPU = append(c.GPU, gpus)
-		c.nic = append(c.nic, nics)
-		c.gpuToNVSw = append(c.gpuToNVSw, g2n)
-		c.nvswToGPU = append(c.nvswToGPU, n2g)
-		c.gpuToNIC = append(c.gpuToNIC, g2nic)
-		c.nicToGPU = append(c.nicToGPU, nic2g)
-		c.nicToLeaf = append(c.nicToLeaf, nicUp)
-		c.leafToNIC = append(c.leafToNIC, nicDn)
+		c.port = append(c.port, ports)
 	}
 	return c, nil
 }
@@ -243,51 +224,45 @@ func (c *Cluster) RankOf(rank int) (node, gpu int) {
 // NumRanks returns the total GPU count.
 func (c *Cluster) NumRanks() int { return c.Cfg.Nodes * c.Cfg.GPUsPerNode }
 
-// NVLinkPath returns the intra-node path GPU i -> GPU j on a host.
-func (c *Cluster) NVLinkPath(node, i, j int) []int {
-	if i == j {
-		return nil
-	}
-	return []int{c.gpuToNVSw[node][i], c.nvswToGPU[node][j]}
-}
-
 // PlanePaths returns the paths from GPU (a,i) to GPU (b,j) through
 // NIC plane plane: NVLink to the plane's local GPU when i != plane, the
 // plane's fabric, then NVLink at the receiver when plane != j. One path
 // per spine slot is returned for multipathing; same-leaf pairs have
-// exactly one, and same-host pairs take the single NVLink path whatever
-// the plane. The choice of plane names the route: plane = j is NCCL's
-// sender-side PXN, plane = i is DeepEP's receiver-side forwarding, and
-// any other surviving plane is the detour around a failed one (§5.1.1,
-// Figure 4). The result is cached and must not be mutated.
-func (c *Cluster) PlanePaths(a, i, b, j, plane int) [][]int {
+// exactly one, and same-host pairs take the single NVLink path (empty
+// when i == j) whatever the plane. The choice of plane names the route:
+// plane = j is NCCL's sender-side PXN, plane = i is DeepEP's
+// receiver-side forwarding, and any other surviving plane is the detour
+// around a failed one (§5.1.1, Figure 4). The set is cached and shared.
+func (c *Cluster) PlanePaths(a, i, b, j, plane int) topology.PathSet {
 	if a == b {
 		plane = j // intra-host traffic never reaches a plane
 	}
-	key := [5]int{a, i, b, j, plane}
+	key := (((a*c.planes+i)*c.Cfg.Nodes+b)*c.planes+j)*c.planes + plane
 	c.pathMu.RLock()
 	p, ok := c.paths[key]
 	c.pathMu.RUnlock()
 	if ok {
 		return p
 	}
-	if a == b {
-		p = [][]int{c.NVLinkPath(a, i, j)}
-	} else {
-		p = c.fanOut(a, i, b, j, plane)
-	}
+	p = c.fanOut(a, i, b, j, plane)
 	c.pathMu.Lock()
 	c.paths[key] = p
 	c.pathMu.Unlock()
 	return p
 }
 
-// fanOut builds the cross-host PlanePaths set: one path per spine slot,
-// or the single same-leaf path. Each path is built in exactly one
-// allocation of exactly its hop count, since path construction
-// populates the cluster's cache and the first big sweep on a fresh
-// cluster builds hundreds of thousands of these.
-func (c *Cluster) fanOut(a, i, b, j, plane int) [][]int {
+// fanOut builds one PlanePaths set in a single allocation of exactly
+// its links — one path per spine slot, or the single same-leaf or
+// NVLink path — since path construction populates the cluster's cache
+// and the first big sweep on a fresh cluster builds tens of thousands
+// of these sets.
+func (c *Cluster) fanOut(a, i, b, j, plane int) topology.PathSet {
+	if a == b {
+		if i == j {
+			return topology.PathSet{}
+		}
+		return topology.PathSet{Links: []int32{c.port[a][i].toNVSw, c.port[a][j].fromNVSw}, Hops: 2}
+	}
 	leafA, leafB := c.LeafOf(a), c.LeafOf(b)
 	slots, hops := 1, 4 // GPU->NIC, NIC->leaf, leaf->NIC, NIC->GPU
 	if leafA != leafB {
@@ -299,22 +274,20 @@ func (c *Cluster) fanOut(a, i, b, j, plane int) [][]int {
 	if plane != j {
 		hops += 2
 	}
-	paths := make([][]int, 0, slots)
+	src, dst := &c.port[a][plane], &c.port[b][plane]
+	p := make([]int32, 0, slots*hops)
 	for s := 0; s < slots; s++ {
-		p := make([]int, 0, hops)
 		if i != plane {
-			p = append(p, c.gpuToNVSw[a][i], c.nvswToGPU[a][plane])
+			p = append(p, c.port[a][i].toNVSw, src.fromNVSw)
 		}
-		p = append(p, c.gpuToNIC[a][plane], c.nicToLeaf[a][plane])
+		p = append(p, src.toNIC, src.up)
 		if leafA != leafB {
-			up := c.leafUp[plane][leafA][s]
-			p = append(p, up, c.spineDown[[2]int{c.G.Links[up].To, c.leaf[plane][leafB]}])
+			p = append(p, c.leafUp[plane][leafA][s], c.leafDown[plane][leafB][s])
 		}
-		p = append(p, c.leafToNIC[b][plane], c.nicToGPU[b][plane])
+		p = append(p, dst.down, dst.fromNIC)
 		if plane != j {
-			p = append(p, c.gpuToNVSw[b][plane], c.nvswToGPU[b][j])
+			p = append(p, dst.toNVSw, c.port[b][j].fromNVSw)
 		}
-		paths = append(paths, p)
 	}
-	return paths
+	return topology.PathSet{Links: p, Hops: int32(hops)}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -44,12 +45,13 @@ func TestRankMapping(t *testing.T) {
 
 func TestNVLinkPath(t *testing.T) {
 	c, _ := Build(H800Config(1, MPFT))
-	p := c.NVLinkPath(0, 0, 3)
-	if len(p) != 2 {
-		t.Fatalf("NVLink path should be 2 links, got %d", len(p))
+	set := c.PlanePaths(0, 0, 0, 3, 5)
+	if set.Len() != 1 || set.Hops != 2 {
+		t.Fatalf("NVLink set should be one 2-link path, got %d of %d", set.Len(), set.Hops)
 	}
-	if c.NVLinkPath(0, 2, 2) != nil {
-		t.Error("self NVLink path should be nil")
+	p := set.Path(0)
+	if self := c.PlanePaths(0, 2, 0, 2, 2); self.Hops != 0 || self.Links != nil {
+		t.Error("self NVLink path should be empty")
 	}
 	// Path endpoints: GPU0 -> NVSwitch -> GPU3.
 	g := c.G
@@ -58,7 +60,16 @@ func TestNVLinkPath(t *testing.T) {
 	}
 }
 
-func pathEnds(t *testing.T, c *Cluster, path []int, wantFrom, wantTo int) {
+// split returns a path set's paths, one slice each.
+func split(set topology.PathSet) [][]int32 {
+	paths := make([][]int32, set.Len())
+	for k := range paths {
+		paths[k] = set.Path(k)
+	}
+	return paths
+}
+
+func pathEnds(t *testing.T, c *Cluster, path []int32, wantFrom, wantTo int) {
 	t.Helper()
 	if len(path) == 0 {
 		t.Fatal("empty path")
@@ -79,7 +90,7 @@ func pathEnds(t *testing.T, c *Cluster, path []int, wantFrom, wantTo int) {
 
 func TestPXNPathsSameNode(t *testing.T) {
 	c, _ := Build(H800Config(2, MPFT))
-	paths := c.PlanePaths(0, 1, 0, 5, 5)
+	paths := split(c.PlanePaths(0, 1, 0, 5, 5))
 	if len(paths) != 1 {
 		t.Fatalf("same-node should have 1 path, got %d", len(paths))
 	}
@@ -89,7 +100,7 @@ func TestPXNPathsSameNode(t *testing.T) {
 func TestPXNPathsSameLeafCrossNode(t *testing.T) {
 	// Nodes 0 and 1 share a leaf (NICsPerLeaf=4).
 	c, _ := Build(H800Config(2, MPFT))
-	paths := c.PlanePaths(0, 2, 1, 6, 6)
+	paths := split(c.PlanePaths(0, 2, 1, 6, 6))
 	if len(paths) != 1 {
 		t.Fatalf("same-leaf pair should have 1 path, got %d", len(paths))
 	}
@@ -98,7 +109,7 @@ func TestPXNPathsSameLeafCrossNode(t *testing.T) {
 	// check it passes through NIC (0,6).
 	sawNIC := false
 	for _, lid := range paths[0] {
-		if c.G.Links[lid].From == c.nic[0][6] || c.G.Links[lid].To == c.nic[0][6] {
+		if c.G.Links[lid].From == nodeID(c, "nic-0-6") || c.G.Links[lid].To == nodeID(c, "nic-0-6") {
 			sawNIC = true
 		}
 	}
@@ -113,7 +124,7 @@ func TestPXNPathsCrossLeafFanOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths := c.PlanePaths(0, 0, 5, 0, 0)
+	paths := split(c.PlanePaths(0, 0, 5, 0, 0))
 	if len(paths) != cfg.SpinesPerPlane {
 		t.Fatalf("cross-leaf paths = %d, want %d (one per spine)", len(paths), cfg.SpinesPerPlane)
 	}
@@ -124,7 +135,7 @@ func TestPXNPathsCrossLeafFanOut(t *testing.T) {
 
 func TestForwardPathsReceiverSide(t *testing.T) {
 	c, _ := Build(H800Config(2, MPFT))
-	paths := c.PlanePaths(0, 3, 1, 7, 3)
+	paths := split(c.PlanePaths(0, 3, 1, 7, 3))
 	if len(paths) != 1 {
 		t.Fatalf("same-leaf: 1 path, got %d", len(paths))
 	}
@@ -133,7 +144,7 @@ func TestForwardPathsReceiverSide(t *testing.T) {
 	// the destination host.
 	sawSrcNIC := false
 	for _, lid := range paths[0] {
-		if c.G.Links[lid].From == c.nic[0][3] {
+		if c.G.Links[lid].From == nodeID(c, "nic-0-3") {
 			sawSrcNIC = true
 		}
 	}
@@ -152,7 +163,7 @@ func TestPlanePathsCrossLeafDetour(t *testing.T) {
 		t.Fatal(err)
 	}
 	const plane = 3
-	paths := c.PlanePaths(0, 1, 5, 6, plane)
+	paths := split(c.PlanePaths(0, 1, 5, 6, plane))
 	if len(paths) != cfg.SpinesPerPlane {
 		t.Fatalf("cross-leaf paths = %d, want %d (one per spine)", len(paths), cfg.SpinesPerPlane)
 	}
@@ -161,7 +172,7 @@ func TestPlanePathsCrossLeafDetour(t *testing.T) {
 		pathEnds(t, c, p, c.GPUID(0, 1), c.GPUID(5, 6))
 		for _, lid := range p {
 			n := c.G.Nodes[c.G.Links[lid].To]
-			if n.ID == c.nvsw[0] || n.ID == c.nvsw[5] || n.Kind == topology.Endpoint {
+			if n.ID == nodeID(c, "nvsw-0") || n.ID == nodeID(c, "nvsw-5") || n.Kind == topology.Endpoint {
 				continue
 			}
 			if n.Plane != plane {
@@ -174,6 +185,107 @@ func TestPlanePathsCrossLeafDetour(t *testing.T) {
 	}
 	if len(spines) != cfg.SpinesPerPlane {
 		t.Errorf("paths cross %d distinct spines, want %d", len(spines), cfg.SpinesPerPlane)
+	}
+}
+
+// nodeID returns the ID of the graph node with the given label.
+func nodeID(c *Cluster, label string) int {
+	for _, n := range c.G.Nodes {
+		if n.Label == label {
+			return n.ID
+		}
+	}
+	return -1
+}
+
+// refPlanePaths rebuilds a PlanePaths set hop by hop from the graph
+// alone, one []int per path: it lists the route's nodes by label (for
+// a cross-leaf route, once per spine the plane's leaves reach, in node
+// order) and looks each hop's link up by its two ends.
+func refPlanePaths(c *Cluster, nodes map[string]int, links map[[2]int]int, a, i, b, j, plane int) [][]int {
+	node := func(format string, args ...any) int { return nodes[fmt.Sprintf(format, args...)] }
+	nvsw := func(host int) int { return node("nvsw-%d", host) }
+	nic := func(host int) int { return node("nic-%d-%d", host, plane) }
+	leaf := func(host int) int { return node("leaf-p%d-%d", plane, c.LeafOf(host)) }
+	route := func(nodes ...int) []int {
+		var p []int
+		for k := 1; k < len(nodes); k++ {
+			p = append(p, links[[2]int{nodes[k-1], nodes[k]}])
+		}
+		return p
+	}
+	src, dst := c.GPUID(a, i), c.GPUID(b, j)
+	if a == b {
+		if i == j {
+			return [][]int{nil}
+		}
+		return [][]int{route(src, nvsw(a), dst)}
+	}
+	head := []int{src}
+	if i != plane {
+		head = append(head, nvsw(a), c.GPUID(a, plane))
+	}
+	head = append(head, nic(a), leaf(a))
+	tail := []int{leaf(b), nic(b), c.GPUID(b, plane)}
+	if plane != j {
+		tail = append(tail, nvsw(b), dst)
+	}
+	if c.LeafOf(a) == c.LeafOf(b) {
+		return [][]int{route(append(head, tail[1:]...)...)}
+	}
+	var paths [][]int
+	for _, n := range c.G.Nodes {
+		if n.Level == 2 && (n.Plane == plane || n.Plane == -1) {
+			nodes := append(append(append([]int(nil), head...), n.ID), tail...)
+			paths = append(paths, route(nodes...))
+		}
+	}
+	return paths
+}
+
+// Every PlanePaths set — same host, same leaf and cross leaf, on both
+// fabrics, through every plane — equals, link for link, the hop-by-hop
+// reference built from the graph.
+func TestPlanePathsMatchHopByHop(t *testing.T) {
+	for _, kind := range []FabricKind{MPFT, MRFT} {
+		cfg := H800Config(4, kind)
+		cfg.NICsPerLeaf = 2 // hosts 0,1 and 2,3 share a leaf
+		c, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes, links := map[string]int{}, map[[2]int]int{}
+		for _, n := range c.G.Nodes {
+			nodes[n.Label] = n.ID
+		}
+		for _, l := range c.G.Links {
+			links[[2]int{l.From, l.To}] = l.ID
+		}
+		g := cfg.GPUsPerNode
+		for a := 0; a < cfg.Nodes; a++ {
+			for b := 0; b < cfg.Nodes; b++ {
+				for i := 0; i < g; i++ {
+					for j := 0; j < g; j++ {
+						for plane := 0; plane < g; plane++ {
+							set := c.PlanePaths(a, i, b, j, plane)
+							ref := refPlanePaths(c, nodes, links, a, i, b, j, plane)
+							if set.Len() != len(ref) || int(set.Hops) != len(ref[0]) || len(set.Links) != len(ref)*len(ref[0]) {
+								t.Fatalf("%v (%d,%d)->(%d,%d) plane %d: %d paths of %d hops in %d links, want %d of %d",
+									kind, a, i, b, j, plane, set.Len(), set.Hops, len(set.Links), len(ref), len(ref[0]))
+							}
+							for k, p := range ref {
+								for h, lid := range p {
+									if got := set.Path(k)[h]; int(got) != lid {
+										t.Fatalf("%v (%d,%d)->(%d,%d) plane %d: path %d hop %d is link %d, want %d",
+											kind, a, i, b, j, plane, k, h, got, lid)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -216,7 +328,7 @@ func TestMRFTAggregateUplinkMatchesMPFT(t *testing.T) {
 func TestPXNPathFlowRate(t *testing.T) {
 	c, _ := Build(H800Config(8, MPFT))
 	paths := c.PlanePaths(0, 0, 5, 3, 3)
-	flow := netsim.Flow{Src: c.GPUID(0, 0), Dst: c.GPUID(5, 3), Bytes: 1 * units.GB, Paths: paths[:1]}
+	flow := netsim.Flow{Src: c.GPUID(0, 0), Dst: c.GPUID(5, 3), Bytes: 1 * units.GB, Paths: paths.Only(0)}
 	res := netsim.Simulate(c.G, []netsim.Flow{flow})
 	want := 1 * units.GB / NICEffective
 	if math.Abs(res.Makespan-want) > 1e-9 {

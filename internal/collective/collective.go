@@ -11,6 +11,7 @@ import (
 
 	"dsv3/internal/cluster"
 	"dsv3/internal/netsim"
+	"dsv3/internal/topology"
 	"dsv3/internal/units"
 )
 
@@ -119,14 +120,13 @@ func (s *Scratch) AllToAll(c *cluster.Cluster, ranks int, perRankBytes units.Byt
 			if plane < failed { // home plane down: detour
 				plane = failed + (r+q)%(planes-failed)
 			}
-			paths := c.PlanePaths(srcNode, srcGPU, dstNode, dstGPU, plane)
-			paths = selectPaths(paths, opts, uint64(r)<<20|uint64(q))
+			paths := selectPaths(c.PlanePaths(srcNode, srcGPU, dstNode, dstGPU, plane), opts, uint64(r)<<20|uint64(q))
 			flows = append(flows, netsim.Flow{
 				Src:            c.GPUID(srcNode, srcGPU),
 				Dst:            c.GPUID(dstNode, dstGPU),
 				Bytes:          chunk + wireTax(chunk, opts),
 				Paths:          paths,
-				StartupLatency: opts.HostLatency + c.G.PathLatency(paths[0]),
+				StartupLatency: opts.HostLatency + c.G.PathLatency(paths.Path(0)),
 			})
 		}
 	}
@@ -150,20 +150,13 @@ func wireTax(chunk units.Bytes, opts Options) units.Bytes {
 }
 
 // selectPaths applies the multipath option: either all equal-cost paths
-// (adaptive routing) or a deterministic hash pick.
-func selectPaths(paths [][]int, opts Options, key uint64) [][]int {
-	if opts.Multipath || len(paths) <= 1 {
+// (adaptive routing) or a deterministic hash pick, a sub-slice of the
+// shared set.
+func selectPaths(paths topology.PathSet, opts Options, key uint64) topology.PathSet {
+	if opts.Multipath || paths.Len() <= 1 {
 		return paths
 	}
-	idx := int(mix(key^opts.FlowSeed) % uint64(len(paths)))
-	return paths[idx : idx+1]
-}
-
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return paths.Only(int(netsim.Splitmix64(key^opts.FlowSeed) % uint64(paths.Len())))
 }
 
 // RingResult reports a concurrent ring-collective execution.
@@ -202,7 +195,7 @@ func (s *Scratch) RingCollective(router *netsim.Router, groups [][]int, perRankB
 			// ECMP hashes the connection 5-tuple; static routing uses a
 			// per-destination route table (spread by destination, the
 			// way an operator would configure it).
-			key := mix(uint64(gi)<<32 | uint64(i)<<16 | opts.FlowSeed)
+			key := netsim.Splitmix64(uint64(gi)<<32 | uint64(i)<<16 | opts.FlowSeed)
 			if policy == netsim.PolicyStatic {
 				key = uint64(dst)
 			}
@@ -215,7 +208,7 @@ func (s *Scratch) RingCollective(router *netsim.Router, groups [][]int, perRankB
 				Dst:            dst,
 				Bytes:          chunk + wireTax(chunk, opts),
 				Paths:          paths,
-				StartupLatency: opts.HostLatency + g.PathLatency(paths[0]),
+				StartupLatency: opts.HostLatency + g.PathLatency(paths.Path(0)),
 			})
 			flowGroup = append(flowGroup, gi)
 		}

@@ -328,10 +328,12 @@ func Combine(c *cluster.Cluster, cfg Config, seed int64) (Result, error) {
 func (tr *traffic) flows(c *cluster.Cluster, cfg Config, bm byteMatrix, reverse bool) []netsim.Flow {
 	var flows []netsim.Flow
 	lat := cluster.DefaultLatencyParams()
-	add := func(src, dst int, paths [][]int, bytes units.Bytes, rateCap units.BytesPerSecond) {
+	// add appends the flow from GPU (a,i) to GPU (b,j) through plane.
+	add := func(a, i, b, j, plane int, bytes units.Bytes, rateCap units.BytesPerSecond) {
+		paths := c.PlanePaths(a, i, b, j, plane)
 		flows = append(flows, netsim.Flow{
-			Src: src, Dst: dst, Bytes: bytes, Paths: paths,
-			StartupLatency: lat.HostOverheadIB + c.G.PathLatency(paths[0]),
+			Src: c.GPUID(a, i), Dst: c.GPUID(b, j), Bytes: bytes, Paths: paths,
+			StartupLatency: lat.HostOverheadIB + c.G.PathLatency(paths.Path(0)),
 			RateCap:        rateCap,
 		})
 	}
@@ -342,13 +344,11 @@ func (tr *traffic) flows(c *cluster.Cluster, cfg Config, bm byteMatrix, reverse 
 			if bytes == 0 {
 				continue
 			}
+			from, to := srcNode, node
 			if reverse {
-				paths := c.PlanePaths(node, srcGPU, srcNode, srcGPU, srcGPU)
-				add(c.GPUID(node, srcGPU), c.GPUID(srcNode, srcGPU), paths, bytes, cfg.PerPeerRateCap)
-			} else {
-				paths := c.PlanePaths(srcNode, srcGPU, node, srcGPU, srcGPU)
-				add(c.GPUID(srcNode, srcGPU), c.GPUID(node, srcGPU), paths, bytes, cfg.PerPeerRateCap)
+				from, to = node, srcNode
 			}
+			add(from, srcGPU, to, srcGPU, srcGPU, bytes, cfg.PerPeerRateCap)
 		}
 	}
 	nvlink := func(sizes []units.Bytes) {
@@ -362,8 +362,7 @@ func (tr *traffic) flows(c *cluster.Cluster, cfg Config, bm byteMatrix, reverse 
 			if reverse {
 				from, to = to, from
 			}
-			paths := [][]int{c.NVLinkPath(node, from, to)}
-			add(c.GPUID(node, from), c.GPUID(node, to), paths, bytes, 0)
+			add(node, from, node, to, to, bytes, 0)
 		}
 	}
 	nvlink(bm.fwd)

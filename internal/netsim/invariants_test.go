@@ -50,7 +50,7 @@ func TestMakespanAboveLinkLoadBound(t *testing.T) {
 			}
 			bytes := 100 + r.Float64()*1000
 			flows = append(flows, Flow{Src: src, Dst: dst, Bytes: bytes, Paths: paths})
-			for _, lid := range paths[0] {
+			for _, lid := range paths.Path(0) {
 				linkBytes[lid] += bytes
 			}
 		}
@@ -97,7 +97,7 @@ func TestFlowFinishAboveSoloBound(t *testing.T) {
 		res := Simulate(g, flows)
 		for fi, fl := range flows {
 			minCap := math.Inf(1)
-			for _, lid := range fl.Paths[0] {
+			for _, lid := range fl.Paths.Path(0) {
 				minCap = math.Min(minCap, g.Links[lid].Capacity)
 			}
 			solo := fl.Bytes / minCap
@@ -180,7 +180,7 @@ func TestRateCapProperty(t *testing.T) {
 	b := g.AddNode(topology.Endpoint, "b", 0, -1)
 	g.AddDuplex(a, sw, 100, 0)
 	g.AddDuplex(sw, b, 100, 0)
-	paths, err := g.ShortestPaths(a, b)
+	paths, err := NewRouter(g).Paths(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,9 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"dsv3/internal/topology"
 	"dsv3/internal/units"
@@ -31,11 +33,11 @@ type Flow struct {
 	// Bytes is the payload size. Zero-byte flows complete at their
 	// startup latency.
 	Bytes units.Bytes
-	// Paths lists one or more link-ID paths. With several paths the
-	// bytes are split evenly (fluid packet-spraying). An empty path
-	// (nil or zero-length inner slice) is a loopback that completes at
-	// the startup latency.
-	Paths [][]int
+	// Paths holds one or more equal-hop link-ID paths, read in place.
+	// With several paths the bytes are split evenly (fluid
+	// packet-spraying). A set without hops is a loopback that completes
+	// at the startup latency.
+	Paths topology.PathSet
 	// StartupLatency is added to the flow's completion time: path
 	// propagation plus endpoint software/NIC overheads.
 	StartupLatency units.Seconds
@@ -61,28 +63,27 @@ type Result struct {
 }
 
 // subflow is one path of one flow: 32 bytes. Every index the simulator
-// stores — flow and subflow numbers, path-arena offsets, link IDs — is
-// an int32, which halves the path arena and the per-link lists and
-// keeps the 128-GPU sprayed all-to-all's ~400K subflows and ~3M path
-// entries small; Simulate panics on inputs too large for that.
+// stores — flow and subflow numbers, path offsets, link IDs — is an
+// int32, which halves the per-link lists and keeps the 128-GPU sprayed
+// all-to-all's ~397K subflows and ~3.1M path entries small; Simulate
+// panics on inputs too large for that.
 type subflow struct {
 	remaining units.Bytes
 	rate      float64
 	cap       float64 // per-subflow rate cap; 0 = uncapped
 	flow      int32
-	// pathStart is where the subflow's link-ID path begins in the
-	// simulation's flat path arena (Sim.paths): the water-filling loops
-	// walk paths every epoch, and one contiguous arena keeps those scans
-	// sequential instead of chasing per-flow slice headers. Subflows are
-	// laid out in arena order and the subflow table ends with a sentinel
-	// whose pathStart is the arena length, so a path ends where the next
-	// subflow's begins (see path).
+	// pathStart is where the subflow's path begins in its flow's
+	// Paths.Links: the simulator reads links where the path set keeps
+	// them (see path), so a run holds no copy of its paths.
 	pathStart int32
 }
 
-// path returns subflow si's link IDs; subs must end with the sentinel.
-func path(subs []subflow, arena []int32, si int32) []int32 {
-	return arena[subs[si].pathStart:subs[si+1].pathStart]
+// path returns subflow si's link IDs, read in place from its flow's
+// path set.
+func path(subs []subflow, flows []Flow, si int32) []int32 {
+	sub := &subs[si]
+	ps := &flows[sub.flow].Paths
+	return ps.Links[sub.pathStart : sub.pathStart+ps.Hops]
 }
 
 // checkInt32 panics when n, a count that bounds an index the simulator
@@ -94,10 +95,11 @@ func checkInt32(what string, n int) {
 }
 
 // Simulate runs the fluid simulation to completion and returns per-flow
-// finish times. It panics on malformed paths (link IDs out of range),
-// since those are programming errors in the collective layer. Each call
-// allocates fresh scratch; hot loops that simulate many flow sets should
-// hold a Sim and call its Simulate method instead.
+// finish times. It panics on a link ID outside the graph (a programming
+// error in the collective layer; topology.Graph.NewPathSet rejects one
+// where a set is built). Each call allocates fresh scratch; hot loops
+// that simulate many flow sets should hold a Sim and call its Simulate
+// method instead.
 func Simulate(g *topology.Graph, flows []Flow) Result {
 	return NewSim().Simulate(g, flows)
 }
@@ -112,9 +114,8 @@ func Simulate(g *topology.Graph, flows []Flow) Result {
 // Simulate function: scratch reuse never changes the arithmetic, only
 // where the buffers live.
 type Sim struct {
-	subs          []subflow // subflow table plus the end sentinel
-	paths         []int32   // flat path arena, indexed by subflow.pathStart
-	flowRemaining []int     // unfinished subflows per flow
+	subs          []subflow
+	flowRemaining []int // unfinished subflows per flow
 	flowNetDone   []units.Seconds
 	linkBytes     []units.Bytes
 	bySID         []int32
@@ -156,67 +157,46 @@ func (s *Sim) Simulate(g *topology.Graph, flows []Flow) Result {
 	// and NaN sizes, which make subflows too, are counted).
 	nsubs, npath, ncapped := 0, 0, 0
 	for _, f := range flows {
-		if len(f.Paths) > 0 && f.Bytes != 0 {
-			nsubs += len(f.Paths)
+		if f.Paths.Hops > 0 && f.Bytes != 0 {
+			nsubs += f.Paths.Len()
 			if f.RateCap > 0 {
-				ncapped += len(f.Paths)
+				ncapped += f.Paths.Len()
 			}
-			for _, p := range f.Paths {
-				npath += len(p)
-			}
+			npath += len(f.Paths.Links)
 		}
 	}
 	checkInt32("flows", len(flows))
 	checkInt32("subflows", nsubs)
 	checkInt32("path entries plus capped subflows", npath+ncapped)
 	checkInt32("links plus capped subflows", len(g.Links)+ncapped)
-	if cap(s.subs) < nsubs+1 {
-		s.subs = make([]subflow, 0, nsubs+1)
-	}
-	subs := s.subs[:0]
-	if cap(s.paths) < npath {
-		s.paths = make([]int32, 0, npath)
-	}
-	arena := s.paths[:0]
+	subs := slices.Grow(s.subs[:0], nsubs)
 	s.flowRemaining = grow(s.flowRemaining, len(flows))
 	flowRemaining := s.flowRemaining
 	s.flowNetDone = grow(s.flowNetDone, len(flows))
 	flowNetDone := s.flowNetDone
 	for fi, f := range flows {
-		paths := f.Paths
-		if len(paths) == 0 {
-			paths = [][]int{nil}
-		}
-		share := f.Bytes / float64(len(paths))
 		if f.StartTime > flowNetDone[fi] {
 			flowNetDone[fi] = f.StartTime
 		}
+		n := f.Paths.Len()
+		share := f.Bytes / float64(n)
+		if f.Paths.Hops == 0 || share == 0 {
+			continue // loopback or zero bytes: done at StartTime
+		}
 		var subCap float64
 		if f.RateCap > 0 {
-			subCap = f.RateCap / float64(len(paths))
+			subCap = f.RateCap / float64(n)
 		}
-		for _, p := range paths {
-			start := int32(len(arena))
-			for _, lid := range p {
-				if lid < 0 || lid >= len(g.Links) {
-					panic(fmt.Sprintf("netsim: flow %d references invalid link %d", fi, lid))
-				}
+		for k := 0; k < n; k++ {
+			for _, lid := range f.Paths.Path(k) {
 				linkBytes[lid] += share
-				if share != 0 {
-					arena = append(arena, int32(lid))
-				}
 			}
-			if len(p) == 0 || share == 0 {
-				continue // loopback or zero bytes: done at StartTime
-			}
-			subs = append(subs, subflow{flow: int32(fi), pathStart: start, remaining: share, cap: subCap})
-			flowRemaining[fi]++
+			subs = append(subs, subflow{flow: int32(fi), pathStart: int32(k) * f.Paths.Hops, remaining: share, cap: subCap})
 		}
+		flowRemaining[fi] = n
 	}
+	s.subs = subs
 	nsubs = len(subs)
-	s.subs = append(subs, subflow{pathStart: int32(len(arena))})
-	subs = s.subs
-	s.paths = arena
 	for _, b := range linkBytes {
 		if b > res.MaxLinkBytes {
 			res.MaxLinkBytes = b
@@ -225,10 +205,8 @@ func (s *Sim) Simulate(g *topology.Graph, flows []Flow) Result {
 
 	// Group subflows by start time. Most collectives launch everything
 	// at t=0, in which case creation order is already sorted.
-	if cap(s.bySID) < nsubs {
-		s.bySID = make([]int32, nsubs)
-	}
-	bySID := s.bySID[:nsubs]
+	s.bySID = slices.Grow(s.bySID[:0], nsubs)[:nsubs]
+	bySID := s.bySID
 	staged := false
 	for i := range bySID {
 		bySID[i] = int32(i)
@@ -244,12 +222,9 @@ func (s *Sim) Simulate(g *topology.Graph, flows []Flow) Result {
 
 	now := 0.0
 	nextStart := 0
-	if cap(s.active) < nsubs {
-		s.active = make([]int32, 0, nsubs)
-	}
-	active := s.active[:0]
+	active := slices.Grow(s.active[:0], nsubs)
 	pf := &s.pf
-	pf.reset(g, subs[:nsubs], arena)
+	pf.reset(g, subs, flows, ncapped)
 
 	for {
 		// Admit subflows whose start time has arrived.
@@ -269,7 +244,7 @@ func (s *Sim) Simulate(g *topology.Graph, flows []Flow) Result {
 			break
 		}
 
-		pf.assign(subs, active, arena)
+		pf.assign(subs, active, flows)
 
 		// Advance to the next event: earliest subflow completion or the
 		// next admission.
@@ -320,8 +295,21 @@ func (s *Sim) Simulate(g *topology.Graph, flows []Flow) Result {
 			res.Makespan = res.FlowFinish[fi]
 		}
 	}
+	if work != nil {
+		work.runs.Add(1)
+	}
 	return res
 }
+
+// work, when non-nil, accumulates the work counts of every run. Only
+// tests set it (export_test.go); otherwise it costs a nil check per run
+// and per epoch.
+var work *workCounts
+
+// workCounts are the simulator's deterministic work counters: runs,
+// rate-assignment epochs, water-filling levels, and path entries the
+// epochs put on per-link lists.
+type workCounts struct{ runs, epochs, levels, visits atomic.Int64 }
 
 // filler holds the scratch buffers of progressive filling so the event
 // loop does not reallocate per epoch — and, embedded in a Sim, not per
@@ -351,18 +339,11 @@ type filler struct {
 // re-zeroing) the link-indexed scratch as needed. assign relies on
 // count being all-zero between epochs; reset re-establishes that
 // invariant explicitly so an abandoned run (panic) cannot poison the
-// next one. subs is the subflow table without its sentinel.
-func (pf *filler) reset(g *topology.Graph, subs []subflow, arena []int32) {
-	// Virtual links exist only for rate-capped subflows; sizing the
-	// link-indexed scratch to links+capped (not links+len(subs)) keeps
-	// the allocation proportional to the real problem — collectives
-	// typically cap nothing.
-	capped := 0
-	for i := range subs {
-		if subs[i].cap > 0 {
-			capped++
-		}
-	}
+// next one. Virtual links exist only for rate-capped subflows, of which
+// there are at most capped: sizing the link-indexed scratch to
+// links+capped (not links+len(subs)) keeps the allocation proportional
+// to the real problem — collectives typically cap nothing.
+func (pf *filler) reset(g *topology.Graph, subs []subflow, flows []Flow, capped int) {
 	pf.g = g
 	nLinks := len(g.Links)
 	total := nLinks + capped
@@ -377,14 +358,12 @@ func (pf *filler) reset(g *topology.Graph, subs []subflow, arena []int32) {
 	// offsets. Virtual links get one slot each (a virtual link carries
 	// exactly its own capped subflow).
 	pf.listStart = grow(pf.listStart, total)
-	if cap(pf.next) < total {
-		pf.next = make([]int32, total)
-	} else {
-		pf.next = pf.next[:total] // stale cursors fine: rewound on touch
-	}
+	pf.next = slices.Grow(pf.next[:0], total)[:total] // stale cursors fine: rewound on touch
 	counts := pf.listStart
-	for _, lid := range arena {
-		counts[lid]++
+	for si := range subs {
+		for _, lid := range path(subs, flows, int32(si)) {
+			counts[lid]++
+		}
 	}
 	var sum int32
 	for lid := 0; lid < nLinks; lid++ {
@@ -396,27 +375,26 @@ func (pf *filler) reset(g *topology.Graph, subs []subflow, arena []int32) {
 		counts[vid] = sum
 		sum++
 	}
-	if cap(pf.entries) < int(sum) {
-		pf.entries = make([]int32, sum)
-	} else {
-		pf.entries = pf.entries[:sum]
-	}
+	pf.entries = slices.Grow(pf.entries[:0], int(sum))[:sum]
 }
 
 // assign computes the (unique) max-min fair allocation for the active
-// subflows; subs ends with the sentinel. Each water-filling level
-// freezes its bottleneck links in one sweep over the touched links in
-// first-touch order (the order the active scan first reaches them),
-// which fixes the floating-point order of the residual updates.
-func (pf *filler) assign(subs []subflow, active []int32, arena []int32) {
+// subflows. Each water-filling level freezes its bottleneck links in
+// one sweep over the touched links in first-touch order (the order the
+// active scan first reaches them), which fixes the floating-point order
+// of the residual updates.
+func (pf *filler) assign(subs []subflow, active []int32, flows []Flow) {
 	nextVirtual := int32(len(pf.g.Links))
 	pf.touched = pf.touched[:0]
+	visits := 0
 	for _, si := range active {
 		sub := &subs[si]
 		sub.rate = 0
 		pf.frozen[si] = false
 		pf.vlink[si] = -1
-		for _, lid := range path(subs, arena, si) {
+		p := path(subs, flows, si)
+		visits += len(p)
+		for _, lid := range p {
 			if pf.count[lid] == 0 {
 				pf.residual[lid] = pf.g.Links[lid].Capacity
 				pf.next[lid] = pf.listStart[lid]
@@ -440,7 +418,9 @@ func (pf *filler) assign(subs []subflow, active []int32, arena []int32) {
 	}
 
 	undetermined := len(active)
+	levels := 0
 	for undetermined > 0 {
+		levels++
 		// Water-filling level: the minimum per-subflow share over all
 		// still-loaded links.
 		minShare := math.Inf(1)
@@ -476,7 +456,7 @@ func (pf *filler) assign(subs []subflow, active []int32, arena []int32) {
 				pf.frozen[si] = true
 				subs[si].rate = rate
 				undetermined--
-				for _, plid := range path(subs, arena, si) {
+				for _, plid := range path(subs, flows, si) {
 					pf.residual[plid] -= rate
 					pf.count[plid]--
 				}
@@ -490,5 +470,10 @@ func (pf *filler) assign(subs []subflow, active []int32, arena []int32) {
 	// Reset counters for the next epoch.
 	for _, lid := range pf.touched {
 		pf.count[lid] = 0
+	}
+	if w := work; w != nil {
+		w.epochs.Add(1)
+		w.levels.Add(int64(levels))
+		w.visits.Add(int64(visits))
 	}
 }

@@ -19,9 +19,9 @@ func lineGraph(capacity units.BytesPerSecond) (*topology.Graph, int, int) {
 	return g, a, b
 }
 
-func pathsOf(t *testing.T, g *topology.Graph, src, dst int) [][]int {
+func pathsOf(t *testing.T, g *topology.Graph, src, dst int) topology.PathSet {
 	t.Helper()
-	p, err := g.ShortestPaths(src, dst)
+	p, err := NewRouter(g).Paths(src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func pathsOf(t *testing.T, g *topology.Graph, src, dst int) [][]int {
 
 func TestSingleFlowCompletionTime(t *testing.T) {
 	g, a, b := lineGraph(100)
-	flows := []Flow{{Src: a, Dst: b, Bytes: 1000, Paths: pathsOf(t, g, a, b)[:1]}}
+	flows := []Flow{{Src: a, Dst: b, Bytes: 1000, Paths: pathsOf(t, g, a, b).Only(0)}}
 	res := Simulate(g, flows)
 	if math.Abs(res.Makespan-10) > 1e-9 {
 		t.Errorf("1000 B at 100 B/s should take 10 s, got %v", res.Makespan)
@@ -39,7 +39,7 @@ func TestSingleFlowCompletionTime(t *testing.T) {
 
 func TestStartupLatencyAdds(t *testing.T) {
 	g, a, b := lineGraph(100)
-	flows := []Flow{{Src: a, Dst: b, Bytes: 1000, Paths: pathsOf(t, g, a, b)[:1], StartupLatency: 2.5}}
+	flows := []Flow{{Src: a, Dst: b, Bytes: 1000, Paths: pathsOf(t, g, a, b).Only(0), StartupLatency: 2.5}}
 	res := Simulate(g, flows)
 	if math.Abs(res.Makespan-12.5) > 1e-9 {
 		t.Errorf("expected 12.5 s, got %v", res.Makespan)
@@ -48,7 +48,7 @@ func TestStartupLatencyAdds(t *testing.T) {
 
 func TestTwoFlowsShareFairly(t *testing.T) {
 	g, a, b := lineGraph(100)
-	p := pathsOf(t, g, a, b)[:1]
+	p := pathsOf(t, g, a, b).Only(0)
 	flows := []Flow{
 		{Src: a, Dst: b, Bytes: 1000, Paths: p},
 		{Src: a, Dst: b, Bytes: 1000, Paths: p},
@@ -62,7 +62,7 @@ func TestTwoFlowsShareFairly(t *testing.T) {
 
 func TestShortFlowFinishesThenLongSpeedsUp(t *testing.T) {
 	g, a, b := lineGraph(100)
-	p := pathsOf(t, g, a, b)[:1]
+	p := pathsOf(t, g, a, b).Only(0)
 	flows := []Flow{
 		{Src: a, Dst: b, Bytes: 500, Paths: p},
 		{Src: a, Dst: b, Bytes: 1500, Paths: p},
@@ -80,7 +80,7 @@ func TestShortFlowFinishesThenLongSpeedsUp(t *testing.T) {
 
 func TestZeroByteFlow(t *testing.T) {
 	g, a, b := lineGraph(100)
-	flows := []Flow{{Src: a, Dst: b, Bytes: 0, Paths: pathsOf(t, g, a, b)[:1], StartupLatency: 3e-6}}
+	flows := []Flow{{Src: a, Dst: b, Bytes: 0, Paths: pathsOf(t, g, a, b).Only(0), StartupLatency: 3e-6}}
 	res := Simulate(g, flows)
 	if res.Makespan != 3e-6 {
 		t.Errorf("zero-byte flow should finish at startup latency, got %v", res.Makespan)
@@ -89,7 +89,7 @@ func TestZeroByteFlow(t *testing.T) {
 
 func TestLoopbackFlow(t *testing.T) {
 	g, a, _ := lineGraph(100)
-	flows := []Flow{{Src: a, Dst: a, Bytes: 1e12, Paths: [][]int{nil}, StartupLatency: 1e-6}}
+	flows := []Flow{{Src: a, Dst: a, Bytes: 1e12, Paths: topology.PathSet{}, StartupLatency: 1e-6}}
 	res := Simulate(g, flows)
 	if res.Makespan != 1e-6 {
 		t.Errorf("loopback should not consume network time, got %v", res.Makespan)
@@ -98,7 +98,7 @@ func TestLoopbackFlow(t *testing.T) {
 
 func TestDelayedStart(t *testing.T) {
 	g, a, b := lineGraph(100)
-	p := pathsOf(t, g, a, b)[:1]
+	p := pathsOf(t, g, a, b).Only(0)
 	flows := []Flow{
 		{Src: a, Dst: b, Bytes: 1000, Paths: p},
 		{Src: a, Dst: b, Bytes: 1000, Paths: p, StartTime: 10},
@@ -113,7 +113,7 @@ func TestDelayedStart(t *testing.T) {
 
 func TestDelayedStartContention(t *testing.T) {
 	g, a, b := lineGraph(100)
-	p := pathsOf(t, g, a, b)[:1]
+	p := pathsOf(t, g, a, b).Only(0)
 	flows := []Flow{
 		{Src: a, Dst: b, Bytes: 1500, Paths: p},
 		{Src: a, Dst: b, Bytes: 500, Paths: p, StartTime: 5},
@@ -141,8 +141,8 @@ func multiPathGraph() (*topology.Graph, int, int) {
 func TestMultipathSpraying(t *testing.T) {
 	g, a, b := multiPathGraph()
 	paths := pathsOf(t, g, a, b)
-	if len(paths) != 2 {
-		t.Fatalf("expected 2 paths, got %d", len(paths))
+	if paths.Len() != 2 {
+		t.Fatalf("expected 2 paths, got %d", paths.Len())
 	}
 	flows := []Flow{{Src: a, Dst: b, Bytes: 1000, Paths: paths}}
 	res := Simulate(g, flows)
@@ -155,7 +155,7 @@ func TestMultipathSpraying(t *testing.T) {
 func TestSinglePathUsesOneSpine(t *testing.T) {
 	g, a, b := multiPathGraph()
 	paths := pathsOf(t, g, a, b)
-	flows := []Flow{{Src: a, Dst: b, Bytes: 1000, Paths: paths[:1]}}
+	flows := []Flow{{Src: a, Dst: b, Bytes: 1000, Paths: paths.Only(0)}}
 	res := Simulate(g, flows)
 	if math.Abs(res.Makespan-10) > 1e-9 {
 		t.Errorf("single-path flow should take 10 s, got %v", res.Makespan)
@@ -169,12 +169,12 @@ func TestECMPCollisionSlowsFlows(t *testing.T) {
 	g, a, b := multiPathGraph()
 	paths := pathsOf(t, g, a, b)
 	collide := []Flow{
-		{Src: a, Dst: b, Bytes: 1000, Paths: paths[:1]},
-		{Src: a, Dst: b, Bytes: 1000, Paths: paths[:1]},
+		{Src: a, Dst: b, Bytes: 1000, Paths: paths.Only(0)},
+		{Src: a, Dst: b, Bytes: 1000, Paths: paths.Only(0)},
 	}
 	spread := []Flow{
-		{Src: a, Dst: b, Bytes: 1000, Paths: paths[:1]},
-		{Src: a, Dst: b, Bytes: 1000, Paths: paths[1:2]},
+		{Src: a, Dst: b, Bytes: 1000, Paths: paths.Only(0)},
+		{Src: a, Dst: b, Bytes: 1000, Paths: paths.Only(1)},
 	}
 	tCollide := Simulate(g, collide).Makespan
 	tSpread := Simulate(g, spread).Makespan
@@ -187,8 +187,8 @@ func TestMaxLinkBytesHotspot(t *testing.T) {
 	g, a, b := multiPathGraph()
 	paths := pathsOf(t, g, a, b)
 	flows := []Flow{
-		{Src: a, Dst: b, Bytes: 600, Paths: paths[:1]},
-		{Src: a, Dst: b, Bytes: 400, Paths: paths[:1]},
+		{Src: a, Dst: b, Bytes: 600, Paths: paths.Only(0)},
+		{Src: a, Dst: b, Bytes: 400, Paths: paths.Only(0)},
 	}
 	res := Simulate(g, flows)
 	if res.MaxLinkBytes != 1000 {
@@ -203,7 +203,7 @@ func TestInvalidLinkPanics(t *testing.T) {
 			t.Error("expected panic on invalid link ID")
 		}
 	}()
-	Simulate(g, []Flow{{Src: a, Dst: b, Bytes: 1, Paths: [][]int{{9999}}}})
+	Simulate(g, []Flow{{Src: a, Dst: b, Bytes: 1, Paths: topology.PathSet{Links: []int32{9999}, Hops: 1}}})
 }
 
 func TestRouterPolicies(t *testing.T) {
@@ -212,22 +212,22 @@ func TestRouterPolicies(t *testing.T) {
 
 	// Adaptive: all paths.
 	ps, err := r.Select(a, b, PolicyAdaptive, 0)
-	if err != nil || len(ps) != 2 {
+	if err != nil || ps.Len() != 2 {
 		t.Fatalf("adaptive should return 2 paths: %v, %v", ps, err)
 	}
 	// ECMP: deterministic single path for a given key.
 	p1, _ := r.Select(a, b, PolicyECMP, 42)
 	p2, _ := r.Select(a, b, PolicyECMP, 42)
-	if len(p1) != 1 || len(p2) != 1 || &p1[0][0] != &p2[0][0] {
+	if p1.Len() != 1 || p2.Len() != 1 || &p1.Links[0] != &p2.Links[0] {
 		t.Error("ECMP must be deterministic per key")
 	}
 	// ECMP: different keys eventually use different paths. The paths
 	// differ at the leaf→spine hop (index 1); the first hop is the
 	// shared endpoint→leaf link.
-	seen := map[int]bool{}
+	seen := map[int32]bool{}
 	for key := uint64(0); key < 32; key++ {
 		p, _ := r.Select(a, b, PolicyECMP, key)
-		seen[p[0][1]] = true
+		seen[p.Path(0)[1]] = true
 	}
 	if len(seen) < 2 {
 		t.Error("ECMP hash never spread across paths")
@@ -235,7 +235,7 @@ func TestRouterPolicies(t *testing.T) {
 	// Static: index selects the path directly.
 	s0, _ := r.Select(a, b, PolicyStatic, 0)
 	s1, _ := r.Select(a, b, PolicyStatic, 1)
-	if s0[0][1] == s1[0][1] {
+	if s0.Path(0)[1] == s1.Path(0)[1] {
 		t.Error("static indices 0 and 1 should pick distinct paths")
 	}
 }
@@ -248,7 +248,7 @@ func TestRouterCaching(t *testing.T) {
 		t.Fatal(err)
 	}
 	second, _ := r.Paths(a, b)
-	if &first[0][0] != &second[0][0] {
+	if &first.Links[0] != &second.Links[0] {
 		t.Error("second lookup should hit the cache")
 	}
 }
@@ -263,7 +263,7 @@ func TestPolicyString(t *testing.T) {
 // takes N times the single-flow time.
 func TestLinearScalingOnSharedLink(t *testing.T) {
 	g, a, b := lineGraph(100)
-	p := pathsOf(t, g, a, b)[:1]
+	p := pathsOf(t, g, a, b).Only(0)
 	for _, n := range []int{1, 3, 7} {
 		flows := make([]Flow, n)
 		for i := range flows {
@@ -273,6 +273,40 @@ func TestLinearScalingOnSharedLink(t *testing.T) {
 		want := float64(n)
 		if math.Abs(res.Makespan-want) > 1e-9 {
 			t.Errorf("n=%d: makespan %v, want %v", n, res.Makespan, want)
+		}
+	}
+}
+
+// The router's cached set holds exactly the graph's equal-cost shortest
+// paths, in enumeration order, for every endpoint pair (self pairs
+// included, as one empty path).
+func TestRouterPathsMatchShortestPaths(t *testing.T) {
+	g := topology.FatTree2{Leaves: 3, Spines: 3, EndpointsPerLeaf: 2, Params: topology.FabricParams{EndpointLinkCap: 50, SwitchLinkCap: 50}}.Build()
+	r := NewRouter(g)
+	for _, src := range g.Endpoints() {
+		for _, dst := range g.Endpoints() {
+			want, err := g.ShortestPaths(src, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set, err := r.Paths(src, dst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if set.Len() != len(want) {
+				t.Fatalf("%d->%d: %d paths, want %d", src, dst, set.Len(), len(want))
+			}
+			for k, p := range want {
+				got := set.Path(k)
+				if len(got) != len(p) {
+					t.Fatalf("%d->%d path %d: %d hops, want %d", src, dst, k, len(got), len(p))
+				}
+				for h, lid := range p {
+					if int(got[h]) != lid {
+						t.Fatalf("%d->%d path %d hop %d: link %d, want %d", src, dst, k, h, got[h], lid)
+					}
+				}
+			}
 		}
 	}
 }

@@ -35,62 +35,61 @@ func (p Policy) String() string {
 	return fmt.Sprintf("Policy(%d)", int(p))
 }
 
-// Router caches shortest-path enumeration per endpoint pair and applies
-// a routing policy to pick the path set of each flow.
+// Router caches each endpoint pair's equal-cost shortest paths as one
+// topology.PathSet and applies a routing policy to pick each flow's.
 type Router struct {
 	g     *topology.Graph
-	cache map[[2]int][][]int
+	cache map[[2]int]topology.PathSet
 }
 
 // NewRouter wraps a graph. The graph must not be mutated afterwards.
 func NewRouter(g *topology.Graph) *Router {
-	return &Router{g: g, cache: make(map[[2]int][][]int)}
+	return &Router{g: g, cache: make(map[[2]int]topology.PathSet)}
 }
 
 // Graph returns the underlying graph.
 func (r *Router) Graph() *topology.Graph { return r.g }
 
 // Paths returns (and caches) all equal-cost shortest paths src→dst.
-func (r *Router) Paths(src, dst int) ([][]int, error) {
+func (r *Router) Paths(src, dst int) (topology.PathSet, error) {
 	key := [2]int{src, dst}
 	if p, ok := r.cache[key]; ok {
 		return p, nil
 	}
-	p, err := r.g.ShortestPaths(src, dst)
+	paths, err := r.g.ShortestPaths(src, dst)
 	if err != nil {
-		return nil, err
+		return topology.PathSet{}, err
 	}
-	r.cache[key] = p
-	return p, nil
+	p, err := r.g.NewPathSet(paths)
+	if err == nil {
+		r.cache[key] = p
+	}
+	return p, err
 }
 
 // Select returns the path set a flow uses under the policy. flowKey
 // seeds the ECMP hash (stand-in for the 5-tuple) and doubles as the
 // path index under PolicyStatic.
-func (r *Router) Select(src, dst int, policy Policy, flowKey uint64) ([][]int, error) {
+func (r *Router) Select(src, dst int, policy Policy, flowKey uint64) (topology.PathSet, error) {
 	paths, err := r.Paths(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	if len(paths) <= 1 {
-		return paths, nil
+	n := paths.Len()
+	if err != nil || n <= 1 {
+		return paths, err
 	}
 	switch policy {
 	case PolicyAdaptive:
 		return paths, nil
 	case PolicyECMP:
-		idx := int(splitmix64(flowKey) % uint64(len(paths)))
-		return paths[idx : idx+1], nil
+		return paths.Only(int(Splitmix64(flowKey) % uint64(n))), nil
 	case PolicyStatic:
-		idx := int(flowKey) % len(paths)
-		return paths[idx : idx+1], nil
+		return paths.Only(int(flowKey) % n), nil
 	}
-	return nil, fmt.Errorf("netsim: unknown policy %v", policy)
+	return topology.PathSet{}, fmt.Errorf("netsim: unknown policy %v", policy)
 }
 
-// splitmix64 is the standard 64-bit mix function: deterministic,
+// Splitmix64 is the standard 64-bit mix function: deterministic,
 // well-distributed, and cheap — a good stand-in for a NIC's ECMP hash.
-func splitmix64(x uint64) uint64 {
+func Splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb

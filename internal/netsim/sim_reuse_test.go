@@ -62,7 +62,7 @@ func reuseFixtures() []fixture {
 }
 
 // spray returns every equal-cost path from src to dst.
-func spray(r *Router, src, dst int) [][]int {
+func spray(r *Router, src, dst int) topology.PathSet {
 	paths, err := r.Select(src, dst, PolicyAdaptive, 0)
 	if err != nil {
 		panic(err)

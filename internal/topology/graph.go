@@ -12,6 +12,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 
 	"dsv3/internal/units"
 )
@@ -67,16 +68,20 @@ func (g *Graph) AddNode(kind NodeKind, label string, level, plane int) int {
 	return id
 }
 
-// AddLink adds a single directed link and returns its ID.
-func (g *Graph) AddLink(from, to int, capacity units.BytesPerSecond, latency units.Seconds) int {
+// AddLink adds a single directed link and returns its ID. Paths hold
+// link IDs as int32 (see PathSet), so a graph with more links panics.
+func (g *Graph) AddLink(from, to int, capacity units.BytesPerSecond, latency units.Seconds) int32 {
 	id := len(g.Links)
+	if id > math.MaxInt32 {
+		panic("topology: link IDs exceed the int32 range")
+	}
 	g.Links = append(g.Links, Link{ID: id, From: from, To: to, Capacity: capacity, Latency: latency})
 	g.Out[from] = append(g.Out[from], id)
-	return id
+	return int32(id)
 }
 
 // AddDuplex adds both directions of a cable and returns the two link IDs.
-func (g *Graph) AddDuplex(a, b int, capacity units.BytesPerSecond, latency units.Seconds) (ab, ba int) {
+func (g *Graph) AddDuplex(a, b int, capacity units.BytesPerSecond, latency units.Seconds) (ab, ba int32) {
 	return g.AddLink(a, b, capacity, latency), g.AddLink(b, a, capacity, latency)
 }
 
@@ -165,8 +170,49 @@ func (g *Graph) ShortestPaths(src, dst int) ([][]int, error) {
 	return paths, nil
 }
 
+// PathSet is the fabric's one path representation: equal-hop paths
+// (one pair's equal-cost paths, one multi-plane fan-out, an NVLink hop
+// pair) stored back to back as int32 link IDs, path k at
+// Links[k*Hops:(k+1)*Hops]. A set with no hops is one empty (loopback)
+// path. Caches share their sets: treat Links as immutable.
+type PathSet struct {
+	Links []int32
+	Hops  int32
+}
+
+// Len returns the number of paths in the set.
+func (s PathSet) Len() int { return max(len(s.Links)/max(int(s.Hops), 1), 1) }
+
+// Path returns path k's link IDs.
+func (s PathSet) Path(k int) []int32 { return s.Links[k*int(s.Hops) : (k+1)*int(s.Hops)] }
+
+// Only returns the one-path set holding path k; it shares s's storage.
+func (s PathSet) Only(k int) PathSet { return PathSet{Links: s.Path(k), Hops: s.Hops} }
+
+// NewPathSet packs paths into one PathSet. It rejects paths of unequal
+// hop counts and link IDs outside the graph, so a set it returns is
+// safe to simulate on g.
+func (g *Graph) NewPathSet(paths [][]int) (PathSet, error) {
+	if len(paths) == 0 {
+		return PathSet{}, fmt.Errorf("topology: empty path set")
+	}
+	set := PathSet{Links: make([]int32, 0, len(paths)*len(paths[0])), Hops: int32(len(paths[0]))}
+	for _, p := range paths {
+		if len(p) != len(paths[0]) {
+			return PathSet{}, fmt.Errorf("topology: path set mixes %d- and %d-hop paths", len(paths[0]), len(p))
+		}
+		for _, lid := range p {
+			if lid < 0 || lid >= len(g.Links) {
+				return PathSet{}, fmt.Errorf("topology: path set references invalid link %d", lid)
+			}
+			set.Links = append(set.Links, int32(lid))
+		}
+	}
+	return set, nil
+}
+
 // PathLatency sums the latencies along a path of link IDs.
-func (g *Graph) PathLatency(path []int) units.Seconds {
+func (g *Graph) PathLatency(path []int32) units.Seconds {
 	var total units.Seconds
 	for _, lid := range path {
 		total += g.Links[lid].Latency

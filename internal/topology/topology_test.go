@@ -28,8 +28,56 @@ func TestGraphBasics(t *testing.T) {
 	if len(paths) != 1 || len(paths[0]) != 2 {
 		t.Fatalf("expected one 2-hop path, got %v", paths)
 	}
-	if g.PathLatency(paths[0]) != 2 {
-		t.Errorf("path latency = %v", g.PathLatency(paths[0]))
+	set, err := g.NewPathSet(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.PathLatency(set.Path(0)) != 2 {
+		t.Errorf("path latency = %v", g.PathLatency(set.Path(0)))
+	}
+}
+
+// NewPathSet packs equal-hop paths back to back and rejects a set it
+// could not simulate: paths of unequal hop counts, or a link outside the
+// graph.
+func TestNewPathSet(t *testing.T) {
+	ft := FatTree2{Leaves: 2, Spines: 3, EndpointsPerLeaf: 1, Params: IB400G()}
+	g := ft.Build()
+	eps := g.Endpoints()
+	paths, err := g.ShortestPaths(eps[0], eps[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := g.NewPathSet(paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.Len() != 3 || set.Hops != 4 || len(set.Links) != 12 {
+		t.Fatalf("set holds %d paths of %d hops in %d links, want 3 of 4 in 12", set.Len(), set.Hops, len(set.Links))
+	}
+	for k, p := range paths {
+		for h, lid := range p {
+			if set.Path(k)[h] != int32(lid) {
+				t.Fatalf("path %d hop %d: link %d, want %d", k, h, set.Path(k)[h], lid)
+			}
+		}
+		if only := set.Only(k); only.Len() != 1 || &only.Links[0] != &set.Path(k)[0] {
+			t.Errorf("Only(%d) should be path %d in place", k, k)
+		}
+	}
+	self, err := g.NewPathSet([][]int{{}})
+	if err != nil || self.Len() != 1 || self.Hops != 0 {
+		t.Errorf("a loopback set should be one empty path: %+v, %v", self, err)
+	}
+	for name, bad := range map[string][][]int{
+		"unequal hops":  {paths[0], paths[1][:2]},
+		"link 9999":     {{0, 9999}},
+		"negative link": {{-1}},
+		"no paths":      nil,
+	} {
+		if _, err := g.NewPathSet(bad); err == nil {
+			t.Errorf("%s: NewPathSet accepted %v", name, bad)
+		}
 	}
 }
 

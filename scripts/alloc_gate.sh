@@ -28,6 +28,7 @@ BenchmarkServeFleetWide 12
 BenchmarkServeFleetCold 3150 7500000
 BenchmarkEventQueue/heap/n=100000 0
 BenchmarkEventQueue/heap/n=1000000 0
+BenchmarkAllToAll128Cold 18500 11000000
 "
 
 pattern="$(awk 'NF && $1 !~ /\// { printf "%s%s", sep, $1; sep = "|" }' <<<"$budgets")"
